@@ -1,0 +1,170 @@
+"""Registry of named checks: the identity, classification and operator
+suites that ``gstf verify`` and the acceptance tests run.  A check passes
+when its value is at most its tolerance; 0/1 values against 0.5 encode
+yes/no outcomes."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .catalog import (Bump, Gaussian, Hermite, Modulate, Poly, Product,
+                      SubExp, Sum, Translate, catalog_eval)
+from .classify import (ClassifyOptions, GSIndex, classify_function,
+                       classify_stft, fit_decay_rate)
+from .grids import Grid1D, TFGrid, TFR, build_grid
+from .toeplitz import (apply_toeplitz, continuity_probe,
+                       stft_product_transform_defect)
+from .transforms import adjoint_stft, stft, twisted_convolution_defect
+
+__all__ = ["TOLERANCES", "SUITES", "CATALOG_SPECS", "CATALOG_SPACES",
+           "run_suite"]
+
+TOLERANCES = {
+    "moyal_defect": 1e-6,
+    "stft_inversion_defect": 1e-5,
+    "twisted_convolution_defect": 1e-4,
+    "product_transform_defect": 1e-4,
+    "product_transform_sign_consistent": 0.5,
+    "rate_recovery_gaussian": 1e-9,
+    "rate_recovery_subexp": 1e-9,
+    "catalog_agreement_mismatches": 0.5,
+    "unit_symbol_reproduction": 1e-5,
+    "adjoint_symmetry": 1e-6,
+    "positivity_defect": 1e-10,
+    "continuity_probe_nonmember_outputs": 0.5,
+}
+
+# The function catalog and the one-parameter classes on which the direct
+# and the STFT verdicts must agree.
+CATALOG_SPECS = (
+    Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2), Hermite(3),
+    Bump(), Translate(Gaussian(1.0), 1.5), Modulate(Gaussian(1.0), 3.0),
+    Gaussian(0.001), Product(Poly(2), Gaussian(1.0)),
+    Sum(Gaussian(1.0), Translate(Gaussian(1.0), 2.0)), SubExp(2.0, 1.0))
+CATALOG_SPACES = (
+    GSIndex(0.5, math.inf, "roumieu"), GSIndex(1.0, math.inf, "roumieu"),
+    GSIndex(1.0, math.inf, "beurling"), GSIndex(math.inf, 0.5, "roumieu"))
+
+
+def _identities():
+    g = build_grid(12.0, 10)
+    h = g.step
+    tf = TFGrid(Grid1D(0.0, 8 * h, 129), Grid1D(0.0, 0.25, 129))
+    gauss = catalog_eval(Gaussian(1.0), g)
+    herm = catalog_eval(Hermite(2), g)
+
+    v = stft(herm, gauss, tf)
+    moyal = abs(v.norm2() ** 2 - (herm.norm2() * gauss.norm2()) ** 2)
+    moyal /= (herm.norm2() * gauss.norm2()) ** 2
+    yield "moyal_defect", moyal
+
+    rec = adjoint_stft(v, gauss)
+    inv = np.max(np.abs(rec.values / gauss.norm2() ** 2 - herm.values))
+    inv /= np.max(np.abs(herm.values))
+    yield "stft_inversion_defect", inv
+
+    yield "twisted_convolution_defect", twisted_convolution_defect(
+        herm, gauss, catalog_eval(Gaussian(2.0), g),
+        catalog_eval(Gaussian(0.5), g), tf)
+
+    xg = Grid1D(0.0, 8 * h, 128)
+    xig = Grid1D(0.0, 2 * np.pi / (1024 * h), 128)
+    tfp = TFGrid(xg, xig)
+    pool = [Gaussian(1.0), Gaussian(2.0), Gaussian(0.5), Hermite(1),
+            Hermite(2), Hermite(3), Translate(Gaussian(1.0), 1.0),
+            Modulate(Gaussian(1.0), 1.0)]
+    rng = np.random.default_rng(20240817)
+    signs = set()
+    worst = 0.0
+    for _ in range(12):
+        f4, g4, p1, p2 = (catalog_eval(pool[i], g)
+                          for i in rng.integers(0, len(pool), 4))
+        d = stft_product_transform_defect(f4, g4, p1, p2, tfp)
+        win = "minus" if d["defect_minus"] <= d["defect_plus"] else "plus"
+        signs.add(win)
+        worst = max(worst, min(d["defect_minus"], d["defect_plus"]))
+    yield "product_transform_defect", worst
+    yield "product_transform_sign_consistent", 0.0 if len(signs) == 1 else 1.0
+
+
+def _classification():
+    godd = Grid1D(0.0, 24.0 / 1024, 1025)
+    r1 = fit_decay_rate(catalog_eval(Gaussian(1.0), godd), 0.5)
+    yield "rate_recovery_gaussian", abs(r1 - 0.5)
+    r2 = fit_decay_rate(catalog_eval(SubExp(1.0, 2.0), godd), 1.0)
+    yield "rate_recovery_subexp", abs(r2 - 2.0)
+
+    g = build_grid(12.0, 11)
+    tf = TFGrid(Grid1D(0.0, 4 * g.step, 513), Grid1D(0.0, 0.5, 1001))
+    opts = ClassifyOptions(n_max=4, r_scale=0.5)
+    win = catalog_eval(Gaussian(1.0), g)
+    mismatch = 0
+    for spec in CATALOG_SPECS:
+        f = catalog_eval(spec, g)
+        v = stft(f, win, tf)
+        for idx in CATALOG_SPACES:
+            a = classify_function(f, idx, opts).verdict
+            b = classify_stft(f, win, idx, tf, opts, check_window=False,
+                              precomputed=v).verdict
+            mismatch += a != b
+    yield "catalog_agreement_mismatches", float(mismatch)
+
+
+def _toeplitz():
+    g = build_grid(12.0, 10)
+    tf = TFGrid(Grid1D(0.0, 8 * g.step, 129), Grid1D(0.0, 0.25, 129))
+    gauss = catalog_eval(Gaussian(1.0), g)
+    w = gauss * (1.0 / gauss.norm2())
+    one = TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count)))
+    worst = 0.0
+    for spec in (Gaussian(1.0), Hermite(2)):
+        f = catalog_eval(spec, g)
+        out = apply_toeplitz(one, w, w, f)
+        worst = max(worst, float(np.max(np.abs(out.values - f.values))
+                                 / np.max(np.abs(f.values))))
+    yield "unit_symbol_reproduction", worst
+
+    f = catalog_eval(Hermite(1), g)
+    g2 = catalog_eval(Gaussian(2.0), g)
+    rng = np.random.default_rng(7)
+    sym = TFR(tf, rng.standard_normal((129, 129))
+              + 1j * rng.standard_normal((129, 129)))
+    lhs = g.step * np.sum(apply_toeplitz(sym, w, w, f).values
+                          * np.conj(g2.values))
+    v1 = stft(f, w, tf)
+    v2 = stft(g2, w, tf)
+    rhs = tf.xgrid.step * tf.xigrid.step * np.sum(
+        sym.values * np.conj(np.conj(v1.values) * v2.values))
+    yield "adjoint_symmetry", abs(lhs - rhs) / abs(lhs)
+
+    x = tf.xgrid.coords[:, None]
+    xi = tf.xigrid.coords[None, :]
+    pos_sym = TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
+    qmin = 0.0
+    for spec in (Gaussian(1.0), Hermite(1), Hermite(3),
+                 Modulate(Gaussian(0.5), 2.0)):
+        ff = catalog_eval(spec, g)
+        q = g.step * np.sum(apply_toeplitz(pos_sym, w, w, ff).values
+                            * np.conj(ff.values))
+        qmin = min(qmin, float(q.real))
+    yield "positivity_defect", -qmin
+
+    idx = GSIndex(1.0, math.inf, "beurling")
+    opts = ClassifyOptions(n_max=4, r_scale=0.5)
+    testset = [catalog_eval(s, g) for s in
+               (Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2),
+                Hermite(3))]
+    rep = continuity_probe(pos_sym, w, w, testset, idx, opts)
+    yield "continuity_probe_nonmember_outputs", 0.0 if rep.all_member else 1.0
+
+
+SUITES = {"identities": _identities, "classification": _classification,
+          "toeplitz": _toeplitz}
+
+
+def run_suite(name: str) -> list:
+    """[(check name, value, tolerance)] for one suite, in suite order."""
+    return [(check, value, TOLERANCES[check])
+            for check, value in SUITES[name]()]

@@ -101,10 +101,6 @@ class EnvelopeReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _interior(idx: int, n: int, guard: int) -> bool:
-    return guard <= idx <= n - 1 - guard
-
-
 def _weighted_sup(absvals: np.ndarray, logweight: np.ndarray, guard: int,
                   mask: np.ndarray | None = None) -> EnvelopeFit:
     """Sup of |f| * exp(logweight) in the log domain, with attainment
@@ -122,7 +118,7 @@ def _weighted_sup(absvals: np.ndarray, logweight: np.ndarray, guard: int,
     i = int(np.argmax(logv))
     top = logv[i]
     c = math.inf if top > _LOG_MAX else float(math.exp(top))
-    interior = _interior(i, n, guard)
+    interior = guard <= i <= n - 1 - guard
     edge = False
     if mask is not None and interior:
         edge = (i > 0 and not mask[i - 1]) or (i < n - 1 and not mask[i + 1])
@@ -184,95 +180,94 @@ def _poly_side(fn: SampledFunction, opts: ClassifyOptions):
     table = fit_poly_table(fn, opts.n_max, opts.floor_rel, opts.guard)
     ok = all(f.interior_attained and not f.masked_edge for f in table.values())
     inconclusive = any(f.masked_edge for f in table.values())
-    return ok, inconclusive, table
+    return (ok, inconclusive), table
 
 
-def _decay_side_roumieu(fn: SampledFunction, s: float, opts: ClassifyOptions):
+def _decay_side(fn: SampledFunction, s: float, opts: ClassifyOptions,
+                beurling: bool, masked: bool):
+    """((ok, inconclusive), r_fit, beurling_table) for the decay side.
+
+    Roumieu needs the fitted rate to reach r_min; Beurling needs every
+    trial-list sup interior-attained.  ``masked`` marks transform-computed
+    samples, whose sub-floor values are noise and get excluded; direct
+    samples are trusted all the way down, so a boundary-attained sup is
+    conclusive."""
     r_fit = fit_decay_rate(fn, s)
-    return r_fit >= opts.r_min, r_fit
+    if not beurling:
+        return (r_fit >= opts.r_min, False), r_fit, {}
+    floor = opts.floor_rel * float(np.abs(fn.values).max()) if masked else None
+    table = {r: sup_envelope_constant(fn, r, s, opts.guard, floor)
+             for r in opts.trial_rs()}
+    # A masked edge is still rising where the samples turn to noise.
+    inconclusive = any(f.masked_edge for f in table.values())
+    ok = not inconclusive and all(f.interior_attained for f in table.values())
+    return (ok, inconclusive), r_fit, table
 
 
-def _decay_side_beurling(fn: SampledFunction, s: float, opts: ClassifyOptions,
-                         masked: bool = False):
-    """Trial-list sup fits.  ``masked`` marks transform-computed samples,
-    whose sub-floor values are noise and get excluded; direct samples are
-    trusted all the way down, so a boundary-attained sup is conclusive."""
-    floor = None
-    if masked:
-        floor = opts.floor_rel * float(np.abs(fn.values).max())
-    table = {}
-    ok = True
-    inconclusive = False
-    for r in opts.trial_rs():
-        fit = sup_envelope_constant(fn, r, s, opts.guard, floor)
-        table[r] = fit
-        if fit.masked_edge:
-            inconclusive = True  # still rising where samples turn to noise
-        elif not fit.interior_attained:
-            ok = False
-    return ok and not inconclusive, table, inconclusive
+def _aggregate(*sides) -> str:
+    """Verdict from (ok, inconclusive) pairs: hard failure beats
+    everything; otherwise an at-the-noise-edge fit leaves it open."""
+    if all(ok for ok, _ in sides):
+        return MEMBER
+    if any(not ok and not inc for ok, inc in sides):
+        return NOT_MEMBER
+    return INCONCLUSIVE
 
 
-def _sided_inputs(f: SampledFunction, idx: GSIndex):
-    """Return (decay_fn, decay_index, poly_fn) for a one-parameter class."""
-    if not idx.one_parameter:
-        raise GstfError("classify_function handles one-parameter spaces; "
-                        "classify each side separately")
-    if math.isinf(idx.sigma):  # S_s / Sigma_s: decay on f, poly table on f^
-        return f, idx.s, dft(f)
-    return dft(f), idx.sigma, f  # S^sigma / Sigma^sigma: mirrored
+def _zero_report() -> EnvelopeReport:
+    return EnvelopeReport(C_peak=0.0, r_fit=math.inf, verdict=MEMBER,
+                          diagnostics={"zero_function": True})
+
+
+def _verdict(decay_fn: SampledFunction, s: float, poly_fn: SampledFunction,
+             idx: GSIndex, opts: ClassifyOptions, c_peak: float,
+             masked: bool) -> EnvelopeReport:
+    """One decay side against one polynomial side: the test shared by the
+    direct and the STFT characterisation of a one-parameter class."""
+    decay, r_fit, beurling_table = _decay_side(
+        decay_fn, s, opts, idx.regularity == "beurling", masked)
+    poly, n_table = _poly_side(poly_fn, opts)
+    return EnvelopeReport(
+        C_peak=c_peak, r_fit=r_fit, N_table=n_table,
+        beurling_table=beurling_table, verdict=_aggregate(decay, poly),
+        diagnostics={"floor_rel": opts.floor_rel, "guard": opts.guard})
 
 
 def classify_function(f: SampledFunction, idx: GSIndex,
                       opts: ClassifyOptions | None = None) -> EnvelopeReport:
     """Membership verdict for f against a one-parameter class."""
     opts = opts or ClassifyOptions()
-    a = np.abs(f.values)
-    c_peak = float(a.max())
+    c_peak = float(np.abs(f.values).max())
     if c_peak == 0.0:
-        return EnvelopeReport(C_peak=0.0, r_fit=math.inf, verdict=MEMBER,
-                              diagnostics={"zero_function": True})
-    decay_fn, s, poly_fn = _sided_inputs(f, idx)
-    decay_is_transform = not math.isinf(idx.sigma)
-
-    poly_ok, poly_inc, n_table = _poly_side(poly_fn, opts)
-    diagnostics = {"floor_rel": opts.floor_rel, "guard": opts.guard}
-    decay_inc = False
-    if idx.regularity == "roumieu":
-        decay_ok, r_fit = _decay_side_roumieu(decay_fn, s, opts)
-        beurling_table = {}
-    else:
-        decay_ok, beurling_table, decay_inc = _decay_side_beurling(
-            decay_fn, s, opts, masked=decay_is_transform)
-        r_fit = fit_decay_rate(decay_fn, s)
-
-    verdict = _aggregate(decay_ok, decay_inc, poly_ok, poly_inc)
-    return EnvelopeReport(C_peak=c_peak, r_fit=r_fit, N_table=n_table,
-                          beurling_table=beurling_table, verdict=verdict,
-                          diagnostics=diagnostics)
+        return _zero_report()
+    if not idx.one_parameter:
+        raise GstfError("classify_function handles one-parameter spaces; "
+                        "classify each side separately")
+    if math.isinf(idx.sigma):  # S_s / Sigma_s: decay on f, poly table on f^
+        return _verdict(f, idx.s, dft(f), idx, opts, c_peak, masked=False)
+    # S^sigma / Sigma^sigma: mirrored, the decay samples come out of the FFT
+    return _verdict(dft(f), idx.sigma, f, idx, opts, c_peak, masked=True)
 
 
-def _aggregate(decay_ok: bool, decay_inc: bool, poly_ok: bool,
-               poly_inc: bool) -> str:
-    """Hard failure beats everything; otherwise an at-the-noise-edge fit
-    leaves the verdict open."""
-    if decay_ok and poly_ok:
-        return MEMBER
-    hard_fail = (not decay_ok and not decay_inc) or (not poly_ok and not poly_inc)
-    return NOT_MEMBER if hard_fail else INCONCLUSIVE
-
-
-def _profiles(v: TFR, idx: GSIndex):
-    """Max-magnitude profiles of a TFR along the decay and polynomial axes.
-
-    For a finite s the decay variable is position and the polynomial
-    variable is frequency; for a finite sigma the roles transpose."""
+def _profiles(v: TFR, decay_on_x: bool):
+    """(decay, polynomial) max-magnitude profiles of a TFR.  The decay
+    variable is position when ``decay_on_x``, frequency otherwise."""
     a = np.abs(v.values)
     x_profile = SampledFunction(v.tfgrid.xgrid, a.max(axis=1))
     xi_profile = SampledFunction(v.tfgrid.xigrid, a.max(axis=0))
-    if math.isinf(idx.sigma):
-        return x_profile, idx.s, xi_profile
-    return xi_profile, idx.sigma, x_profile
+    return (x_profile, xi_profile) if decay_on_x else (xi_profile, x_profile)
+
+
+def _window_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
+                 tfgrid: TFGrid, opts: ClassifyOptions, check_window: bool,
+                 precomputed: TFR | None) -> TFR:
+    if check_window:
+        wr = classify_function(window, idx, opts)
+        if wr.verdict != MEMBER:
+            raise GstfError(
+                f"window is {wr.verdict} for the requested class; "
+                "pick a window inside the class")
+    return precomputed if precomputed is not None else stft(f, window, tfgrid)
 
 
 def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
@@ -287,35 +282,17 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     ``precomputed = stft(f, window, tfgrid)`` to reuse one transform
     across several classes."""
     opts = opts or ClassifyOptions()
-    if check_window:
-        wr = classify_function(window, idx, opts)
-        if wr.verdict != MEMBER:
-            raise GstfError(
-                f"window is {wr.verdict} for the requested class; "
-                "pick a window inside the class")
-    v = precomputed if precomputed is not None else stft(f, window, tfgrid)
+    v = _window_stft(f, window, idx, tfgrid, opts, check_window, precomputed)
     c_peak = float(np.abs(v.values).max())
     if c_peak == 0.0:
-        return EnvelopeReport(C_peak=0.0, r_fit=math.inf, verdict=MEMBER,
-                              diagnostics={"zero_function": True})
-    decay_fn, s, poly_fn = _profiles(v, idx)
-
-    poly_ok, poly_inc, n_table = _poly_side(poly_fn, opts)
-    decay_inc = False
-    if idx.regularity == "roumieu":
-        decay_ok, r_fit = _decay_side_roumieu(decay_fn, s, opts)
-        beurling_table = {}
-    else:
-        # STFT samples are quadrature outputs: sub-floor values are noise.
-        decay_ok, beurling_table, decay_inc = _decay_side_beurling(
-            decay_fn, s, opts, masked=True)
-        r_fit = fit_decay_rate(decay_fn, s)
-
-    verdict = _aggregate(decay_ok, decay_inc, poly_ok, poly_inc)
-    return EnvelopeReport(C_peak=c_peak, r_fit=r_fit, N_table=n_table,
-                          beurling_table=beurling_table, verdict=verdict,
-                          diagnostics={"floor_rel": opts.floor_rel,
-                                       "guard": opts.guard})
+        return _zero_report()
+    # For a finite s the decay variable is position, for a finite sigma
+    # frequency.  STFT samples are quadrature outputs: sub-floor values
+    # are noise.
+    decay_on_x = math.isinf(idx.sigma)
+    decay_fn, poly_fn = _profiles(v, decay_on_x)
+    return _verdict(decay_fn, idx.s if decay_on_x else idx.sigma, poly_fn,
+                    idx, opts, c_peak, masked=True)
 
 
 def dual_growth_report(f: SampledFunction, window: SampledFunction,
@@ -329,13 +306,7 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
     Roumieu duals need an N0 for every trial r; Beurling duals need a
     single working r0."""
     opts = opts or ClassifyOptions()
-    if check_window:
-        wr = classify_function(window, idx, opts)
-        if wr.verdict != MEMBER:
-            raise GstfError(
-                f"window is {wr.verdict} for the requested class; "
-                "pick a window inside the class")
-    v = precomputed if precomputed is not None else stft(f, window, tfgrid)
+    v = _window_stft(f, window, idx, tfgrid, opts, check_window, precomputed)
     a = np.abs(v.values)
     c_peak = float(a.max())
     if math.isinf(idx.sigma):
@@ -345,7 +316,10 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
         decay_x = np.abs(tfgrid.xigrid.coords)[None, :] ** (1.0 / idx.sigma)
         logpoly = np.log1p(tfgrid.xgrid.coords**2)[:, None]
 
-    flat_interior = _flat_interior_mask(a.shape, opts.guard)
+    interior = np.zeros(a.shape, dtype=bool)
+    interior[opts.guard:a.shape[0] - opts.guard,
+             opts.guard:a.shape[1] - opts.guard] = True
+    flat_interior = interior.ravel()
     with np.errstate(divide="ignore"):
         loga = np.log(a)
 
@@ -380,12 +354,6 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
                           diagnostics={"N0_by_r": n0_by_r})
 
 
-def _flat_interior_mask(shape, guard: int) -> np.ndarray:
-    interior = np.zeros(shape, dtype=bool)
-    interior[guard:shape[0] - guard, guard:shape[1] - guard] = True
-    return interior.ravel()
-
-
 def classify_symbol(a: TFR, s_or_sigma: float, side: str,
                     opts: ClassifyOptions | None = None) -> EnvelopeReport:
     """Mixed-envelope verdict for a phase-space symbol a(x, xi).
@@ -398,41 +366,22 @@ def classify_symbol(a: TFR, s_or_sigma: float, side: str,
     opts = opts or ClassifyOptions()
     if side not in ("position-decay", "frequency-decay"):
         raise GstfError(f"unknown side {side!r}")
-    mag = np.abs(a.values)
-    c_peak = float(mag.max())
+    c_peak = float(np.abs(a.values).max())
     if c_peak == 0.0:
-        return EnvelopeReport(C_peak=0.0, r_fit=math.inf, verdict=MEMBER,
-                              diagnostics={"zero_function": True})
-    ahat = dft2(a)
-    if side == "position-decay":
-        decay_fn = SampledFunction(a.tfgrid.xgrid, mag.max(axis=1))
-        poly_fn = SampledFunction(a.tfgrid.xigrid, mag.max(axis=0))
-        hat_mag = np.abs(ahat.values)
-        hat_poly = SampledFunction(ahat.tfgrid.xgrid, hat_mag.max(axis=1))
-        hat_decay = SampledFunction(ahat.tfgrid.xigrid, hat_mag.max(axis=0))
-    else:
-        decay_fn = SampledFunction(a.tfgrid.xigrid, mag.max(axis=0))
-        poly_fn = SampledFunction(a.tfgrid.xgrid, mag.max(axis=1))
-        hat_mag = np.abs(ahat.values)
-        hat_poly = SampledFunction(ahat.tfgrid.xigrid, hat_mag.max(axis=0))
-        hat_decay = SampledFunction(ahat.tfgrid.xgrid, hat_mag.max(axis=1))
+        return _zero_report()
+    decay_on_x = side == "position-decay"
+    decay_fn, poly_fn = _profiles(a, decay_on_x)
+    hat_decay, hat_poly = _profiles(dft2(a), not decay_on_x)
 
-    ok_decay, r_fit = _decay_side_roumieu(decay_fn, s_or_sigma, opts)
-    ok_poly, inc_poly, n_table = _poly_side(poly_fn, opts)
-    ok_hat_decay, r_fit_hat = _decay_side_roumieu(hat_decay, s_or_sigma, opts)
-    ok_hat_poly, inc_hat, hat_table = _poly_side(hat_poly, opts)
-
-    if ok_decay and ok_poly and ok_hat_decay and ok_hat_poly:
-        verdict = MEMBER
-    elif (not ok_decay or not ok_hat_decay
-          or (not ok_poly and not inc_poly)
-          or (not ok_hat_poly and not inc_hat)):
-        verdict = NOT_MEMBER
-    else:
-        verdict = INCONCLUSIVE
+    decay, r_fit, _ = _decay_side(decay_fn, s_or_sigma, opts,
+                                  beurling=False, masked=False)
+    poly, n_table = _poly_side(poly_fn, opts)
+    hat_side, r_fit_hat, _ = _decay_side(hat_decay, s_or_sigma, opts,
+                                         beurling=False, masked=False)
+    hat_poly_side, hat_table = _poly_side(hat_poly, opts)
     return EnvelopeReport(
         C_peak=c_peak, r_fit=r_fit, N_table=n_table,
-        verdict=verdict,
+        verdict=_aggregate(decay, poly, hat_side, hat_poly_side),
         diagnostics={"r_fit_transform": r_fit_hat,
                      "transform_N_table": hat_table,
                      "side": side})

@@ -12,21 +12,22 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import sys
 import time
 
 import numpy as np
 
-from .catalog import Gaussian, Hermite, Modulate, Translate, catalog_eval
+from .catalog import catalog_eval
+from .checks import SUITES, run_suite
 from .classify import (ClassifyOptions, GSIndex, MEMBER, classify_function,
-                       classify_stft, fit_decay_rate)
+                       classify_stft)
 from .errors import GridError, GstfError
 from .grids import Grid1D, SampledFunction, TFGrid, TFR, build_grid
 from .parse import parse_function_expr
-from .toeplitz import (apply_toeplitz, continuity_probe,
-                       stft_product_transform_defect)
-from .transforms import adjoint_stft, dft, stft, twisted_convolution_defect
+from .toeplitz import apply_toeplitz
+from .transforms import dft, stft
 from .witnesses import make_witness
 
 __all__ = ["main", "run_command"]
@@ -55,8 +56,7 @@ def _jdump(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _jfloat(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         items = ", ".join(f"{_jdump(str(k))}: {_jdump(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -82,6 +82,19 @@ def _report(args, command: str, params: dict, body: dict,
     return rep
 
 
+def _samples_report(args, command: str, params: dict, body: dict,
+                    f: SampledFunction, elapsed: float) -> int:
+    """f's samples as CSV, or a JSON report of ``body`` then the samples."""
+    if args.format == "csv":
+        _write(args, _csv_text(("x", "value-real", "value-imag"),
+                               _samples_rows(f)))
+    else:
+        body["samples"] = _samples_rows(f)
+        _write(args, _jdump(_report(args, command, params, body, elapsed))
+               + "\n")
+    return 0
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -95,18 +108,23 @@ def _csv_text(header, rows) -> str:
 
 def _load_csv_samples(path: str) -> SampledFunction:
     xs, vals = [], []
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise GridError(f"CSV input is unreadable: {e}") from None
     if rows and rows[0] and rows[0][0].strip().lower() == "x":
         rows = rows[1:]
     for row in rows:
         if not row:
             continue
-        x = float(row[0])
-        re = float(row[1])
-        im = float(row[2]) if len(row) > 2 else 0.0
-        xs.append(x)
-        vals.append(complex(re, im))
+        try:
+            xs.append(float(row[0]))
+            vals.append(complex(float(row[1]),
+                                float(row[2]) if len(row) > 2 else 0.0))
+        except (ValueError, IndexError):
+            raise GridError(f"CSV row {row} is not numbers x, value-real"
+                            "[, value-imag]") from None
     if len(xs) < 2:
         raise GridError("CSV input needs at least two samples")
     xs = np.asarray(xs)
@@ -161,7 +179,11 @@ def _options(args) -> ClassifyOptions:
     if args.n_max is not None:
         kw["n_max"] = args.n_max
     if args.r_list:
-        kw["r_list"] = tuple(float(t) for t in args.r_list.split(","))
+        try:
+            kw["r_list"] = tuple(float(t) for t in args.r_list.split(","))
+        except ValueError:
+            raise GstfError(f"--r-list {args.r_list!r} is not "
+                            "comma-separated numbers") from None
     if args.floor is not None:
         kw["floor_rel"] = args.floor
     return ClassifyOptions(**kw)
@@ -174,20 +196,13 @@ def _cmd_transform(args) -> int:
     f, desc = _input_function(args)
     out = dft(f)
     elapsed = time.perf_counter() - t0
-    if args.format == "csv":
-        _write(args, _csv_text(("x", "value-real", "value-imag"),
-                               _samples_rows(out)))
-        return 0
     params = {"input": desc, "half_width": args.half_width,
               "points": args.points}
-    rep = _report(args, "transform", params, {
+    return _samples_report(args, "transform", params, {
         "verdict": None,
         "grid": {"center": out.grid.center, "step": out.grid.step,
                  "count": out.grid.count},
-        "samples": _samples_rows(out),
-    }, elapsed)
-    _write(args, _jdump(rep) + "\n")
-    return 0
+    }, out, elapsed)
 
 
 def _default_tfgrid(grid: Grid1D) -> TFGrid:
@@ -229,15 +244,13 @@ def _cmd_stft(args) -> int:
 
 
 def _fit_tables(rep):
-    ntab = {str(n): {"C": f.C, "attained_at": f.attained_at,
-                     "interior_attained": f.interior_attained,
-                     "masked_edge": f.masked_edge}
-            for n, f in sorted(rep.N_table.items())}
-    btab = {format(r, ".17g"): {"C": f.C, "attained_at": f.attained_at,
-                                "interior_attained": f.interior_attained,
-                                "masked_edge": f.masked_edge}
-            for r, f in sorted(rep.beurling_table.items())}
-    return ntab, btab
+    def row(f):
+        return {"C": f.C, "attained_at": f.attained_at,
+                "interior_attained": f.interior_attained,
+                "masked_edge": f.masked_edge}
+    return ({str(n): row(f) for n, f in sorted(rep.N_table.items())},
+            {format(r, ".17g"): row(f)
+             for r, f in sorted(rep.beurling_table.items())})
 
 
 def _cmd_classify(args) -> int:
@@ -267,13 +280,10 @@ def _cmd_classify(args) -> int:
         rows = [("meta", "verdict", rep.verdict, "", "", ""),
                 ("meta", "C_peak", format(rep.C_peak, ".17g"), "", "", ""),
                 ("meta", "r_fit", _jfloat(rep.r_fit).strip('"'), "", "", "")]
-        for n, t in ntab.items():
-            rows.append(("poly", n, _jfloat(t["C"]).strip('"'), t["attained_at"],
-                         t["interior_attained"], t["masked_edge"]))
-        for r, t in btab.items():
-            rows.append(("beurling", r, _jfloat(t["C"]).strip('"'),
-                         t["attained_at"], t["interior_attained"],
-                         t["masked_edge"]))
+        for kind, table in (("poly", ntab), ("beurling", btab)):
+            rows += [(kind, key, _jfloat(t["C"]).strip('"'), t["attained_at"],
+                      t["interior_attained"], t["masked_edge"])
+                     for key, t in table.items()]
         _write(args, _csv_text(
             ("kind", "key", "value", "attained_at", "interior_attained",
              "masked_edge"), rows))
@@ -304,20 +314,13 @@ def _cmd_witness(args) -> int:
     grid = _make_grid(args)
     w = make_witness(idx, grid)
     elapsed = time.perf_counter() - t0
-    if args.format == "csv":
-        _write(args, _csv_text(("x", "value-real", "value-imag"),
-                               _samples_rows(w)))
-        return 0
     params = {"s": idx.s, "sigma": idx.sigma, "regularity": idx.regularity,
               "half_width": args.half_width, "points": args.points}
-    rep = _report(args, "witness", params, {
+    return _samples_report(args, "witness", params, {
         "verdict": "Witness",
         "grid": {"center": w.grid.center, "step": w.grid.step,
                  "count": w.grid.count},
-        "samples": _samples_rows(w),
-    }, elapsed)
-    _write(args, _jdump(rep) + "\n")
-    return 0
+    }, w, elapsed)
 
 
 def _cmd_toeplitz(args) -> int:
@@ -335,166 +338,23 @@ def _cmd_toeplitz(args) -> int:
         sym = TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
     out = apply_toeplitz(sym, window, window, f)
     elapsed = time.perf_counter() - t0
-    if args.format == "csv":
-        _write(args, _csv_text(("x", "value-real", "value-imag"),
-                               _samples_rows(out)))
-        return 0
     scale = float(np.max(np.abs(f.values))) or 1.0
     params = {"input": desc, "window": str(wspec), "symbol": args.symbol,
               "half_width": args.half_width, "points": args.points}
-    rep = _report(args, "toeplitz", params, {
+    return _samples_report(args, "toeplitz", params, {
         "verdict": None,
         "reproduction_defect": float(
             np.max(np.abs(out.values - f.values)) / scale)
         if args.symbol == "unit" else None,
-        "samples": _samples_rows(out),
-    }, elapsed)
-    _write(args, _jdump(rep) + "\n")
-    return 0
+    }, out, elapsed)
 
 
 # ------------------------------------------------------------ verify suite
 
-def _suite_identities(checks: list):
-    g = build_grid(12.0, 10)
-    h = g.step
-    tf = TFGrid(Grid1D(0.0, 8 * h, 129), Grid1D(0.0, 0.25, 129))
-    gauss = catalog_eval(Gaussian(1.0), g)
-    herm = catalog_eval(Hermite(2), g)
-
-    v = stft(herm, gauss, tf)
-    moyal = abs(v.norm2() ** 2 - (herm.norm2() * gauss.norm2()) ** 2)
-    moyal /= (herm.norm2() * gauss.norm2()) ** 2
-    checks.append(("moyal_defect", moyal, 1e-6))
-
-    rec = adjoint_stft(v, gauss)
-    inv = np.max(np.abs(rec.values / gauss.norm2() ** 2 - herm.values))
-    inv /= np.max(np.abs(herm.values))
-    checks.append(("stft_inversion_defect", inv, 1e-5))
-
-    tc = twisted_convolution_defect(
-        herm, gauss, catalog_eval(Gaussian(2.0), g),
-        catalog_eval(Gaussian(0.5), g), tf)
-    checks.append(("twisted_convolution_defect", tc, 1e-4))
-
-    xg = Grid1D(0.0, 8 * h, 128)
-    xig = Grid1D(0.0, 2 * np.pi / (1024 * h), 128)
-    tfp = TFGrid(xg, xig)
-    pool = [Gaussian(1.0), Gaussian(2.0), Gaussian(0.5), Hermite(1),
-            Hermite(2), Hermite(3), Translate(Gaussian(1.0), 1.0),
-            Modulate(Gaussian(1.0), 1.0)]
-    rng = np.random.default_rng(20240817)
-    signs = set()
-    worst = 0.0
-    for _ in range(12):
-        f4, g4, p1, p2 = (catalog_eval(pool[i], g)
-                          for i in rng.integers(0, len(pool), 4))
-        d = stft_product_transform_defect(f4, g4, p1, p2, tfp)
-        win = "minus" if d["defect_minus"] <= d["defect_plus"] else "plus"
-        signs.add(win)
-        worst = max(worst, min(d["defect_minus"], d["defect_plus"]))
-    checks.append(("product_transform_defect", worst, 1e-4))
-    checks.append(("product_transform_sign_consistent",
-                   0.0 if len(signs) == 1 else 1.0, 0.5))
-
-
-def _catalog_specs():
-    from .catalog import Bump, Poly, Product, SubExp, Sum
-    return [Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2), Hermite(3),
-            Bump(), Translate(Gaussian(1.0), 1.5), Modulate(Gaussian(1.0), 3.0),
-            Gaussian(0.001), Product(Poly(2), Gaussian(1.0)),
-            Sum(Gaussian(1.0), Translate(Gaussian(1.0), 2.0)),
-            SubExp(2.0, 1.0)]
-
-
-def _catalog_spaces():
-    return [GSIndex(0.5, math.inf, "roumieu"), GSIndex(1.0, math.inf, "roumieu"),
-            GSIndex(1.0, math.inf, "beurling"),
-            GSIndex(math.inf, 0.5, "roumieu")]
-
-
-def _suite_classification(checks: list):
-    godd = Grid1D(0.0, 24.0 / 1024, 1025)
-    r1 = fit_decay_rate(catalog_eval(Gaussian(1.0), godd), 0.5)
-    checks.append(("rate_recovery_gaussian", abs(r1 - 0.5), 1e-9))
-    from .catalog import SubExp
-    r2 = fit_decay_rate(catalog_eval(SubExp(1.0, 2.0), godd), 1.0)
-    checks.append(("rate_recovery_subexp", abs(r2 - 2.0), 1e-9))
-
-    g = build_grid(12.0, 11)
-    tf = TFGrid(Grid1D(0.0, 4 * g.step, 513), Grid1D(0.0, 0.5, 1001))
-    opts = ClassifyOptions(n_max=4, r_scale=0.5)
-    win = catalog_eval(Gaussian(1.0), g)
-    mismatch = 0
-    for spec in _catalog_specs():
-        f = catalog_eval(spec, g)
-        v = stft(f, win, tf)
-        for idx in _catalog_spaces():
-            a = classify_function(f, idx, opts).verdict
-            b = classify_stft(f, win, idx, tf, opts, check_window=False,
-                              precomputed=v).verdict
-            mismatch += a != b
-    checks.append(("catalog_agreement_mismatches", float(mismatch), 0.5))
-
-
-def _suite_toeplitz(checks: list):
-    g = build_grid(12.0, 10)
-    tf = _default_tfgrid(g)
-    gauss = catalog_eval(Gaussian(1.0), g)
-    w = gauss * (1.0 / gauss.norm2())
-    one = TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count)))
-    worst = 0.0
-    for spec in (Gaussian(1.0), Hermite(2)):
-        f = catalog_eval(spec, g)
-        out = apply_toeplitz(one, w, w, f)
-        worst = max(worst, float(np.max(np.abs(out.values - f.values))
-                                 / np.max(np.abs(f.values))))
-    checks.append(("unit_symbol_reproduction", worst, 1e-5))
-
-    f = catalog_eval(Hermite(1), g)
-    g2 = catalog_eval(Gaussian(2.0), g)
-    rng = np.random.default_rng(7)
-    sym = TFR(tf, rng.standard_normal((129, 129))
-              + 1j * rng.standard_normal((129, 129)))
-    lhs = g.step * np.sum(apply_toeplitz(sym, w, w, f).values
-                          * np.conj(g2.values))
-    v1 = stft(f, w, tf)
-    v2 = stft(g2, w, tf)
-    rhs = tf.xgrid.step * tf.xigrid.step * np.sum(
-        sym.values * np.conj(np.conj(v1.values) * v2.values))
-    checks.append(("adjoint_symmetry", abs(lhs - rhs) / abs(lhs), 1e-6))
-
-    x = tf.xgrid.coords[:, None]
-    xi = tf.xigrid.coords[None, :]
-    pos_sym = TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
-    qmin = 0.0
-    for spec in (Gaussian(1.0), Hermite(1), Hermite(3),
-                 Modulate(Gaussian(0.5), 2.0)):
-        ff = catalog_eval(spec, g)
-        q = g.step * np.sum(apply_toeplitz(pos_sym, w, w, ff).values
-                            * np.conj(ff.values))
-        qmin = min(qmin, float(q.real))
-    checks.append(("positivity_defect", -qmin, 1e-10))
-
-    idx = GSIndex(1.0, math.inf, "beurling")
-    opts = ClassifyOptions(n_max=4, r_scale=0.5)
-    testset = [catalog_eval(s, g) for s in
-               (Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2),
-                Hermite(3))]
-    rep = continuity_probe(pos_sym, w, w, testset, idx, opts)
-    checks.append(("continuity_probe_nonmember_outputs",
-                   0.0 if rep.all_member else 1.0, 0.5))
-
-
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    checks = []
-    if args.suite in ("identities", "all"):
-        _suite_identities(checks)
-    if args.suite in ("classification", "all"):
-        _suite_classification(checks)
-    if args.suite in ("toeplitz", "all"):
-        _suite_toeplitz(checks)
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    checks = [c for suite in suites for c in run_suite(suite)]
     elapsed = time.perf_counter() - t0
     rows = [(name, _jfloat(val).strip('"'), _jfloat(tol).strip('"'),
              "pass" if val <= tol else "fail")
@@ -579,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity/classification/"
                                       "toeplitz check suites")
     _add_common(p, with_input=False)
-    p.add_argument("--suite", choices=("identities", "classification",
-                                       "toeplitz", "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.set_defaults(func=_cmd_verify)
     return ap
 

@@ -15,7 +15,7 @@ import numpy as np
 from .classify import ClassifyOptions, GSIndex, MEMBER, classify_function
 from .errors import BoundaryMassError, GridError, GstfError
 from .grids import SampledFunction, TFGrid, TFR
-from .transforms import BOUNDARY_FLOOR, adjoint_stft, dft2, stft
+from .transforms import BOUNDARY_FLOOR, adjoint_stft, dft2, edge_mass, stft
 
 __all__ = [
     "apply_toeplitz", "stft_product_transform_defect",
@@ -37,15 +37,6 @@ def _reverse(values: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(values, axis=axis)
 
 
-def _edge_mass(values: np.ndarray) -> float:
-    a = np.abs(values)
-    peak = a.max()
-    if peak == 0.0:
-        return 0.0
-    edge = max(a[0].max(), a[-1].max(), a[:, 0].max(), a[:, -1].max())
-    return float(edge / peak)
-
-
 def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
                                   phi1: SampledFunction, phi2: SampledFunction,
                                   tfgrid: TFGrid) -> dict:
@@ -63,7 +54,7 @@ def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
     v1 = stft(f, phi1, tfgrid)
     v2 = stft(g, phi2, tfgrid)
     product = np.conj(v1.values) * v2.values
-    if _edge_mass(product) > BOUNDARY_FLOOR:
+    if edge_mass(product) > BOUNDARY_FLOOR:
         raise BoundaryMassError(
             "STFT product has not decayed at the grid boundary; "
             "enlarge the time-frequency grid")

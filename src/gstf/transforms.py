@@ -31,64 +31,45 @@ BOUNDARY_FLOOR = 1e-10
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-def _require_pow2_symmetric(f: SampledFunction, what: str):
-    n = f.grid.count
+def _phase_fft(vals: np.ndarray, grid: Grid1D, sign: int, axis: int,
+               what: str) -> np.ndarray:
+    """Unitary-continuum transform along ``axis`` of ``vals`` sampled on
+    the symmetric power-of-two ``grid``: sign -1 is the forward transform
+    (FFT), +1 the inverse (IFFT).  The pre/post phases move the FFT's
+    index origin to the grid centre on both sides."""
+    n = grid.count
     if n & (n - 1):
         raise GridError(f"{what}: count {n} is not a power of two")
-    if f.grid.center != 0.0:
+    if grid.center != 0.0:
         raise GridError(f"{what}: grid must be centered at 0")
+    m = (n - 1) / 2.0
+    alpha = 2.0 * np.pi * m / n
+    shape = [1] * vals.ndim
+    shape[axis] = n
+    pre = np.exp(-sign * 1j * alpha * np.arange(n)).reshape(shape)
+    post = pre * np.exp(sign * 2j * np.pi * m * m / n)
+    if sign < 0:
+        return grid.step / _SQRT_2PI * post * np.fft.fft(vals * pre, axis=axis)
+    return n * grid.step / _SQRT_2PI * post * np.fft.ifft(vals * pre, axis=axis)
 
 
 def dft(f: SampledFunction) -> SampledFunction:
     """Forward transform onto the dual grid (same count, step 2*pi/(count*step))."""
-    _require_pow2_symmetric(f, "dft")
-    n = f.grid.count
-    m = (n - 1) / 2.0
-    alpha = 2.0 * np.pi * m / n
-    idx = np.arange(n)
-    pre = np.exp(1j * alpha * idx)
-    post = np.exp(1j * alpha * idx) * np.exp(-2j * np.pi * m * m / n)
-    vals = f.grid.step / _SQRT_2PI * post * np.fft.fft(f.values * pre)
+    vals = _phase_fft(f.values, f.grid, -1, 0, "dft")
     return SampledFunction(f.grid.dual(), vals)
 
 
 def idft(F: SampledFunction) -> SampledFunction:
     """Inverse transform; idft(dft(f)) recovers f on the original grid."""
-    _require_pow2_symmetric(F, "idft")
-    n = F.grid.count
-    m = (n - 1) / 2.0
-    alpha = 2.0 * np.pi * m / n
-    idx = np.arange(n)
-    pre = np.exp(-1j * alpha * idx)
-    post = np.exp(-1j * alpha * idx) * np.exp(2j * np.pi * m * m / n)
-    vals = n * F.grid.step / _SQRT_2PI * post * np.fft.ifft(F.values * pre)
+    vals = _phase_fft(F.values, F.grid, 1, 0, "idft")
     return SampledFunction(F.grid.dual(), vals)
-
-
-def _dft_pass(vals: np.ndarray, grid: Grid1D, axis: int) -> np.ndarray:
-    """Phase-corrected unitary-continuum transform along one axis of a 2-D array."""
-    n = grid.count
-    if n & (n - 1):
-        raise GridError(f"dft2: count {n} is not a power of two")
-    if grid.center != 0.0:
-        raise GridError("dft2: grids must be centered at 0")
-    m = (n - 1) / 2.0
-    alpha = 2.0 * np.pi * m / n
-    idx = np.arange(n)
-    pre = np.exp(1j * alpha * idx)
-    post = np.exp(1j * alpha * idx) * np.exp(-2j * np.pi * m * m / n)
-    shape = [1, 1]
-    shape[axis] = n
-    pre = pre.reshape(shape)
-    post = post.reshape(shape)
-    return grid.step / _SQRT_2PI * post * np.fft.fft(vals * pre, axis=axis)
 
 
 def dft2(a: TFR) -> TFR:
     """2-D transform of a time-frequency symbol: axis 0 (x -> eta) and
     axis 1 (xi -> y), each with the unitary continuum convention."""
-    vals = _dft_pass(a.values, a.tfgrid.xgrid, axis=0)
-    vals = _dft_pass(vals, a.tfgrid.xigrid, axis=1)
+    vals = _phase_fft(a.values, a.tfgrid.xgrid, -1, 0, "dft2")
+    vals = _phase_fft(vals, a.tfgrid.xigrid, -1, 1, "dft2")
     return TFR(TFGrid(a.tfgrid.xgrid.dual(), a.tfgrid.xigrid.dual()), vals)
 
 
@@ -145,16 +126,15 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     return SampledFunction(window.grid, w * out)
 
 
-def _check_boundary_mass(values: np.ndarray, what: str, floor: float = BOUNDARY_FLOOR):
-    peak = np.max(np.abs(values))
+def edge_mass(values: np.ndarray) -> float:
+    """Largest magnitude on the edges of a 1-D or 2-D array relative to
+    its peak (0 for an all-zero array)."""
+    a = np.abs(values)
+    peak = a.max()
     if peak == 0.0:
-        return
-    edge = max(np.abs(values[0]), np.abs(values[-1]))
-    if edge > floor * peak:
-        raise BoundaryMassError(
-            f"{what}: boundary samples carry relative mass {edge / peak:.2e} "
-            f"(threshold {floor:.0e})"
-        )
+        return 0.0
+    edge = max(np.take(a, (0, -1), axis=k).max() for k in range(a.ndim))
+    return float(edge / peak)
 
 
 def spectral_derivative(f: SampledFunction, order: int) -> SampledFunction:
@@ -164,7 +144,11 @@ def spectral_derivative(f: SampledFunction, order: int) -> SampledFunction:
         raise GridError("order must be between 0 and 8")
     if order == 0:
         return f
-    _check_boundary_mass(f.values, "spectral_derivative")
+    mass = edge_mass(f.values)
+    if mass > BOUNDARY_FLOOR:
+        raise BoundaryMassError(
+            "spectral_derivative: boundary samples carry relative mass "
+            f"{mass:.2e} (threshold {BOUNDARY_FLOOR:.0e})")
     F = dft(f)
     xi = F.grid.coords
     return idft(SampledFunction(F.grid, xi**order * F.values))
@@ -200,14 +184,10 @@ def twisted_convolution_defect(
     v1f = stft(f, phi1, tfgrid)
     v23 = stft(phi3, phi2, tfgrid)
     for tfr, name in ((v1f, "V_phi1 f"), (v23, "V_phi2 phi3")):
-        a = np.abs(tfr.values)
-        peak = a.max()
-        if peak > 0:
-            edge = max(a[0].max(), a[-1].max(), a[:, 0].max(), a[:, -1].max())
-            if edge > BOUNDARY_FLOOR * peak:
-                raise BoundaryMassError(
-                    f"{name} has relative boundary mass {edge / peak:.2e}"
-                )
+        mass = edge_mass(tfr.values)
+        if mass > BOUNDARY_FLOOR:
+            raise BoundaryMassError(
+                f"{name} has relative boundary mass {mass:.2e}")
 
     inner = phi1.grid.step * np.sum(phi3.values * np.conj(phi1.values))
     lhs = inner * v2f.values

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Bump, Gaussian, Hermite, catalog_eval
-from .classify import INF, ClassifyOptions, GSIndex, _decay_side_beurling
+from .classify import INF, ClassifyOptions, GSIndex, sup_envelope_constant
 from .errors import TrivialSpace, UnsupportedRegion
 from .grids import Grid1D, SampledFunction, build_grid
 from .transforms import dft
@@ -93,10 +93,9 @@ class BoundaryReport:
 def _first_boundary_failure(fn: SampledFunction, s: float,
                             opts: ClassifyOptions):
     """Smallest trial r whose envelope sup is boundary-attained; None if
-    every trial passes."""
-    _, table, _ = _decay_side_beurling(fn, s, opts)
-    for r in sorted(table):
-        fit = table[r]
+    every trial passes.  Direct samples carry no noise floor."""
+    for r in sorted(opts.trial_rs()):
+        fit = sup_envelope_constant(fn, r, s, opts.guard)
         if not fit.interior_attained:
             return r, fit.attained_at
     return None

@@ -9,11 +9,37 @@ from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
                   Translate, build_grid, catalog_eval, classify_function,
                   classify_stft, classify_symbol, dft, dual_growth_report,
                   fit_decay_rate, fit_poly_table, stft, sup_envelope_constant)
+from gstf.checks import CATALOG_SPACES, CATALOG_SPECS
 from gstf.grids import TFR
 
 from conftest import beurling, roumieu
 
 ODD_GRID = Grid1D(0.0, 24.0 / 1024, 1025)
+
+M, N = MEMBER, NOT_MEMBER
+# Direct verdicts on the catalog pairs of the classification suite, one
+# column per class in CATALOG_SPACES.  The suite checks only that the
+# direct and the STFT verdicts agree, so a change to the shared verdict
+# code could flip both unnoticed; this table catches that.  It records
+# what the classifier answers, not the mathematics: functions whose peak
+# is off the origin (hermite(k), translates, poly(2) * gaussian) fail the
+# Roumieu classes because fit_decay_rate pins C at the sample peak, which
+# gives r_fit = 0.  A change that corrects a verdict updates the table
+# and says so.
+CATALOG_DIRECT_VERDICTS = {
+    "gaussian(1.0)": [M, M, M, M],
+    "gaussian(0.5)": [M, M, M, M],
+    "hermite(1)": [N, N, M, N],
+    "hermite(2)": [N, N, M, N],
+    "hermite(3)": [N, N, M, N],
+    "bump()": [M, M, M, N],
+    "translate(gaussian(1.0), 1.5)": [N, N, M, M],
+    "modulate(gaussian(1.0), 3.0)": [M, M, M, N],
+    "gaussian(0.001)": [N, N, N, N],
+    "poly(2) * gaussian(1.0)": [N, N, M, M],
+    "gaussian(1.0) + translate(gaussian(1.0), 2.0)": [N, N, M, M],
+    "subexp(2.0, 1.0)": [N, N, N, N],
+}
 
 
 class TestGSIndex:
@@ -186,6 +212,9 @@ class TestClassifyFunction:
         rep = classify_function(f, roumieu(s=0.5), opts)
         assert rep.verdict == MEMBER
         assert rep.diagnostics.get("zero_function")
+        # The zero function is answered before the index is checked.
+        two = classify_function(f, GSIndex(0.5, 0.5, "roumieu"), opts)
+        assert two.verdict == MEMBER
 
     def test_rejects_two_parameter_index(self, grid, opts):
         f = catalog_eval(Gaussian(1.0), grid)
@@ -207,6 +236,13 @@ class TestClassifyFunction:
             if classify_function(f, roumieu(s=0.5), opts).verdict == MEMBER:
                 assert classify_function(f, beurling(s=1.0),
                                          opts).verdict == MEMBER
+
+    def test_catalog_verdict_snapshot(self, grid, opts):
+        got = {str(spec): [classify_function(catalog_eval(spec, grid), idx,
+                                             opts).verdict
+                           for idx in CATALOG_SPACES]
+               for spec in CATALOG_SPECS}
+        assert got == CATALOG_DIRECT_VERDICTS
 
     def test_report_carries_tables(self, grid, opts):
         f = catalog_eval(Gaussian(1.0), grid)

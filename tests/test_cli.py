@@ -4,6 +4,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from gstf.cli import run_command
+
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -138,3 +142,42 @@ class TestOtherCommands:
         rep = json.loads(out.stdout)
         assert rep["verdict"] == "pass"
         assert all(c["status"] == "pass" for c in rep["checks"])
+
+
+class TestInProcessContract:
+    """Malformed input exits 2 with one ``error:`` line, never a traceback."""
+
+    def assert_error_exit(self, argv, capsys):
+        assert run_command(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        "x,value-real\n0.0,abc\n1.0,0.5\n",  # non-numeric value
+        "0.0,1.0\n1.0\n",                      # short row
+        b"0.0,1.0\n1.0,\xff\xfe\n",           # not UTF-8
+    ])
+    def test_malformed_csv(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        self.assert_error_exit(["classify", "--in", str(path), "--space", "S",
+                                "--s", "1"], capsys)
+
+    def test_bad_r_list(self, capsys):
+        self.assert_error_exit(["classify", "--expr", "gaussian(1)",
+                                "--space", "S", "--s", "1", "--points", "256",
+                                "--r-list", "1,x"], capsys)
+
+    def test_control_characters_in_strings_stay_valid_json(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "t\tab.csv"
+        path.write_text("x,value-real\n-1.5,0.1\n-0.5,1.0\n0.5,1.0\n"
+                        "1.5,0.1\n")
+        assert run_command(["transform", "--in", str(path)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["params"]["input"] == f"csv:{path}"
+        assert len(rep["samples"]) == 4
