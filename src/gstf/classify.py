@@ -75,6 +75,21 @@ class ClassifyOptions:
     floor_rel: float = 1e-13
     guard: int = 2
 
+    def __post_init__(self):
+        # Out-of-range values would make a side of the test vacuous: a
+        # negative n_max empties the polynomial table, a nan rate zeroes
+        # every Beurling sup.
+        n = self.n_max
+        if not (isinstance(n, (int, np.integer)) and n >= 0):
+            raise GstfError(f"n_max must be an integer >= 0, got {n!r}")
+        for name, r in (("r_min", self.r_min), ("r_scale", self.r_scale),
+                        *(("r_list entry", r) for r in self.r_list)):
+            if not 0 < r < INF:
+                raise GstfError(f"{name} must be finite and > 0, got {r!r}")
+        if not 0 <= self.floor_rel < 1:
+            raise GstfError(
+                f"floor_rel must be in [0, 1), got {self.floor_rel!r}")
+
     def trial_rs(self) -> tuple:
         base = self.r_list if self.r_list else (0.25, 0.5, 1.0, 2.0, 4.0)
         return tuple(r * self.r_scale for r in base)

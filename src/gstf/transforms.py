@@ -14,8 +14,9 @@ Conventions (frozen):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import BoundaryMassError, GridError
 from .grids import Grid1D, SampledFunction, TFGrid, TFR
@@ -29,6 +30,13 @@ __all__ = [
 BOUNDARY_FLOOR = 1e-10
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# Largest STFT kernel kept between calls.  It covers every grid pair of the
+# verify suites and the CLI defaults (2048 x 1001 complex is 32 MB); larger
+# kernels are rebuilt on each call.  With at most _KERNEL_CACHE_SIZE kernels
+# kept, the cache never holds more than 256 MiB.
+_KERNEL_CACHE_BYTES = 64 << 20
+_KERNEL_CACHE_SIZE = 4
 
 
 def _phase_fft(vals: np.ndarray, grid: Grid1D, sign: int, axis: int,
@@ -86,6 +94,33 @@ def _shifted_window(window: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _build_kernel(tgrid: Grid1D, xigrid: Grid1D) -> np.ndarray:
+    """exp(-i t xi) on the (t, xi) grids, built in place in one complex
+    array: the bits equal ``np.exp(-1j * np.outer(t, xi))`` without its
+    float and complex temporaries."""
+    k = np.empty((tgrid.count, xigrid.count), dtype=complex)
+    np.multiply.outer(tgrid.coords, xigrid.coords, out=k.imag)
+    np.negative(k.imag, out=k.imag)
+    k.real = 0.0
+    return np.exp(k, out=k)
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _cached_kernel(tgrid: Grid1D, xigrid: Grid1D) -> np.ndarray:
+    k = _build_kernel(tgrid, xigrid)
+    k.flags.writeable = False
+    return k
+
+
+def _kernel(tgrid: Grid1D, xigrid: Grid1D) -> np.ndarray:
+    """The STFT kernel exp(-i t xi) shared by stft and adjoint_stft,
+    cached per grid pair up to _KERNEL_CACHE_BYTES (read-only when
+    cached)."""
+    if 16 * tgrid.count * xigrid.count > _KERNEL_CACHE_BYTES:
+        return _build_kernel(tgrid, xigrid)
+    return _cached_kernel(tgrid, xigrid)
+
+
 def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
     """Short-time Fourier transform V(x, xi) = F[f * conj(w(. - x))](xi).
 
@@ -96,15 +131,13 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
     if f.grid != window.grid:
         raise GridError("stft: f and window must share a grid")
     shifts = [f.grid.shift_index(x) for x in tfgrid.xgrid.coords]
-    t = f.grid.coords
-    xi = tfgrid.xigrid.coords
     # columns of G are the windowed slices f(t) conj(w(t - x))
     g = np.empty((f.grid.count, len(shifts)), dtype=complex)
     wconj = np.conj(window.values)
     for c, k in enumerate(shifts):
         g[:, c] = f.values * _shifted_window(wconj, k)
-    kernel = np.exp(-1j * np.outer(t, xi))
-    vals = (f.grid.step / _SQRT_2PI) * (g.T @ kernel)
+    vals = g.T @ _kernel(f.grid, tfgrid.xigrid)
+    vals *= f.grid.step / _SQRT_2PI
     return TFR(tfgrid, vals)
 
 
@@ -116,9 +149,9 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     Satisfies adjoint_stft(stft(f, w), w) ~ ||w||^2 f on well-covered grids.
     """
     shifts = [window.grid.shift_index(x) for x in F.tfgrid.xgrid.coords]
-    t = window.grid.coords
-    xi = F.tfgrid.xigrid.coords
-    phases = F.values @ np.exp(1j * np.outer(xi, t))  # (Nx, Nt)
+    # F @ conj(kernel).T, with the conjugations moved onto the small factors
+    phases = np.conj(F.values) @ _kernel(window.grid, F.tfgrid.xigrid).T
+    np.conj(phases, out=phases)  # (Nx, Nt)
     out = np.zeros(window.grid.count, dtype=complex)
     for c, k in enumerate(shifts):
         out += phases[c] * _shifted_window(window.values, k)
@@ -198,15 +231,20 @@ def twisted_convolution_defect(
     mxi = (nxi - 1) // 2
     u = tfgrid.xgrid.coords
     eta = tfgrid.xigrid.coords
+    # Linear convolution over x as a circular one of length L: the kept
+    # outputs mx .. mx+nx-1 stay clear of the wrapped tail when L >= nx+mx.
+    L = 1 << (nx + mx - 1).bit_length()
+    v1t = v1f.values.T  # (xi, x): one convolution over x per xi row
+    b_hat = np.fft.fft(v23.values.T, L, axis=-1)
     acc = np.zeros_like(lhs)
     for jeta in range(nxi):
-        w = v1f.values * np.exp(-1j * u * eta[jeta])[:, None]
-        b = v23.values[:, jeta]
-        conv = fftconvolve(w, b[:, None], axes=0)[mx : mx + nx]
         # xi - eta maps xi index jxi to v1f column jxi - jeta + mxi
         lo = max(0, jeta - mxi)
         hi = min(nxi, nxi + jeta - mxi)
-        acc[:, lo:hi] += conv[:, lo - jeta + mxi : hi - jeta + mxi]
+        w = v1t[lo - jeta + mxi : hi - jeta + mxi]
+        w = w * np.exp(-1j * u * eta[jeta])
+        conv = np.fft.ifft(np.fft.fft(w, L, axis=-1) * b_hat[jeta], axis=-1)
+        acc[:, lo:hi] += conv[:, mx : mx + nx].T
     weight = tfgrid.xgrid.step * tfgrid.xigrid.step / _SQRT_2PI
     rhs = weight * acc
 

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from gstf.cli import run_command
 
 
-def run_cli(*args, env_extra=None):
+def run_cli_process(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -17,40 +18,49 @@ def run_cli(*args, env_extra=None):
                           capture_output=True, text=True, env=env)
 
 
+def run_cli(capsys, *args):
+    """The CLI in this process: exit code and captured stdout/stderr."""
+    capsys.readouterr()
+    code = run_command(list(args))
+    out, err = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+
 class TestGoldenReports:
     def test_classify_json_byte_identical_across_runs(self, tmp_path):
         args = ("classify", "--expr", "gaussian(1)", "--space", "S",
                 "--s", "0.5", "--points", "1024", "--n-max", "4")
-        a = run_cli(*args, "--out", str(tmp_path / "a.json"))
-        b = run_cli(*args, "--out", str(tmp_path / "b.json"),
-                    env_extra={"OMP_NUM_THREADS": "1"})
-        c = run_cli(*args, "--out", str(tmp_path / "c.json"),
-                    env_extra={"OMP_NUM_THREADS": "4"})
+        a = run_cli_process(*args, "--out", str(tmp_path / "a.json"))
+        b = run_cli_process(*args, "--out", str(tmp_path / "b.json"),
+                            env_extra={"OMP_NUM_THREADS": "1"})
+        c = run_cli_process(*args, "--out", str(tmp_path / "c.json"),
+                            env_extra={"OMP_NUM_THREADS": "4"})
         assert a.returncode == b.returncode == c.returncode == 0
         blobs = [(tmp_path / n).read_bytes() for n in
                  ("a.json", "b.json", "c.json")]
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_transform_csv_byte_identical(self, tmp_path):
+    def test_transform_csv_byte_identical(self, tmp_path, capsys):
         args = ("transform", "--expr", "hermite(2)", "--points", "512",
                 "--format", "csv")
-        run_cli(*args, "--out", str(tmp_path / "a.csv"))
-        run_cli(*args, "--out", str(tmp_path / "b.csv"))
+        run_cli(capsys, *args, "--out", str(tmp_path / "a.csv"))
+        run_cli(capsys, *args, "--out", str(tmp_path / "b.csv"))
         assert (tmp_path / "a.csv").read_bytes() == \
                (tmp_path / "b.csv").read_bytes()
 
-    def test_timings_flag_adds_nondeterministic_field(self):
-        out = run_cli("classify", "--expr", "gaussian(1)", "--space", "S",
-                      "--s", "0.5", "--points", "256", "--n-max", "2",
-                      "--timings")
+    def test_timings_flag_adds_nondeterministic_field(self, capsys):
+        out = run_cli(capsys, "classify", "--expr", "gaussian(1)",
+                      "--space", "S", "--s", "0.5", "--points", "256",
+                      "--n-max", "2", "--timings")
         rep = json.loads(out.stdout)
         assert rep["timings"]["elapsed_s"] > 0
 
 
 class TestClassifyCommand:
-    def test_member_report_shape(self):
-        out = run_cli("classify", "--expr", "gaussian(1)", "--space", "S",
-                      "--s", "0.5", "--points", "1024", "--n-max", "4")
+    def test_member_report_shape(self, capsys):
+        out = run_cli(capsys, "classify", "--expr", "gaussian(1)",
+                      "--space", "S", "--s", "0.5", "--points", "1024",
+                      "--n-max", "4")
         assert out.returncode == 0
         rep = json.loads(out.stdout)
         assert rep["schema_version"] == 1
@@ -61,83 +71,88 @@ class TestClassifyCommand:
         assert rep["diagnostics"]["floor"] == 1e-13
         assert rep["timings"] is None
 
-    def test_assert_member_failure_exits_1(self):
-        out = run_cli("classify", "--expr", "gaussian(0.001)", "--space", "S",
-                      "--s", "0.5", "--points", "1024", "--n-max", "4",
-                      "--assert-member")
+    def test_assert_member_failure_exits_1(self, capsys):
+        out = run_cli(capsys, "classify", "--expr", "gaussian(0.001)",
+                      "--space", "S", "--s", "0.5", "--points", "1024",
+                      "--n-max", "4", "--assert-member")
         assert out.returncode == 1
         assert json.loads(out.stdout)["verdict"] == "NotMember"
 
-    def test_space_and_type_flags_are_synonyms(self):
-        a = run_cli("classify", "--expr", "gaussian(1)", "--space", "Sigma",
-                    "--s", "1", "--points", "512", "--n-max", "2")
-        b = run_cli("classify", "--expr", "gaussian(1)", "--type", "beurling",
-                    "--s", "1", "--points", "512", "--n-max", "2")
+    def test_space_and_type_flags_are_synonyms(self, capsys):
+        a = run_cli(capsys, "classify", "--expr", "gaussian(1)",
+                    "--space", "Sigma", "--s", "1", "--points", "512",
+                    "--n-max", "2")
+        b = run_cli(capsys, "classify", "--expr", "gaussian(1)",
+                    "--type", "beurling", "--s", "1", "--points", "512",
+                    "--n-max", "2")
         assert json.loads(a.stdout)["verdict"] == json.loads(b.stdout)["verdict"]
 
-    def test_contradictory_space_and_type_rejected(self):
-        out = run_cli("classify", "--expr", "gaussian(1)", "--space", "S",
-                      "--type", "beurling", "--s", "1")
+    def test_contradictory_space_and_type_rejected(self, capsys):
+        out = run_cli(capsys, "classify", "--expr", "gaussian(1)",
+                      "--space", "S", "--type", "beurling", "--s", "1")
         assert out.returncode == 2
 
-    def test_csv_input_round_trip(self, tmp_path):
+    def test_csv_input_round_trip(self, tmp_path, capsys):
         path = tmp_path / "f.csv"
-        run_cli("transform", "--expr", "gaussian(1)", "--points", "256",
-                "--format", "csv", "--out", str(path))
-        out = run_cli("classify", "--in", str(path), "--type", "roumieu",
-                      "--sigma", "0.5", "--n-max", "4")
+        run_cli(capsys, "transform", "--expr", "gaussian(1)",
+                "--points", "256", "--format", "csv", "--out", str(path))
+        out = run_cli(capsys, "classify", "--in", str(path),
+                      "--type", "roumieu", "--sigma", "0.5", "--n-max", "4")
         assert out.returncode == 0
         assert json.loads(out.stdout)["verdict"] == "Member"
 
-    def test_nonuniform_csv_rejected(self, tmp_path):
+    def test_nonuniform_csv_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,value-real\n0.0,1.0\n1.0,0.5\n2.5,0.2\n")
-        out = run_cli("classify", "--in", str(path), "--space", "S",
+        out = run_cli(capsys, "classify", "--in", str(path), "--space", "S",
                       "--s", "1")
         assert out.returncode == 2
         assert "uniform" in out.stderr
 
 
 class TestErrorPaths:
-    def test_parse_error_exits_2(self):
-        out = run_cli("classify", "--expr", "gaussian(", "--space", "S",
-                      "--s", "0.5")
+    def test_parse_error_exits_2(self, capsys):
+        out = run_cli(capsys, "classify", "--expr", "gaussian(",
+                      "--space", "S", "--s", "0.5")
         assert out.returncode == 2
         assert "UnbalancedParen" in out.stderr
 
-    def test_trivial_space_exits_2(self):
-        out = run_cli("witness", "--s", "0.2", "--sigma", "0.3",
+    def test_trivial_space_exits_2(self, capsys):
+        out = run_cli(capsys, "witness", "--s", "0.2", "--sigma", "0.3",
                       "--type", "beurling")
         assert out.returncode == 2
         assert "TrivialSpace" in out.stderr
 
-    def test_non_pow2_points_rejected(self):
-        out = run_cli("transform", "--expr", "bump()", "--points", "1000")
+    def test_non_pow2_points_rejected(self, capsys):
+        out = run_cli(capsys, "transform", "--expr", "bump()",
+                      "--points", "1000")
         assert out.returncode == 2
 
 
 class TestOtherCommands:
-    def test_witness_csv_has_samples(self):
-        out = run_cli("witness", "--s", "0.75", "--sigma", "0.75",
+    def test_witness_csv_has_samples(self, capsys):
+        out = run_cli(capsys, "witness", "--s", "0.75", "--sigma", "0.75",
                       "--type", "beurling", "--points", "256",
                       "--format", "csv")
         rows = list(csv.reader(out.stdout.splitlines()))
         assert rows[0] == ["x", "value-real", "value-imag"]
         assert len(rows) == 257
 
-    def test_stft_json_profiles(self):
-        out = run_cli("stft", "--expr", "gaussian(1)", "--points", "512")
+    def test_stft_json_profiles(self, capsys):
+        out = run_cli(capsys, "stft", "--expr", "gaussian(1)",
+                      "--points", "512")
         rep = json.loads(out.stdout)
         assert rep["max_abs"] > 0.5
         assert len(rep["profiles"]["x"]) == 129
 
-    def test_toeplitz_unit_symbol_reports_small_defect(self):
-        out = run_cli("toeplitz", "--expr", "gaussian(1)", "--points", "1024")
+    def test_toeplitz_unit_symbol_reports_small_defect(self, capsys):
+        out = run_cli(capsys, "toeplitz", "--expr", "gaussian(1)",
+                      "--points", "1024")
         rep = json.loads(out.stdout)
         assert rep["reproduction_defect"] < 1e-5
 
-    def test_verify_toeplitz_suite_passes(self):
-        out = run_cli("verify", "--suite", "toeplitz")
+    def test_verify_toeplitz_suite_passes(self, capsys):
+        out = run_cli(capsys, "verify", "--suite", "toeplitz")
         assert out.returncode == 0
         rep = json.loads(out.stdout)
         assert rep["verdict"] == "pass"
@@ -171,6 +186,20 @@ class TestInProcessContract:
         self.assert_error_exit(["classify", "--expr", "gaussian(1)",
                                 "--space", "S", "--s", "1", "--points", "256",
                                 "--r-list", "1,x"], capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ("--n-max", "-1"),      # empty polynomial table
+        ("--r-list", "nan"),    # every Beurling sup vacuous
+        ("--r-list", "1,inf"),
+        ("--r-list", "0,1"),
+        ("--floor", "nan"),
+        ("--floor", "-1"),
+        ("--floor", "1"),
+    ])
+    def test_out_of_range_options(self, capsys, flags):
+        self.assert_error_exit(["classify", "--expr", "subexp(1, 1)",
+                                "--space", "Sigma", "--s", "0.5",
+                                "--points", "1024", *flags], capsys)
 
     def test_control_characters_in_strings_stay_valid_json(self, tmp_path,
                                                             capsys):

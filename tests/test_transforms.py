@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gstf import transforms
 from gstf import (BoundaryMassError, Gaussian, Grid1D, GridError, Hermite,
                   Modulate, SampledFunction, TFGrid, Translate, adjoint_stft,
                   build_grid, catalog_eval, dft, dft2, idft,
@@ -153,6 +156,90 @@ class TestStft:
         w = catalog_eval(Gaussian(1.0), grid11)
         with pytest.raises(GridError):
             stft(f, w, tf_small)
+
+
+def _shifted(v, k):
+    """v(t - k*step) with zero fill."""
+    out = np.zeros_like(v)
+    if k >= 0:
+        out[k:] = v[: len(v) - k]
+    else:
+        out[:k] = v[-k:]
+    return out
+
+
+def _reference_stft(f, w, tf):
+    """stft with the kernel exp(-i t xi) built afresh on every call."""
+    shifts = [f.grid.shift_index(x) for x in tf.xgrid.coords]
+    g = f.values[:, None] * np.stack(
+        [_shifted(np.conj(w.values), k) for k in shifts], axis=1)
+    kernel = np.exp(-1j * np.outer(f.grid.coords, tf.xigrid.coords))
+    return (f.grid.step / np.sqrt(2 * np.pi)) * (g.T @ kernel)
+
+
+def _reference_adjoint(F, w):
+    """adjoint_stft with the kernel exp(+i xi t) built afresh."""
+    phases = F.values @ np.exp(1j * np.outer(F.tfgrid.xigrid.coords,
+                                             w.grid.coords))
+    out = np.zeros(w.grid.count, dtype=complex)
+    for c, x in enumerate(F.tfgrid.xgrid.coords):
+        out += phases[c] * _shifted(w.values, w.grid.shift_index(x))
+    step = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / np.sqrt(2 * np.pi)
+    return step * out
+
+
+class TestStftKernelCache:
+    """stft and adjoint_stft share one exp(-i t xi) per grid pair."""
+
+    @pytest.fixture(params=["129x129", "513x1001"])
+    def case(self, request, grid10, grid11, tf_small, tf_classify):
+        grid, tf = ((grid10, tf_small) if request.param == "129x129"
+                    else (grid11, tf_classify))
+        return (catalog_eval(Hermite(2), grid),
+                catalog_eval(Gaussian(1.0), grid), tf)
+
+    def test_bit_identical_to_uncached_reference(self, case):
+        f, w, tf = case
+        for _ in range(2):  # the second round runs on the cached kernel
+            v = stft(f, w, tf)
+            assert np.array_equal(v.values, _reference_stft(f, w, tf))
+            assert np.array_equal(adjoint_stft(v, w).values,
+                                  _reference_adjoint(v, w))
+
+    def test_cached_kernel_is_read_only(self, case):
+        f, w, tf = case
+        stft(f, w, tf)
+        k = transforms._kernel(f.grid, tf.xigrid)
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0, 0] = 0.0
+
+    def test_repeat_stft_allocates_less_than_a_kernel(self, grid11,
+                                                      tf_classify):
+        f = catalog_eval(Hermite(2), grid11)
+        w = catalog_eval(Gaussian(1.0), grid11)
+        stft(f, w, tf_classify)
+        tracemalloc.start()
+        try:
+            stft(f, w, tf_classify)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * grid11.count * tf_classify.xigrid.count
+
+    def test_kernel_above_limit_is_not_retained(self, monkeypatch):
+        tgrid, xigrid = build_grid(12.0, 6), Grid1D(0.0, 0.25, 9)
+        nbytes = 16 * tgrid.count * xigrid.count
+        ref = np.exp(-1j * np.outer(tgrid.coords, xigrid.coords))
+        monkeypatch.setattr(transforms, "_KERNEL_CACHE_BYTES", nbytes - 1)
+        before = transforms._cached_kernel.cache_info()
+        k = transforms._kernel(tgrid, xigrid)
+        assert k.flags.writeable
+        assert np.array_equal(k, ref)
+        assert transforms._cached_kernel.cache_info() == before
+        monkeypatch.setattr(transforms, "_KERNEL_CACHE_BYTES", nbytes)
+        assert not transforms._kernel(tgrid, xigrid).flags.writeable
+        assert transforms._cached_kernel.cache_info().currsize >= 1
 
 
 class TestDft2:
