@@ -31,12 +31,12 @@ BOUNDARY_FLOOR = 1e-10
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# Largest STFT kernel kept between calls.  It covers every grid pair of the
-# verify suites and the CLI defaults (2048 x 1001 complex is 32 MB); larger
-# kernels are rebuilt on each call.  With at most _KERNEL_CACHE_SIZE kernels
-# kept, the cache never holds more than 256 MiB.
-_KERNEL_CACHE_BYTES = 64 << 20
-_KERNEL_CACHE_SIZE = 4
+# Largest work buffer of one row block in stft and adjoint_stft.  With it,
+# the engine's memory is bounded at any grid size.
+_BLOCK_BYTES = 8 << 20
+
+# 2*pi to long-double precision, for reducing the chirp phases
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
 
 
 def _phase_fft(vals: np.ndarray, grid: Grid1D, sign: int, axis: int,
@@ -81,44 +81,90 @@ def dft2(a: TFR) -> TFR:
     return TFR(TFGrid(a.tfgrid.xgrid.dual(), a.tfgrid.xigrid.dual()), vals)
 
 
-def _shifted_window(window: np.ndarray, k: int) -> np.ndarray:
-    """window values index-shifted by k samples (w(t - k*step)), zero fill."""
-    out = np.zeros_like(window)
-    n = window.shape[0]
-    if k >= n or k <= -n:
-        return out
-    if k >= 0:
-        out[k:] = window[: n - k]
-    else:
-        out[: n + k] = window[-k:]
-    return out
+def _fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b >= n."""
+    best, p3 = 1 << (n - 1).bit_length(), 3
+    while p3 < best:
+        best = min(best, p3 << ((n - 1) // p3).bit_length())
+        p3 *= 3
+    return best
 
 
-def _build_kernel(tgrid: Grid1D, xigrid: Grid1D) -> np.ndarray:
-    """exp(-i t xi) on the (t, xi) grids, built in place in one complex
-    array: the bits equal ``np.exp(-1j * np.outer(t, xi))`` without its
-    float and complex temporaries."""
-    k = np.empty((tgrid.count, xigrid.count), dtype=complex)
-    np.multiply.outer(tgrid.coords, xigrid.coords, out=k.imag)
-    np.negative(k.imag, out=k.imag)
-    k.real = 0.0
-    return np.exp(k, out=k)
+def _unit(phase: np.ndarray) -> np.ndarray:
+    """exp(i phase) for long-double phases, reduced mod 2*pi before the
+    float64 exp so that phases of thousands of radians keep their digits."""
+    return np.exp(1j * np.mod(phase, _TWO_PI).astype(float))
 
 
-@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _cached_kernel(tgrid: Grid1D, xigrid: Grid1D) -> np.ndarray:
-    k = _build_kernel(tgrid, xigrid)
-    k.flags.writeable = False
-    return k
+@lru_cache(maxsize=4)
+def _chirp_plan(tgrid: Grid1D, xigrid: Grid1D) -> tuple:
+    """Bluestein (chirp-z) factors of the STFT kernel on a grid pair.
+
+    With t_j = t0 + j*h and xi_k = xi0 + k*d,
+    exp(-i t_j xi_k) = a_k * b_j * c(k - j) with c(m) = exp(i h d m^2 / 2),
+    so a row sum over j is a linear convolution with the chirp c.  Returns
+    (a, b, fwd, adj): fwd is the FFT of c laid out for lags k - j (stft),
+    adj that of conj(c) for lags j - k (adjoint_stft), both of the length
+    L = 2^a 3^b >= N + M - 1 that keeps the circular convolution linear.
+    The arrays are O(N + M) and read-only.
+    """
+    n, m = tgrid.count, xigrid.count
+    size = _fft_length(n + m - 1)
+    ld = np.longdouble
+    h, d = ld(tgrid.step), ld(xigrid.step)
+    t0 = ld(tgrid.center) - ld((n - 1) / 2) * h
+    xi0 = ld(xigrid.center) - ld((m - 1) / 2) * d
+    hd2 = h * d / 2
+    j = np.arange(n, dtype=ld)
+    k = np.arange(m, dtype=ld)
+    lag = np.arange(max(n, m), dtype=ld)
+    a = _unit(-(t0 * xi0 + t0 * d * k + hd2 * k * k))
+    b = _unit(-(xi0 * h * j + hd2 * j * j))
+    c = _unit(hd2 * lag * lag)
+
+    def spectrum(chirp, ahead, behind):
+        # lags 0..ahead-1 at the front, -1..-(behind-1) wrapped to the back
+        z = np.zeros(size, dtype=complex)
+        z[:ahead] = chirp[:ahead]
+        z[size - behind + 1:] = chirp[behind - 1:0:-1]
+        return np.fft.fft(z)
+
+    plan = (a, b, spectrum(c, m, n), spectrum(np.conj(c), n, m))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
-def _kernel(tgrid: Grid1D, xigrid: Grid1D) -> np.ndarray:
-    """The STFT kernel exp(-i t xi) shared by stft and adjoint_stft,
-    cached per grid pair up to _KERNEL_CACHE_BYTES (read-only when
-    cached)."""
-    if 16 * tgrid.count * xigrid.count > _KERNEL_CACHE_BYTES:
-        return _build_kernel(tgrid, xigrid)
-    return _cached_kernel(tgrid, xigrid)
+def _window_rows(grid: Grid1D, xgrid: Grid1D, window: np.ndarray):
+    """(rows, starts): row s of ``rows`` is a length-N view of a 3N
+    zero-padded copy of ``window``, so that rows[starts[c]] is
+    window(t - x_c) by index shift with zero fill."""
+    n = grid.count
+    shifts = np.array([grid.shift_index(x) for x in xgrid.coords])
+    padded = np.zeros(3 * n, dtype=complex)
+    padded[n:2 * n] = window
+    starts = n - np.clip(shifts, -n, n)
+    return np.lib.stride_tricks.sliding_window_view(padded, n), starts
+
+
+def _chirp_rows(src: np.ndarray, index: np.ndarray, scale: np.ndarray,
+                spectrum: np.ndarray):
+    """The rows src[index[c]] * scale, zero-padded and convolved with the
+    chirp whose FFT is ``spectrum``, in blocks of at most _BLOCK_BYTES.
+    Yields (sl, conv) for the rows sl; every block reuses one buffer, so
+    use ``conv`` before taking the next."""
+    count, width, size = index.size, scale.size, spectrum.size
+    rows = max(1, _BLOCK_BYTES // (16 * size))
+    buf = np.empty((min(rows, count), size), dtype=complex)
+    for lo in range(0, count, rows):
+        sl = slice(lo, min(count, lo + rows))
+        blk = buf[:sl.stop - lo]
+        np.multiply(src[index[sl]], scale, out=blk[:, :width])
+        blk[:, width:] = 0.0
+        np.fft.fft(blk, axis=-1, out=blk)
+        blk *= spectrum
+        np.fft.ifft(blk, axis=-1, out=blk)
+        yield sl, blk
 
 
 def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
@@ -126,18 +172,16 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
 
     Every x in tfgrid.xgrid must be an integer multiple of the sample step
     so the window translate is exact by index shifting; xi is free (the
-    windowed Riemann sum is evaluated directly at each xi).
+    windowed Riemann sum is evaluated at each xi by a chirp-z transform).
     """
     if f.grid != window.grid:
         raise GridError("stft: f and window must share a grid")
-    shifts = [f.grid.shift_index(x) for x in tfgrid.xgrid.coords]
-    # columns of G are the windowed slices f(t) conj(w(t - x))
-    g = np.empty((f.grid.count, len(shifts)), dtype=complex)
-    wconj = np.conj(window.values)
-    for c, k in enumerate(shifts):
-        g[:, c] = f.values * _shifted_window(wconj, k)
-    vals = g.T @ _kernel(f.grid, tfgrid.xigrid)
-    vals *= f.grid.step / _SQRT_2PI
+    a, b, fwd, _ = _chirp_plan(f.grid, tfgrid.xigrid)
+    rows, starts = _window_rows(f.grid, tfgrid.xgrid, np.conj(window.values))
+    a = a * (f.grid.step / _SQRT_2PI)
+    vals = np.empty((starts.size, a.size), dtype=complex)
+    for sl, conv in _chirp_rows(rows, starts, f.values * b, fwd):
+        np.multiply(conv[:, :a.size], a, out=vals[sl])
     return TFR(tfgrid, vals)
 
 
@@ -148,15 +192,19 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
 
     Satisfies adjoint_stft(stft(f, w), w) ~ ||w||^2 f on well-covered grids.
     """
-    shifts = [window.grid.shift_index(x) for x in F.tfgrid.xgrid.coords]
-    # F @ conj(kernel).T, with the conjugations moved onto the small factors
-    phases = np.conj(F.values) @ _kernel(window.grid, F.tfgrid.xigrid).T
-    np.conj(phases, out=phases)  # (Nx, Nt)
-    out = np.zeros(window.grid.count, dtype=complex)
-    for c, k in enumerate(shifts):
-        out += phases[c] * _shifted_window(window.values, k)
+    a, b, _, adj = _chirp_plan(window.grid, F.tfgrid.xigrid)
+    rows, starts = _window_rows(window.grid, F.tfgrid.xgrid, window.values)
+    out = np.zeros(b.size, dtype=complex)
+    for sl, conv in _chirp_rows(F.values, np.arange(starts.size), np.conj(a),
+                                adj):
+        terms = conv[:, :b.size]
+        terms *= rows[starts[sl]]
+        # carry the running sum in the first row, so that the rows add up
+        # in one order whatever the block size
+        terms[0] += out
+        np.sum(terms, axis=0, out=out)
     w = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / _SQRT_2PI
-    return SampledFunction(window.grid, w * out)
+    return SampledFunction(window.grid, np.conj(b) * w * out)
 
 
 def edge_mass(values: np.ndarray) -> float:

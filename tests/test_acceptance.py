@@ -78,6 +78,23 @@ def test_criterion_1_identity_suite():
            f"elapsed={elapsed:.1f}s")
 
 
+def test_identity_defects_at_present_magnitudes():
+    # The defects sit at rounding level, far under their gates; a faster
+    # STFT engine must keep them there, not merely under the gates.
+    ident, _ = suite_values("identities", [
+        "moyal_defect", "stft_inversion_defect", "twisted_convolution_defect",
+        "product_transform_defect", "product_transform_sign_consistent"])
+    oper, _ = suite_values("toeplitz", [
+        "unit_symbol_reproduction", "adjoint_symmetry", "positivity_defect",
+        "continuity_probe_nonmember_outputs"])
+    for name in ("moyal_defect", "stft_inversion_defect",
+                 "twisted_convolution_defect"):
+        assert ident[name] <= 1e-14, (name, ident[name])
+    assert ident["product_transform_defect"] <= 1e-13
+    for name in ("unit_symbol_reproduction", "adjoint_symmetry"):
+        assert oper[name] <= 1e-14, (name, oper[name])
+
+
 def test_criterion_2_closed_form_stft(grid10, tf_small):
     f = catalog_eval(Gaussian(1.0), grid10)
     v = stft(f, f, tf_small)

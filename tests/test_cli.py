@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstf.cli import run_command
 
@@ -210,3 +214,52 @@ class TestInProcessContract:
         rep = json.loads(capsys.readouterr().out)
         assert rep["params"]["input"] == f"csv:{path}"
         assert len(rep["samples"]) == 4
+
+
+def _flag(name, values):
+    """Optional ``--name=value`` (the = keeps a leading '-' a value)."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_POINTS = st.one_of(st.sampled_from([2**k for k in range(1, 13)]),
+                    st.sampled_from([-4, -1, 0, 3, 100, 4097, 2**25]))
+
+
+@st.composite
+def _cli_args(draw):
+    command = draw(st.sampled_from(["transform", "stft", "classify"]))
+    args = [command, "--expr",
+            draw(st.sampled_from(["gaussian(1)", "hermite(2)",
+                                  "subexp(1, 1)", "poly(3) * gaussian(2)"]))]
+    args += draw(_flag("points", _POINTS))
+    args += draw(_flag("half-width", st.one_of(st.floats(0.5, 40.0),
+                                               _ANY_FLOAT)))
+    if command == "classify":
+        args += ["--space", draw(st.sampled_from(["S", "Sigma"]))]
+        args += draw(_flag("s", st.one_of(st.floats(0.1, 4.0), _ANY_FLOAT)))
+        args += draw(_flag("sigma", _ANY_FLOAT))
+        args += draw(_flag("floor", st.one_of(st.floats(0.0, 1e-3),
+                                              _ANY_FLOAT)))
+        args += draw(_flag("n-max", st.integers(-3, 12)))
+        args += draw(_flag("r-list", st.one_of(
+            st.lists(_ANY_FLOAT, min_size=1, max_size=3).map(
+                lambda rs: ",".join(map(repr, rs))),
+            st.text(max_size=6))))
+    return args
+
+
+class TestCliContractFuzz:
+    """Every input keeps the exit-code contract: 0, 1 or 2, never a
+    traceback, and a JSON report whenever the command ran."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_cli_args())
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code in (0, 1):
+            json.loads(out.getvalue())

@@ -169,7 +169,7 @@ def _shifted(v, k):
 
 
 def _reference_stft(f, w, tf):
-    """stft with the kernel exp(-i t xi) built afresh on every call."""
+    """stft as a product with the dense kernel exp(-i t xi)."""
     shifts = [f.grid.shift_index(x) for x in tf.xgrid.coords]
     g = f.values[:, None] * np.stack(
         [_shifted(np.conj(w.values), k) for k in shifts], axis=1)
@@ -178,7 +178,7 @@ def _reference_stft(f, w, tf):
 
 
 def _reference_adjoint(F, w):
-    """adjoint_stft with the kernel exp(+i xi t) built afresh."""
+    """adjoint_stft as a product with the dense kernel exp(+i xi t)."""
     phases = F.values @ np.exp(1j * np.outer(F.tfgrid.xigrid.coords,
                                              w.grid.coords))
     out = np.zeros(w.grid.count, dtype=complex)
@@ -188,58 +188,64 @@ def _reference_adjoint(F, w):
     return step * out
 
 
-class TestStftKernelCache:
-    """stft and adjoint_stft share one exp(-i t xi) per grid pair."""
+class TestStftChirpZ:
+    """stft and adjoint_stft run as a Bluestein chirp-z transform; they
+    stay within 1e-14 of the peak of the dense-kernel references."""
 
-    @pytest.fixture(params=["129x129", "513x1001"])
+    @pytest.fixture(params=["129x129", "128x128", "513x1001", "odd-t"])
     def case(self, request, grid10, grid11, tf_small, tf_classify):
-        grid, tf = ((grid10, tf_small) if request.param == "129x129"
-                    else (grid11, tf_classify))
+        h = grid10.step
+        grid, tf = {
+            "129x129": (grid10, tf_small),
+            # the product-transform grid of the identity suite
+            "128x128": (grid10, TFGrid(Grid1D(0.0, 8 * h, 128),
+                                       Grid1D(0.0, 2 * np.pi / (1024 * h),
+                                              128))),
+            "513x1001": (grid11, tf_classify),
+            # odd time count, off-centre time and frequency grids
+            "odd-t": (Grid1D(0.25, 0.024, 1001),
+                      TFGrid(Grid1D(0.0, 3 * 0.024, 77),
+                             Grid1D(1.7, 0.31, 150))),
+        }[request.param]
         return (catalog_eval(Hermite(2), grid),
                 catalog_eval(Gaussian(1.0), grid), tf)
 
-    def test_bit_identical_to_uncached_reference(self, case):
+    def test_matches_dense_reference(self, case):
         f, w, tf = case
-        for _ in range(2):  # the second round runs on the cached kernel
-            v = stft(f, w, tf)
-            assert np.array_equal(v.values, _reference_stft(f, w, tf))
-            assert np.array_equal(adjoint_stft(v, w).values,
-                                  _reference_adjoint(v, w))
+        v = stft(f, w, tf)
+        ref = _reference_stft(f, w, tf)
+        assert np.max(np.abs(v.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ref = _reference_adjoint(v, w)
+        assert (np.max(np.abs(adjoint_stft(v, w).values - ref))
+                <= 1e-14 * np.max(np.abs(ref)))
 
-    def test_cached_kernel_is_read_only(self, case):
+    def test_block_size_does_not_change_bits(self, case, monkeypatch):
+        f, w, tf = case
+        v = stft(f, w, tf)
+        g = adjoint_stft(v, w)
+        monkeypatch.setattr(transforms, "_BLOCK_BYTES", 1)  # one row a block
+        assert np.array_equal(stft(f, w, tf).values, v.values)
+        assert np.array_equal(adjoint_stft(v, w).values, g.values)
+
+    def test_cached_plan_is_read_only(self, case):
         f, w, tf = case
         stft(f, w, tf)
-        k = transforms._kernel(f.grid, tf.xigrid)
-        assert not k.flags.writeable
-        with pytest.raises(ValueError):
-            k[0, 0] = 0.0
+        for arr in transforms._chirp_plan(f.grid, tf.xigrid):
+            assert not arr.flags.writeable
 
-    def test_repeat_stft_allocates_less_than_a_kernel(self, grid11,
-                                                      tf_classify):
-        f = catalog_eval(Hermite(2), grid11)
-        w = catalog_eval(Gaussian(1.0), grid11)
-        stft(f, w, tf_classify)
+    def test_memory_bounded_at_large_points(self):
+        # A dense kernel on this grid pair would take 1.05 GB.
+        grid = build_grid(12.0, 16)
+        tf = TFGrid(Grid1D(0.0, 4096 * grid.step, 9), Grid1D(0.0, 0.5, 1001))
+        f = catalog_eval(Hermite(2), grid)
+        w = catalog_eval(Gaussian(1.0), grid)
         tracemalloc.start()
         try:
-            stft(f, w, tf_classify)
+            adjoint_stft(stft(f, w, tf), w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * grid11.count * tf_classify.xigrid.count
-
-    def test_kernel_above_limit_is_not_retained(self, monkeypatch):
-        tgrid, xigrid = build_grid(12.0, 6), Grid1D(0.0, 0.25, 9)
-        nbytes = 16 * tgrid.count * xigrid.count
-        ref = np.exp(-1j * np.outer(tgrid.coords, xigrid.coords))
-        monkeypatch.setattr(transforms, "_KERNEL_CACHE_BYTES", nbytes - 1)
-        before = transforms._cached_kernel.cache_info()
-        k = transforms._kernel(tgrid, xigrid)
-        assert k.flags.writeable
-        assert np.array_equal(k, ref)
-        assert transforms._cached_kernel.cache_info() == before
-        monkeypatch.setattr(transforms, "_KERNEL_CACHE_BYTES", nbytes)
-        assert not transforms._kernel(tgrid, xigrid).flags.writeable
-        assert transforms._cached_kernel.cache_info().currsize >= 1
+        assert peak < 64e6
 
 
 class TestDft2:
