@@ -247,4 +247,5 @@ def catalog_eval(spec: FunctionSpec, grid: Grid1D) -> SampledFunction:
     """Evaluate a function spec pointwise on a grid."""
     if not isinstance(spec, FunctionSpec):
         raise GstfError(f"not a FunctionSpec: {spec!r}")
-    return SampledFunction(grid, spec._eval(grid.coords))
+    with np.errstate(all="ignore"):  # SampledFunction rejects inf and nan
+        return SampledFunction(grid, spec._eval(grid.coords))

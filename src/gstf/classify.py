@@ -18,7 +18,7 @@ a below-floor raw value yields the honest third verdict, Inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def _weighted_sup(absvals: np.ndarray, logweight: np.ndarray, guard: int,
     neighbor is inadmissible is flagged masked_edge (the sup may continue
     growing where the samples are round-off garbage)."""
     n = absvals.shape[0]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, 0 * inf
         logv = np.log(absvals) + logweight
     if mask is not None:
         logv = np.where(mask, logv, -np.inf)
@@ -152,7 +152,8 @@ def sup_envelope_constant(f: SampledFunction, r: float, s: float,
     if s <= 0:
         raise GstfError("s must be positive")
     a = np.abs(f.values)
-    w = r * np.abs(f.x) ** (1.0 / s)
+    with np.errstate(over="ignore"):  # an overflow to inf is the limit
+        w = r * np.abs(f.x) ** (1.0 / s)
     mask = a >= floor if floor is not None else None
     return _weighted_sup(a, w, guard, mask)
 
@@ -174,7 +175,9 @@ def fit_decay_rate(f: SampledFunction, s: float, floor: float | None = None) -> 
     sel = (a > floor) & (x >= f.grid.step)
     if not np.any(sel):
         return math.inf
-    ratios = (math.log(c_peak) - np.log(a[sel])) / x[sel] ** (1.0 / s)
+    # |x|^(1/s) may overflow to inf or underflow to 0, its limits
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = (math.log(c_peak) - np.log(a[sel])) / x[sel] ** (1.0 / s)
     return float(ratios.min())
 
 
@@ -187,8 +190,10 @@ def fit_poly_table(f: SampledFunction, n_max: int, floor_rel: float = 1e-13,
     a = np.abs(f.values)
     peak = a.max()
     mask = a >= floor_rel * peak if peak > 0 else None
-    logw1 = np.log1p(f.x**2)
-    return {n: _weighted_sup(a, n * logw1, guard, mask) for n in range(n_max + 1)}
+    with np.errstate(over="ignore", invalid="ignore"):  # x^2 = inf, 0 * inf
+        logw1 = np.log1p(f.x**2)
+        return {n: _weighted_sup(a, n * logw1, guard, mask)
+                for n in range(n_max + 1)}
 
 
 def _poly_side(fn: SampledFunction, opts: ClassifyOptions):
@@ -298,14 +303,14 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     across several classes."""
     opts = opts or ClassifyOptions()
     v = _window_stft(f, window, idx, tfgrid, opts, check_window, precomputed)
-    c_peak = float(np.abs(v.values).max())
-    if c_peak == 0.0:
-        return _zero_report()
     # For a finite s the decay variable is position, for a finite sigma
     # frequency.  STFT samples are quadrature outputs: sub-floor values
     # are noise.
     decay_on_x = math.isinf(idx.sigma)
     decay_fn, poly_fn = _profiles(v, decay_on_x)
+    c_peak = float(np.abs(decay_fn.values).max())  # the max of |V|
+    if c_peak == 0.0:
+        return _zero_report()
     return _verdict(decay_fn, idx.s if decay_on_x else idx.sigma, poly_fn,
                     idx, opts, c_peak, masked=True)
 
@@ -324,41 +329,49 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
     v = _window_stft(f, window, idx, tfgrid, opts, check_window, precomputed)
     a = np.abs(v.values)
     c_peak = float(a.max())
-    if math.isinf(idx.sigma):
-        decay_x = np.abs(tfgrid.xgrid.coords)[:, None] ** (1.0 / idx.s)
+    if math.isinf(idx.sigma):  # d: the axis of the decay variable
+        d, decay_x = 0, np.abs(tfgrid.xgrid.coords)[:, None]
         logpoly = np.log1p(tfgrid.xigrid.coords**2)[None, :]
     else:
-        decay_x = np.abs(tfgrid.xigrid.coords)[None, :] ** (1.0 / idx.sigma)
+        d, decay_x = 1, np.abs(tfgrid.xigrid.coords)[None, :]
         logpoly = np.log1p(tfgrid.xgrid.coords**2)[:, None]
-
-    interior = np.zeros(a.shape, dtype=bool)
-    interior[opts.guard:a.shape[0] - opts.guard,
-             opts.guard:a.shape[1] - opts.guard] = True
-    flat_interior = interior.ravel()
-    with np.errstate(divide="ignore"):
+    # an overflow to inf is the weight's limit; log 0 = -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        decay_x = decay_x ** (1.0 / (idx.s if d == 0 else idx.sigma))
+        rd_list = [(r, r * decay_x) for r in opts.trial_rs()]
         loga = np.log(a)
 
-    n0_by_r = {}
-    table = {}
-    for r in opts.trial_rs():
+    # logv = loga - n0*logpoly - r*decay_x.  Subtracting the per-line
+    # constant r*decay_x is monotone in floating point, so the line maxima
+    # of logv are those of loga - n0*logpoly, reduced once per n0, minus it.
+    line_max, n0_by_r, table = {}, {}, {}
+    i = a.size // 2  # reported until some logv is finite
+    for r, rd in rd_list:
         found = None
         for n0 in range(opts.n_max + 1):
-            logv = loga - n0 * logpoly - r * decay_x
-            if not np.any(np.isfinite(logv)):
+            if n0 not in line_max:
+                line_max[n0] = (loga - n0 * logpoly).max(1 - d, keepdims=True)
+            lines = line_max[n0] - rd
+            top = lines.max()
+            if top == -INF:  # no finite logv (|V| is finite)
                 found = n0  # zero TFR: trivially bounded
                 break
-            i = int(np.argmax(logv))
-            if flat_interior[i]:
+            # the first argmax of logv in C order lies on a line at the top
+            hit = np.flatnonzero(lines == top)
+            logv = np.take(loga, hit, d) - n0 * logpoly - np.take(rd, hit, d)
+            pos = list(np.unravel_index(np.argmax(logv), logv.shape))
+            pos[d] = hit[pos[d]]
+            i = int(np.ravel_multi_index(pos, a.shape))
+            if all(opts.guard <= p < n - opts.guard
+                   for p, n in zip(pos, a.shape)):
                 found = n0
                 break
         n0_by_r[r] = found
-        ii = i if np.any(np.isfinite(loga)) else a.size // 2
-        top = logv.ravel()[ii]
         table[r] = EnvelopeFit(
             C=math.inf if top > _LOG_MAX else float(math.exp(top)),
-            attained_at=ii,
+            attained_at=i,
             interior_attained=found is not None,
-            raw_abs=float(a.ravel()[ii]),
+            raw_abs=float(a.ravel()[i]),
         )
     if idx.regularity == "roumieu":
         member = all(n0 is not None for n0 in n0_by_r.values())

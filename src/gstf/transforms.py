@@ -281,18 +281,20 @@ def twisted_convolution_defect(
     eta = tfgrid.xigrid.coords
     # Linear convolution over x as a circular one of length L: the kept
     # outputs mx .. mx+nx-1 stay clear of the wrapped tail when L >= nx+mx.
+    # With exp(-i (x-y) eta) = exp(-i x eta) exp(i y eta), both operands
+    # are transformed once and each eta takes one product and one IFFT.
     L = 1 << (nx + mx - 1).bit_length()
-    v1t = v1f.values.T  # (xi, x): one convolution over x per xi row
-    b_hat = np.fft.fft(v23.values.T, L, axis=-1)
+    turn = np.exp(1j * np.outer(eta, u))  # exp(i y eta), one row per eta
+    a_hat = np.fft.fft(v1f.values.T, L, axis=-1)  # (xi, x) rows
+    b_hat = np.fft.fft(v23.values.T * turn, L, axis=-1)
     acc = np.zeros_like(lhs)
     for jeta in range(nxi):
         # xi - eta maps xi index jxi to v1f column jxi - jeta + mxi
         lo = max(0, jeta - mxi)
         hi = min(nxi, nxi + jeta - mxi)
-        w = v1t[lo - jeta + mxi : hi - jeta + mxi]
-        w = w * np.exp(-1j * u * eta[jeta])
-        conv = np.fft.ifft(np.fft.fft(w, L, axis=-1) * b_hat[jeta], axis=-1)
-        acc[:, lo:hi] += conv[:, mx : mx + nx].T
+        conv = np.fft.ifft(a_hat[lo - jeta + mxi : hi - jeta + mxi]
+                           * b_hat[jeta], axis=-1)
+        acc[:, lo:hi] += (conv[:, mx : mx + nx] * np.conj(turn[jeta])).T
     weight = tfgrid.xgrid.step * tfgrid.xigrid.step / _SQRT_2PI
     rhs = weight * acc
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
                   Translate, build_grid, catalog_eval, classify_function,
                   classify_stft, classify_symbol, dft, dual_growth_report,
                   fit_decay_rate, fit_poly_table, stft, sup_envelope_constant)
+from gstf.classify import EnvelopeFit, EnvelopeReport
 from gstf.checks import CATALOG_SPACES, CATALOG_SPECS
 from gstf.grids import TFR
 
@@ -313,7 +315,114 @@ class TestClassifyStft:
                 assert a == b, (spec, idx)
 
 
+def _dual_growth_reference(v, idx, opts):
+    """dual_growth_report on a precomputed STFT as it was written before
+    the per-N0 reduction: one full logv array and argmax per (r, N0)."""
+    a = np.abs(v.values)
+    tfgrid = v.tfgrid
+    with np.errstate(over="ignore"):
+        if math.isinf(idx.sigma):
+            decay_x = np.abs(tfgrid.xgrid.coords)[:, None] ** (1.0 / idx.s)
+            logpoly = np.log1p(tfgrid.xigrid.coords**2)[None, :]
+        else:
+            decay_x = np.abs(tfgrid.xigrid.coords)[None, :] ** (1.0 / idx.sigma)
+            logpoly = np.log1p(tfgrid.xgrid.coords**2)[:, None]
+    interior = np.zeros(a.shape, dtype=bool)
+    interior[opts.guard:a.shape[0] - opts.guard,
+             opts.guard:a.shape[1] - opts.guard] = True
+    flat_interior = interior.ravel()
+    with np.errstate(divide="ignore"):
+        loga = np.log(a)
+    n0_by_r, table = {}, {}
+    for r in opts.trial_rs():
+        found = None
+        for n0 in range(opts.n_max + 1):
+            with np.errstate(over="ignore"):
+                logv = loga - n0 * logpoly - r * decay_x
+            if not np.any(np.isfinite(logv)):
+                found = n0
+                break
+            i = int(np.argmax(logv))
+            if flat_interior[i]:
+                found = n0
+                break
+        n0_by_r[r] = found
+        ii = i if np.any(np.isfinite(loga)) else a.size // 2
+        top = logv.ravel()[ii]
+        table[r] = EnvelopeFit(
+            C=math.inf if top > math.log(np.finfo(float).max)
+            else float(math.exp(top)),
+            attained_at=ii, interior_attained=found is not None,
+            raw_abs=float(a.ravel()[ii]))
+    if idx.regularity == "roumieu":
+        member = all(n0 is not None for n0 in n0_by_r.values())
+    else:
+        member = any(n0 is not None for n0 in n0_by_r.values())
+    return EnvelopeReport(C_peak=float(a.max()), r_fit=math.nan,
+                          beurling_table=table,
+                          verdict=MEMBER if member else NOT_MEMBER,
+                          diagnostics={"N0_by_r": n0_by_r})
+
+
+DUAL_FUNCTIONS = (Gaussian(1.0), Hermite(3), Product(Poly(2), Gaussian(1.0)),
+                  Translate(Gaussian(1.0), 1.5), Modulate(Gaussian(1.0), 3.0),
+                  Bump(), SubExp(2.0, 1.0), Poly(2))
+DUAL_INDICES = tuple(
+    idx for v in (0.5, 1.0, 2.0) for idx in
+    (roumieu(s=v), beurling(s=v), roumieu(sigma=v), beurling(sigma=v))) + (
+    roumieu(s=1e-300), beurling(sigma=1e-300))
+DUAL_OPTIONS = (ClassifyOptions(), ClassifyOptions(n_max=0, guard=0),
+                ClassifyOptions(n_max=12, guard=5, r_list=(0.01, 100.0)))
+
+
 class TestDualGrowth:
+    @pytest.mark.parametrize("points, xs, xsteps, xis, xistep", [
+        (2048, 513, 4, 1001, 0.5),
+        (1024, 129, 8, 129, 0.25),
+        (1024, 128, 8, 128, None),  # the product-transform grid
+    ])
+    def test_matches_reference_bit_for_bit(self, points, xs, xsteps, xis,
+                                           xistep):
+        grid = build_grid(12.0, points.bit_length() - 1)
+        xistep = xistep or 2 * np.pi / (points * grid.step)
+        tf = TFGrid(Grid1D(0.0, xsteps * grid.step, xs),
+                    Grid1D(0.0, xistep, xis))
+        fns = [catalog_eval(spec, grid) for spec in DUAL_FUNCTIONS]
+        fns.append(SampledFunction(grid, np.zeros(grid.count)))
+        windows = [catalog_eval(Gaussian(a), grid) for a in (1.0, 2.0)]
+        cases = list(itertools.product(range(2), range(len(fns)),
+                                       DUAL_INDICES, DUAL_OPTIONS))
+        if xs * xis > 100000:
+            # The reference makes full passes over the 513 x 1001 array.
+            # A stride coprime to 3 options x 14 indices still meets every
+            # (index, options) pair.
+            cases = cases[::11]
+        stfts = {}
+        for wi, k, idx, opts in cases:
+            f, w = fns[k], windows[wi]
+            if (wi, k) not in stfts:
+                stfts[wi, k] = stft(f, w, tf)
+            v = stfts[wi, k]
+            got = dual_growth_report(f, w, idx, tf, opts, check_window=False,
+                                     precomputed=v)
+            want = _dual_growth_reference(v, idx, opts)
+            assert repr(got) == repr(want), (k, wi, idx, opts)
+
+    def test_no_finite_weighted_value_is_trivially_bounded(self, tf_small):
+        # |V| vanishes for |x| <= 1 and the weight is infinite beyond, so
+        # no weighted value is finite.  Every bound holds trivially.
+        grid = build_grid(12.0, 10)
+        f = catalog_eval(Translate(Bump(), 5.0), grid)
+        w = catalog_eval(Bump(), grid)
+        v = stft(f, w, tf_small)
+        rep = dual_growth_report(f, w, roumieu(s=1e-300), tf_small,
+                                 ClassifyOptions(), check_window=False,
+                                 precomputed=v)
+        assert rep.verdict == MEMBER
+        assert all(n0 == 0 for n0 in rep.diagnostics["N0_by_r"].values())
+        assert all(fit.C == 0.0 and fit.attained_at == v.values.size // 2
+                   for fit in rep.beurling_table.values())
+
     def test_class_member_is_also_dual_element(self, grid11, tf_classify,
                                                classify_opts, gauss_window):
         f = catalog_eval(Gaussian(1.0), grid11)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -170,6 +171,7 @@ class TestInProcessContract:
         assert run_command(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("content", [
@@ -204,6 +206,21 @@ class TestInProcessContract:
         self.assert_error_exit(["classify", "--expr", "subexp(1, 1)",
                                 "--space", "Sigma", "--s", "0.5",
                                 "--points", "1024", *flags], capsys)
+
+    def test_tiny_index_classifies_without_warnings(self, capsys):
+        # |x|^(1/s) overflows to inf: the weight's limit, not an error
+        code = run_command(["classify", "--expr", "gaussian(1)", "--space",
+                            "S", "--s", "1e-300", "--points", "64"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["verdict"] in ("Member", "NotMember",
+                                              "Inconclusive")
+
+    def test_overflowing_samples_exit_2_without_warnings(self, capsys):
+        self.assert_error_exit(["classify", "--expr", "poly(3) * gaussian(2)",
+                                "--space", "S", "--s", "0.5",
+                                "--half-width", "1e300"], capsys)
 
     def test_control_characters_in_strings_stay_valid_json(self, tmp_path,
                                                             capsys):
@@ -251,14 +268,20 @@ def _cli_args(draw):
 
 class TestCliContractFuzz:
     """Every input keeps the exit-code contract: 0, 1 or 2, never a
-    traceback, and a JSON report whenever the command ran."""
+    traceback or a numpy warning, and a JSON report whenever the command
+    ran."""
 
     @settings(max_examples=40, deadline=None)
     @given(_cli_args())
     def test_exit_code_contract(self, argv):
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
             code = run_command(argv)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], argv
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if code in (0, 1):

@@ -274,6 +274,44 @@ class TestTwistedConvolution:
             tf)
         assert d < 1e-10
 
+    @staticmethod
+    def per_eta_defect(f, phi1, phi2, phi3, tf):
+        """The defect with both forward FFTs taken inside the eta loop, as
+        the identity was first metered."""
+        v1f, v23 = stft(f, phi1, tf), stft(phi3, phi2, tf)
+        inner = phi1.grid.step * np.sum(phi3.values * np.conj(phi1.values))
+        lhs = inner * stft(f, phi2, tf).values
+        nx, nxi = tf.xgrid.count, tf.xigrid.count
+        mx, mxi = (nx - 1) // 2, (nxi - 1) // 2
+        u, eta = tf.xgrid.coords, tf.xigrid.coords
+        L = 1 << (nx + mx - 1).bit_length()
+        v1t = v1f.values.T
+        b_hat = np.fft.fft(v23.values.T, L, axis=-1)
+        acc = np.zeros_like(lhs)
+        for jeta in range(nxi):
+            lo, hi = max(0, jeta - mxi), min(nxi, nxi + jeta - mxi)
+            w = v1t[lo - jeta + mxi:hi - jeta + mxi]
+            w = w * np.exp(-1j * u * eta[jeta])
+            conv = np.fft.ifft(np.fft.fft(w, L, axis=-1) * b_hat[jeta],
+                               axis=-1)
+            acc[:, lo:hi] += conv[:, mx:mx + nx].T
+        rhs = tf.xgrid.step * tf.xigrid.step / np.sqrt(2 * np.pi) * acc
+        return float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)))
+
+    @pytest.mark.parametrize("spec, windows", [
+        (Hermite(2), (1.0, 2.0, 0.5)),
+        (Modulate(Gaussian(1.0), 1.0), (2.0, 0.5, 1.0)),
+        (Translate(Gaussian(1.0), 1.5), (1.0, 0.5, 2.0)),
+    ])
+    def test_hoisted_ffts_match_per_eta_loop(self, grid10, tf_small, spec,
+                                             windows):
+        f = catalog_eval(spec, grid10)
+        phis = [catalog_eval(Gaussian(a), grid10) for a in windows]
+        got = twisted_convolution_defect(f, *phis, tf_small)
+        want = self.per_eta_defect(f, *phis, tf_small)
+        assert got <= 1e-14 and want <= 1e-14
+        assert abs(got - want) <= 1e-15
+
     def test_requires_odd_centered_tfgrid(self, grid10):
         h = grid10.step
         tf = TFGrid(Grid1D(0.0, 8 * h, 128), Grid1D(0.0, 0.25, 129))
