@@ -77,11 +77,12 @@ class ClassifyOptions:
 
     def __post_init__(self):
         # Out-of-range values would make a side of the test vacuous: a
-        # negative n_max empties the polynomial table, a nan rate zeroes
-        # every Beurling sup.
-        n = self.n_max
-        if not (isinstance(n, (int, np.integer)) and n >= 0):
-            raise GstfError(f"n_max must be an integer >= 0, got {n!r}")
+        # negative n_max empties the polynomial table, a negative guard
+        # counts the grid edge as interior, a nan rate zeroes every
+        # Beurling sup.
+        for name, n in (("n_max", self.n_max), ("guard", self.guard)):
+            if not (isinstance(n, (int, np.integer)) and n >= 0):
+                raise GstfError(f"{name} must be an integer >= 0, got {n!r}")
         for name, r in (("r_min", self.r_min), ("r_scale", self.r_scale),
                         *(("r_list entry", r) for r in self.r_list)):
             if not 0 < r < INF:

@@ -96,23 +96,33 @@ def _unit(phase: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.mod(phase, _TWO_PI).astype(float))
 
 
-@lru_cache(maxsize=4)
-def _chirp_plan(tgrid: Grid1D, xigrid: Grid1D) -> tuple:
-    """Bluestein (chirp-z) factors of the STFT kernel on a grid pair.
+@lru_cache(maxsize=8)
+def _stft_plan(grid: Grid1D, tfgrid: TFGrid) -> tuple:
+    """Bluestein (chirp-z) factors of the STFT kernel on a grid pair, and
+    the window shifts of its x positions.
 
     With t_j = t0 + j*h and xi_k = xi0 + k*d,
     exp(-i t_j xi_k) = a_k * b_j * c(k - j) with c(m) = exp(i h d m^2 / 2),
     so a row sum over j is a linear convolution with the chirp c.  Returns
-    (a, b, fwd, adj): fwd is the FFT of c laid out for lags k - j (stft),
-    adj that of conj(c) for lags j - k (adjoint_stft), both of the length
-    L = 2^a 3^b >= N + M - 1 that keeps the circular convolution linear.
-    The arrays are O(N + M) and read-only.
+    (a, b, fwd, adj, starts): fwd is the FFT of c laid out for lags k - j
+    (stft), adj that of conj(c) for lags j - k (adjoint_stft), both of the
+    length L = 2^a 3^b >= N + M - 1 that keeps the circular convolution
+    linear; starts[c] is the row of _window_rows that holds the window
+    shifted to x_c.  The arrays are O(N + M) and read-only.
     """
-    n, m = tgrid.count, xigrid.count
+    xigrid = tfgrid.xigrid
+    n, m = grid.count, xigrid.count
+    x = tfgrid.xgrid.coords
+    pos = x / grid.step
+    shift = np.rint(pos)
+    off = np.abs(pos - shift) > 1e-9 * np.maximum(1.0, np.abs(pos)) + 1e-9
+    if off.any():
+        raise GridError(f"{x[off.argmax()]} is not an integer multiple of "
+                        f"step {grid.step}")
     size = _fft_length(n + m - 1)
     ld = np.longdouble
-    h, d = ld(tgrid.step), ld(xigrid.step)
-    t0 = ld(tgrid.center) - ld((n - 1) / 2) * h
+    h, d = ld(grid.step), ld(xigrid.step)
+    t0 = ld(grid.center) - ld((n - 1) / 2) * h
     xi0 = ld(xigrid.center) - ld((m - 1) / 2) * d
     hd2 = h * d / 2
     j = np.arange(n, dtype=ld)
@@ -129,37 +139,36 @@ def _chirp_plan(tgrid: Grid1D, xigrid: Grid1D) -> tuple:
         z[size - behind + 1:] = chirp[behind - 1:0:-1]
         return np.fft.fft(z)
 
-    plan = (a, b, spectrum(c, m, n), spectrum(np.conj(c), n, m))
+    starts = n - np.clip(shift, -n, n).astype(np.intp)
+    plan = (a, b, spectrum(c, m, n), spectrum(np.conj(c), n, m), starts)
     for arr in plan:
         arr.flags.writeable = False
     return plan
 
 
-def _window_rows(grid: Grid1D, xgrid: Grid1D, window: np.ndarray):
-    """(rows, starts): row s of ``rows`` is a length-N view of a 3N
-    zero-padded copy of ``window``, so that rows[starts[c]] is
-    window(t - x_c) by index shift with zero fill."""
-    n = grid.count
-    shifts = np.array([grid.shift_index(x) for x in xgrid.coords])
-    padded = np.zeros(3 * n, dtype=complex)
+def _window_rows(window: np.ndarray) -> np.ndarray:
+    """Row s is a length-N view of a 3N zero-padded copy of ``window``, so
+    that row starts[c] of the plan is window(t - x_c) by index shift with
+    zero fill."""
+    n = window.size
+    padded = np.zeros(3 * n, dtype=window.dtype)
     padded[n:2 * n] = window
-    starts = n - np.clip(shifts, -n, n)
-    return np.lib.stride_tricks.sliding_window_view(padded, n), starts
+    return np.lib.stride_tricks.sliding_window_view(padded, n)
 
 
-def _chirp_rows(src: np.ndarray, index: np.ndarray, scale: np.ndarray,
-                spectrum: np.ndarray):
-    """The rows src[index[c]] * scale, zero-padded and convolved with the
-    chirp whose FFT is ``spectrum``, in blocks of at most _BLOCK_BYTES.
+def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill):
+    """``count`` rows of length ``width``, zero-padded and convolved with
+    the chirp whose FFT is ``spectrum``, in blocks of at most _BLOCK_BYTES.
+    fill(sl, blk) writes the rows sl into the (rows, width) view ``blk``.
     Yields (sl, conv) for the rows sl; every block reuses one buffer, so
     use ``conv`` before taking the next."""
-    count, width, size = index.size, scale.size, spectrum.size
+    size = spectrum.size
     rows = max(1, _BLOCK_BYTES // (16 * size))
     buf = np.empty((min(rows, count), size), dtype=complex)
     for lo in range(0, count, rows):
         sl = slice(lo, min(count, lo + rows))
         blk = buf[:sl.stop - lo]
-        np.multiply(src[index[sl]], scale, out=blk[:, :width])
+        fill(sl, blk[:, :width])
         blk[:, width:] = 0.0
         np.fft.fft(blk, axis=-1, out=blk)
         blk *= spectrum
@@ -173,15 +182,51 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
     Every x in tfgrid.xgrid must be an integer multiple of the sample step
     so the window translate is exact by index shifting; xi is free (the
     windowed Riemann sum is evaluated at each xi by a chirp-z transform).
+    For real f and window on a xi grid centred at 0 the output is exactly
+    Hermitian in xi, V(x, -xi) = conj V(x, xi).
     """
     if f.grid != window.grid:
         raise GridError("stft: f and window must share a grid")
-    a, b, fwd, _ = _chirp_plan(f.grid, tfgrid.xigrid)
-    rows, starts = _window_rows(f.grid, tfgrid.xgrid, np.conj(window.values))
+    a, b, fwd, _, starts = _stft_plan(f.grid, tfgrid)
+    count, n = starts.size, b.size
     a = a * (f.grid.step / _SQRT_2PI)
-    vals = np.empty((starts.size, a.size), dtype=complex)
-    for sl, conv in _chirp_rows(rows, starts, f.values * b, fwd):
-        np.multiply(conv[:, :a.size], a, out=vals[sl])
+    vals = np.empty((count, a.size), dtype=complex)
+    if (tfgrid.xigrid.center != 0.0 or f.values.imag.any()
+            or window.values.imag.any()):
+        rows, fb = _window_rows(np.conj(window.values)), f.values * b
+
+        def fill(sl, blk):
+            for r, c in enumerate(range(sl.start, sl.stop)):
+                np.multiply(rows[starts[c]], fb, out=blk[r])
+
+        for sl, conv in _chirp_rows(count, n, fwd, fill):
+            np.multiply(conv[:, :a.size], a, out=vals[sl])
+        return TFR(tfgrid, vals)
+
+    # Real rows: one chirp row carries the shifts c = 2p and c' = 2p + 1 as
+    # (w_c + i w_c') f b.  Its output Z = V_c + i V_c' unpacks by
+    # V(x, -xi) = conj V(x, xi) into V_c = (Z + conj Z[::-1]) / 2 and
+    # V_c' = (Z - conj Z[::-1]) / 2i; f is halved here, so the unpacking
+    # only adds.  An odd last row goes in alone.
+    rows, half_f = _window_rows(window.values.real), f.values.real / 2
+
+    def fill_pairs(sl, blk):
+        for r, c in enumerate(range(2 * sl.start, 2 * sl.stop, 2)):
+            np.multiply(rows[starts[c]], half_f, out=blk.real[r])
+            np.multiply(rows[starts[c + 1]] if c + 1 < count else 0.0,
+                        half_f, out=blk.imag[r])
+        blk *= b
+
+    for sl, conv in _chirp_rows((count + 1) // 2, n, fwd, fill_pairs):
+        z = conv[:, :a.size]
+        z *= a
+        even = vals[2 * sl.start:2 * sl.stop:2]
+        odd = vals[2 * sl.start + 1:2 * sl.stop:2]
+        p, q, k = z.real, z.imag, len(odd)
+        np.add(p, p[:, ::-1], out=even.real)
+        np.subtract(q, q[:, ::-1], out=even.imag)
+        np.add(q[:k], q[:k, ::-1], out=odd.real)
+        np.subtract(p[:k, ::-1], p[:k], out=odd.imag)
     return TFR(tfgrid, vals)
 
 
@@ -192,13 +237,15 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
 
     Satisfies adjoint_stft(stft(f, w), w) ~ ||w||^2 f on well-covered grids.
     """
-    a, b, _, adj = _chirp_plan(window.grid, F.tfgrid.xigrid)
-    rows, starts = _window_rows(window.grid, F.tfgrid.xgrid, window.values)
+    a, b, _, adj, starts = _stft_plan(window.grid, F.tfgrid)
+    rows, ca = _window_rows(window.values), np.conj(a)
     out = np.zeros(b.size, dtype=complex)
-    for sl, conv in _chirp_rows(F.values, np.arange(starts.size), np.conj(a),
-                                adj):
+    for sl, conv in _chirp_rows(
+            starts.size, a.size, adj,
+            lambda sl, blk: np.multiply(F.values[sl], ca, out=blk)):
         terms = conv[:, :b.size]
-        terms *= rows[starts[sl]]
+        for r, c in enumerate(range(sl.start, sl.stop)):
+            terms[r] *= rows[starts[c]]
         # carry the running sum in the first row, so that the rows add up
         # in one order whatever the block size
         terms[0] += out
@@ -241,6 +288,40 @@ def _require_odd_centered(grid: Grid1D, what: str):
                         "so coordinate differences stay on the grid")
 
 
+def _twisted_sum(v1f: np.ndarray, v23: np.ndarray,
+                 tfgrid: TFGrid) -> np.ndarray:
+    """(2*pi)^(-1/2) * iint v1f(x-y, xi-eta) v23(y, eta) exp(-i (x-y) eta)
+    dy deta as a Riemann sum on the odd, centred tfgrid."""
+    nx, nxi = tfgrid.xgrid.count, tfgrid.xigrid.count
+    mx, mxi = (nx - 1) // 2, (nxi - 1) // 2
+    u, eta = tfgrid.xgrid.coords, tfgrid.xigrid.coords
+    # Linear convolution over x as a circular one of length L: the kept
+    # outputs mx .. mx+nx-1 stay clear of the wrapped tail when L >= nx+mx.
+    # With exp(-i (x-y) eta) = exp(-i x eta) exp(i y eta), both operands
+    # are transformed once and each eta takes one product and one IFFT,
+    # in one work buffer, summed in (xi, x) rows.
+    L = 1 << (nx + mx - 1).bit_length()
+    turn = np.exp(1j * np.outer(eta, u))  # exp(i y eta), one row per eta
+    a_hat = np.fft.fft(v1f.T, L, axis=-1)  # (xi, x) rows
+    b_hat = np.fft.fft(v23.T * turn, L, axis=-1)
+    np.conj(turn, out=turn)  # now exp(-i x eta), the post-modulation
+    acc = np.zeros((nxi, nx), dtype=complex)
+    work = np.empty((nxi, L), dtype=complex)
+    for jeta in range(nxi):
+        # xi - eta maps xi index jxi to v1f column jxi - jeta + mxi
+        lo = max(0, jeta - mxi)
+        hi = min(nxi, nxi + jeta - mxi)
+        conv = work[:hi - lo]
+        np.multiply(a_hat[lo - jeta + mxi : hi - jeta + mxi], b_hat[jeta],
+                    out=conv)
+        np.fft.ifft(conv, axis=-1, out=conv)
+        kept = conv[:, mx : mx + nx]
+        kept *= turn[jeta]
+        acc[lo:hi] += kept
+    weight = tfgrid.xgrid.step * tfgrid.xigrid.step / _SQRT_2PI
+    return weight * acc.T
+
+
 def twisted_convolution_defect(
     f: SampledFunction,
     phi1: SampledFunction,
@@ -273,31 +354,7 @@ def twisted_convolution_defect(
     inner = phi1.grid.step * np.sum(phi3.values * np.conj(phi1.values))
     lhs = inner * v2f.values
 
-    nx = tfgrid.xgrid.count
-    nxi = tfgrid.xigrid.count
-    mx = (nx - 1) // 2
-    mxi = (nxi - 1) // 2
-    u = tfgrid.xgrid.coords
-    eta = tfgrid.xigrid.coords
-    # Linear convolution over x as a circular one of length L: the kept
-    # outputs mx .. mx+nx-1 stay clear of the wrapped tail when L >= nx+mx.
-    # With exp(-i (x-y) eta) = exp(-i x eta) exp(i y eta), both operands
-    # are transformed once and each eta takes one product and one IFFT.
-    L = 1 << (nx + mx - 1).bit_length()
-    turn = np.exp(1j * np.outer(eta, u))  # exp(i y eta), one row per eta
-    a_hat = np.fft.fft(v1f.values.T, L, axis=-1)  # (xi, x) rows
-    b_hat = np.fft.fft(v23.values.T * turn, L, axis=-1)
-    acc = np.zeros_like(lhs)
-    for jeta in range(nxi):
-        # xi - eta maps xi index jxi to v1f column jxi - jeta + mxi
-        lo = max(0, jeta - mxi)
-        hi = min(nxi, nxi + jeta - mxi)
-        conv = np.fft.ifft(a_hat[lo - jeta + mxi : hi - jeta + mxi]
-                           * b_hat[jeta], axis=-1)
-        acc[:, lo:hi] += (conv[:, mx : mx + nx] * np.conj(turn[jeta])).T
-    weight = tfgrid.xgrid.step * tfgrid.xigrid.step / _SQRT_2PI
-    rhs = weight * acc
-
+    rhs = _twisted_sum(v1f.values, v23.values, tfgrid)
     scale = np.max(np.abs(lhs))
     if scale == 0.0:
         return float(np.max(np.abs(rhs)))

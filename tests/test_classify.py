@@ -69,14 +69,15 @@ class TestClassifyOptions:
         {"n_max": -1}, {"n_max": 2.5}, {"r_min": 0.0}, {"r_min": math.nan},
         {"r_scale": -0.5}, {"r_scale": math.inf}, {"r_list": (1.0, math.nan)},
         {"r_list": (0.0,)}, {"floor_rel": math.nan}, {"floor_rel": -1e-13},
-        {"floor_rel": 1.0},
+        {"floor_rel": 1.0}, {"guard": -1}, {"guard": 1.5},
     ])
     def test_rejects_values_that_make_a_side_vacuous(self, kw):
         with pytest.raises(GstfError):
             ClassifyOptions(**kw)
 
     def test_accepts_range_endpoints(self):
-        opts = ClassifyOptions(n_max=0, floor_rel=0.0, r_list=(1e-300,))
+        opts = ClassifyOptions(n_max=0, floor_rel=0.0, r_list=(1e-300,),
+                               guard=0)
         assert opts.trial_rs() == (1e-300,)
 
 

@@ -148,8 +148,12 @@ class TestStft:
     def test_rejects_off_step_x_positions(self, grid10):
         f = catalog_eval(Gaussian(1.0), grid10)
         bad = TFGrid(Grid1D(0.0, 1.0001 * grid10.step, 9), Grid1D(0.0, 1.0, 9))
-        with pytest.raises(GridError):
+        # the message names the first off-step x, as shift_index words it
+        with pytest.raises(GridError) as want:
+            grid10.shift_index(bad.xgrid.coords[0])
+        with pytest.raises(GridError) as got:
             stft(f, f, bad)
+        assert str(got.value) == str(want.value)
 
     def test_rejects_mismatched_grids(self, grid10, grid11, tf_small):
         f = catalog_eval(Gaussian(1.0), grid10)
@@ -188,25 +192,56 @@ def _reference_adjoint(F, w):
     return step * out
 
 
+def _case_grids(request, name):
+    """(grid, TFGrid) of a named STFT test case."""
+    grid10, grid11, tf_small, tf_classify = (
+        request.getfixturevalue(n)
+        for n in ("grid10", "grid11", "tf_small", "tf_classify"))
+    h = grid10.step
+    return {
+        "129x129": (grid10, tf_small),
+        # the product-transform grid of the identity suite
+        "128x128": (grid10, TFGrid(Grid1D(0.0, 8 * h, 128),
+                                   Grid1D(0.0, 2 * np.pi / (1024 * h), 128))),
+        "513x1001": (grid11, tf_classify),
+        # odd time count, off-centre time and frequency grids
+        "odd-t": (Grid1D(0.25, 0.024, 1001),
+                  TFGrid(Grid1D(0.0, 3 * 0.024, 77), Grid1D(1.7, 0.31, 150))),
+    }[name]
+
+
+def _one_shift_stft(f, w, tf):
+    """stft with one window shift per chirp-z row, the rows gathered by
+    fancy indexing and the shifts found one x at a time: the engine as it
+    ran before real rows were paired."""
+    a, b, fwd = transforms._stft_plan(f.grid, tf)[:3]
+    n, size = f.grid.count, fwd.size
+    shifts = np.array([f.grid.shift_index(x) for x in tf.xgrid.coords])
+    padded = np.zeros(3 * n, dtype=complex)
+    padded[n:2 * n] = np.conj(w.values)
+    rows = np.lib.stride_tricks.sliding_window_view(padded, n)
+    starts = n - np.clip(shifts, -n, n)
+    a = a * (f.grid.step / np.sqrt(2 * np.pi))
+    step = max(1, transforms._BLOCK_BYTES // (16 * size))
+    vals = np.empty((starts.size, a.size), dtype=complex)
+    for lo in range(0, starts.size, step):
+        sl = slice(lo, min(starts.size, lo + step))
+        blk = np.zeros((sl.stop - lo, size), dtype=complex)
+        blk[:, :n] = rows[starts[sl]] * (f.values * b)
+        np.fft.fft(blk, axis=-1, out=blk)
+        blk *= fwd
+        np.fft.ifft(blk, axis=-1, out=blk)
+        vals[sl] = blk[:, :a.size] * a
+    return vals
+
+
 class TestStftChirpZ:
     """stft and adjoint_stft run as a Bluestein chirp-z transform; they
     stay within 1e-14 of the peak of the dense-kernel references."""
 
     @pytest.fixture(params=["129x129", "128x128", "513x1001", "odd-t"])
-    def case(self, request, grid10, grid11, tf_small, tf_classify):
-        h = grid10.step
-        grid, tf = {
-            "129x129": (grid10, tf_small),
-            # the product-transform grid of the identity suite
-            "128x128": (grid10, TFGrid(Grid1D(0.0, 8 * h, 128),
-                                       Grid1D(0.0, 2 * np.pi / (1024 * h),
-                                              128))),
-            "513x1001": (grid11, tf_classify),
-            # odd time count, off-centre time and frequency grids
-            "odd-t": (Grid1D(0.25, 0.024, 1001),
-                      TFGrid(Grid1D(0.0, 3 * 0.024, 77),
-                             Grid1D(1.7, 0.31, 150))),
-        }[request.param]
+    def case(self, request):
+        grid, tf = _case_grids(request, request.param)
         return (catalog_eval(Hermite(2), grid),
                 catalog_eval(Gaussian(1.0), grid), tf)
 
@@ -230,7 +265,7 @@ class TestStftChirpZ:
     def test_cached_plan_is_read_only(self, case):
         f, w, tf = case
         stft(f, w, tf)
-        for arr in transforms._chirp_plan(f.grid, tf.xigrid):
+        for arr in transforms._stft_plan(f.grid, tf):
             assert not arr.flags.writeable
 
     def test_memory_bounded_at_large_points(self):
@@ -246,6 +281,38 @@ class TestStftChirpZ:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+class TestStftRealPath:
+    """Real f and window on a xi grid centred at 0 run two window shifts
+    per chirp-z row; every other input keeps one shift per row."""
+
+    @pytest.mark.parametrize("name", ["129x129", "128x128", "513x1001"])
+    def test_exactly_hermitian_and_matches_dense_reference(self, request,
+                                                           name):
+        # 129 and 513 shifts are odd counts: the last row goes in alone.
+        # An odd, off-centre f: V has no symmetry in x to hide a swapped pair.
+        grid, tf = _case_grids(request, name)
+        f = catalog_eval(Translate(Hermite(1), 1.5), grid)
+        w = catalog_eval(Gaussian(2.0), grid)
+        v = stft(f, w, tf).values
+        ref = _reference_stft(f, w, tf)
+        assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(v[:, ::-1], v.conj())
+
+    @pytest.mark.parametrize("f_spec, w_spec, name", [
+        (Modulate(Gaussian(1.0), 1.0), Gaussian(1.0), "129x129"),
+        (Hermite(2), Modulate(Gaussian(1.0), 2.0), "513x1001"),
+        (Hermite(2), Gaussian(1.0), "odd-t"),
+    ])
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_other_inputs_keep_their_bits(self, request, monkeypatch, f_spec,
+                                          w_spec, name, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(transforms, "_BLOCK_BYTES", block_bytes)
+        grid, tf = _case_grids(request, name)
+        f, w = catalog_eval(f_spec, grid), catalog_eval(w_spec, grid)
+        assert np.array_equal(stft(f, w, tf).values, _one_shift_stft(f, w, tf))
 
 
 class TestDft2:
@@ -311,6 +378,40 @@ class TestTwistedConvolution:
         want = self.per_eta_defect(f, *phis, tf_small)
         assert got <= 1e-14 and want <= 1e-14
         assert abs(got - want) <= 1e-15
+
+    @staticmethod
+    def fresh_array_loop(v1f, v23, tf):
+        """The eta loop as it ran before the shared work buffer: fresh
+        product and IFFT arrays, conj(turn) per eta, (x, xi) rows."""
+        nx, nxi = tf.xgrid.count, tf.xigrid.count
+        mx, mxi = (nx - 1) // 2, (nxi - 1) // 2
+        u, eta = tf.xgrid.coords, tf.xigrid.coords
+        L = 1 << (nx + mx - 1).bit_length()
+        turn = np.exp(1j * np.outer(eta, u))
+        a_hat = np.fft.fft(v1f.T, L, axis=-1)
+        b_hat = np.fft.fft(v23.T * turn, L, axis=-1)
+        acc = np.zeros((nx, nxi), dtype=complex)
+        for jeta in range(nxi):
+            lo, hi = max(0, jeta - mxi), min(nxi, nxi + jeta - mxi)
+            conv = np.fft.ifft(a_hat[lo - jeta + mxi:hi - jeta + mxi]
+                               * b_hat[jeta], axis=-1)
+            acc[:, lo:hi] += (conv[:, mx:mx + nx] * np.conj(turn[jeta])).T
+        return tf.xgrid.step * tf.xigrid.step / np.sqrt(2 * np.pi) * acc
+
+    @pytest.mark.parametrize("spec, windows", [
+        (Hermite(2), (1.0, 2.0, 0.5)),
+        (Modulate(Gaussian(1.0), 1.0), (2.0, 0.5, 1.0)),
+        (Translate(Gaussian(1.0), 1.5), (1.0, 0.5, 2.0)),
+    ])
+    def test_work_buffer_loop_keeps_its_bits(self, grid10, tf_small, spec,
+                                             windows):
+        f = catalog_eval(spec, grid10)
+        phi1, phi2, phi3 = (catalog_eval(Gaussian(a), grid10) for a in windows)
+        v1f = stft(f, phi1, tf_small).values
+        v23 = stft(phi3, phi2, tf_small).values
+        assert np.array_equal(transforms._twisted_sum(v1f, v23, tf_small),
+                              self.fresh_array_loop(v1f, v23,
+                                                             tf_small))
 
     def test_requires_odd_centered_tfgrid(self, grid10):
         h = grid10.step
