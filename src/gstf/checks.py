@@ -19,7 +19,8 @@ from .toeplitz import (apply_toeplitz, continuity_probe,
 from .transforms import adjoint_stft, stft, twisted_convolution_defect
 
 __all__ = ["TOLERANCES", "SUITES", "CATALOG_SPECS", "CATALOG_SPACES",
-           "run_suite"]
+           "run_suite", "phase_space_grid", "classify_tfgrid",
+           "gaussian_symbol"]
 
 TOLERANCES = {
     "moyal_defect": 1e-6,
@@ -48,10 +49,29 @@ CATALOG_SPACES = (
     GSIndex(1.0, math.inf, "beurling"), GSIndex(math.inf, 0.5, "roumieu"))
 
 
+def phase_space_grid(grid: Grid1D) -> TFGrid:
+    """The 129^2 time-frequency grid of the identity and operator suites
+    and of ``gstf stft`` and ``gstf toeplitz``."""
+    return TFGrid(Grid1D(0.0, 8 * grid.step, 129), Grid1D(0.0, 0.25, 129))
+
+
+def classify_tfgrid(grid: Grid1D) -> TFGrid:
+    """The 513x1001 grid of STFT verdicts, in the classification suite and
+    ``gstf classify --window``."""
+    return TFGrid(Grid1D(0.0, 4 * grid.step, 513), Grid1D(0.0, 0.5, 1001))
+
+
+def gaussian_symbol(tf: TFGrid) -> TFR:
+    """The positive symbol exp(-(x^2 + xi^2)/2) on ``tf``."""
+    x = tf.xgrid.coords[:, None]
+    xi = tf.xigrid.coords[None, :]
+    return TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
+
+
 def _identities():
     g = build_grid(12.0, 10)
     h = g.step
-    tf = TFGrid(Grid1D(0.0, 8 * h, 129), Grid1D(0.0, 0.25, 129))
+    tf = phase_space_grid(g)
     gauss = catalog_eval(Gaussian(1.0), g)
     herm = catalog_eval(Hermite(2), g)
 
@@ -97,7 +117,7 @@ def _classification():
     yield "rate_recovery_subexp", abs(r2 - 2.0)
 
     g = build_grid(12.0, 11)
-    tf = TFGrid(Grid1D(0.0, 4 * g.step, 513), Grid1D(0.0, 0.5, 1001))
+    tf = classify_tfgrid(g)
     opts = ClassifyOptions(n_max=4, r_scale=0.5)
     win = catalog_eval(Gaussian(1.0), g)
     mismatch = 0
@@ -114,7 +134,7 @@ def _classification():
 
 def _toeplitz():
     g = build_grid(12.0, 10)
-    tf = TFGrid(Grid1D(0.0, 8 * g.step, 129), Grid1D(0.0, 0.25, 129))
+    tf = phase_space_grid(g)
     gauss = catalog_eval(Gaussian(1.0), g)
     w = gauss * (1.0 / gauss.norm2())
     one = TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count)))
@@ -139,9 +159,7 @@ def _toeplitz():
         sym.values * np.conj(np.conj(v1.values) * v2.values))
     yield "adjoint_symmetry", abs(lhs - rhs) / abs(lhs)
 
-    x = tf.xgrid.coords[:, None]
-    xi = tf.xigrid.coords[None, :]
-    pos_sym = TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
+    pos_sym = gaussian_symbol(tf)
     qmin = 0.0
     for spec in (Gaussian(1.0), Hermite(1), Hermite(3),
                  Modulate(Gaussian(0.5), 2.0)):

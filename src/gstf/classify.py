@@ -124,15 +124,18 @@ def _weighted_sup(absvals: np.ndarray, logweight: np.ndarray, guard: int,
     neighbor is inadmissible is flagged masked_edge (the sup may continue
     growing where the samples are round-off garbage)."""
     n = absvals.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, 0 * inf
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, -inf + inf
         logv = np.log(absvals) + logweight
     if mask is not None:
         logv = np.where(mask, logv, -np.inf)
-    if not np.any(np.isfinite(logv)):
+    i = int(np.argmax(logv))
+    if np.isnan(logv[i]):  # log 0 + inf: a zero sample stays at -inf
+        logv[np.isnan(logv)] = -np.inf
+        i = int(np.argmax(logv))
+    top = logv[i]
+    if top == -np.inf:  # no admissible nonzero sample
         return EnvelopeFit(C=0.0, attained_at=n // 2, interior_attained=True,
                            raw_abs=0.0)
-    i = int(np.argmax(logv))
-    top = logv[i]
     c = math.inf if top > _LOG_MAX else float(math.exp(top))
     interior = guard <= i <= n - 1 - guard
     edge = False
@@ -179,7 +182,10 @@ def fit_decay_rate(f: SampledFunction, s: float, floor: float | None = None) -> 
     # |x|^(1/s) may overflow to inf or underflow to 0, its limits
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratios = (math.log(c_peak) - np.log(a[sel])) / x[sel] ** (1.0 / s)
-    return float(ratios.min())
+    r = float(ratios.min())
+    # 0/0 is a sample at the peak whose positive weight underflowed: it
+    # bounds r by 0
+    return 0.0 if math.isnan(r) else r
 
 
 def fit_poly_table(f: SampledFunction, n_max: int, floor_rel: float = 1e-13,
@@ -191,10 +197,11 @@ def fit_poly_table(f: SampledFunction, n_max: int, floor_rel: float = 1e-13,
     a = np.abs(f.values)
     peak = a.max()
     mask = a >= floor_rel * peak if peak > 0 else None
-    with np.errstate(over="ignore", invalid="ignore"):  # x^2 = inf, 0 * inf
+    with np.errstate(over="ignore"):  # x^2 = inf, its limit
         logw1 = np.log1p(f.x**2)
-        return {n: _weighted_sup(a, n * logw1, guard, mask)
-                for n in range(n_max + 1)}
+    # the N = 0 weight is exactly 1, also where x^2 overflows
+    return {n: _weighted_sup(a, n * logw1 if n else 0.0, guard, mask)
+            for n in range(n_max + 1)}
 
 
 def _poly_side(fn: SampledFunction, opts: ClassifyOptions):

@@ -10,21 +10,23 @@ suite), 2 errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from .catalog import catalog_eval
-from .checks import SUITES, run_suite
+from .checks import (SUITES, classify_tfgrid, gaussian_symbol,
+                     phase_space_grid, run_suite)
 from .classify import (ClassifyOptions, GSIndex, MEMBER, classify_function,
                        classify_stft)
 from .errors import GridError, GstfError
-from .grids import Grid1D, SampledFunction, TFGrid, TFR, build_grid
+from .grids import Grid1D, SampledFunction, TFR, build_grid
 from .parse import parse_function_expr
 from .toeplitz import apply_toeplitz
 from .transforms import dft, stft
@@ -37,12 +39,13 @@ SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------- reports
 
-def _jfloat(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
+def _cfloat(x: float) -> str:
+    """17 significant digits; nan, inf and -inf by name."""
     return format(float(x), ".17g")
+
+
+def _jfloat(x: float) -> str:
+    return _cfloat(x) if math.isfinite(x) else f'"{_cfloat(x)}"'
 
 
 def _jdump(obj) -> str:
@@ -65,43 +68,21 @@ def _jdump(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write(args, text: str):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _report(args, command: str, params: dict, body: dict,
-            elapsed: float) -> dict:
-    rep = {"schema_version": SCHEMA_VERSION, "command": command,
-           "params": params}
-    rep.update(body)
-    rep["timings"] = {"elapsed_s": elapsed} if args.timings else None
-    return rep
-
-
-def _samples_report(args, command: str, params: dict, body: dict,
-                    f: SampledFunction, elapsed: float) -> int:
-    """f's samples as CSV, or a JSON report of ``body`` then the samples."""
-    if args.format == "csv":
-        _write(args, _csv_text(("x", "value-real", "value-imag"),
-                               _samples_rows(f)))
-    else:
-        body["samples"] = _samples_rows(f)
-        _write(args, _jdump(_report(args, command, params, body, elapsed))
-               + "\n")
-    return 0
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
+def _emit(args, params: dict, body: dict, header, rows, elapsed: float):
+    """Write the CSV table (``header``, ``rows``), or the JSON report of
+    ``params`` and ``body``, to --out or stdout."""
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.format == "csv":
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
+        else:
+            fh.write(_jdump({
+                "schema_version": SCHEMA_VERSION, "command": args.command,
+                "params": params, **body,
+                "timings": {"elapsed_s": elapsed} if args.timings else None,
+            }) + "\n")
 
 
 # ----------------------------------------------------------------- inputs
@@ -154,11 +135,6 @@ def _make_grid(args) -> Grid1D:
     return build_grid(args.half_width, n.bit_length() - 1)
 
 
-def _samples_rows(f: SampledFunction):
-    return [(float(x), float(v.real), float(v.imag))
-            for x, v in zip(f.x, f.values)]
-
-
 def _space_index(args) -> GSIndex:
     reg = None
     if args.space:
@@ -189,86 +165,76 @@ def _options(args) -> ClassifyOptions:
     return ClassifyOptions(**kw)
 
 
-# ------------------------------------------------------------ subcommands
+def _window(args, grid: Grid1D) -> tuple:
+    """(description, samples on ``grid``) of --window."""
+    spec = parse_function_expr(args.window)
+    return str(spec), catalog_eval(spec, grid)
 
-def _cmd_transform(args) -> int:
-    t0 = time.perf_counter()
+
+# ------------------------------------------------------------ subcommands
+#
+# Each _cmd_* returns its record (params, body, csv_header, csv_rows,
+# exit_code); run_command times it and _emit writes it.
+
+def _samples(params: dict, body: dict, f: SampledFunction) -> tuple:
+    """A sample command's record: f's rows are both body["samples"] and
+    the CSV table."""
+    rows = [(float(x), float(v.real), float(v.imag))
+            for x, v in zip(f.x, f.values)]
+    body["samples"] = rows
+    return params, body, ("x", "value-real", "value-imag"), rows, 0
+
+
+def _cmd_transform(args) -> tuple:
     f, desc = _input_function(args)
     out = dft(f)
-    elapsed = time.perf_counter() - t0
     params = {"input": desc, "half_width": args.half_width,
               "points": args.points}
-    return _samples_report(args, "transform", params, {
-        "verdict": None,
-        "grid": {"center": out.grid.center, "step": out.grid.step,
-                 "count": out.grid.count},
-    }, out, elapsed)
+    return _samples(params, {"verdict": None, "grid": asdict(out.grid)}, out)
 
 
-def _default_tfgrid(grid: Grid1D) -> TFGrid:
-    return TFGrid(Grid1D(0.0, 8 * grid.step, 129), Grid1D(0.0, 0.25, 129))
-
-
-def _cmd_stft(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_stft(args) -> tuple:
     f, desc = _input_function(args)
-    wspec = parse_function_expr(args.window)
-    window = catalog_eval(wspec, f.grid)
-    tf = _default_tfgrid(f.grid)
+    wdesc, window = _window(args, f.grid)
+    tf = phase_space_grid(f.grid)
     v = stft(f, window, tf)
-    elapsed = time.perf_counter() - t0
-    if args.format == "csv":
-        rows = []
-        for i, x in enumerate(tf.xgrid.coords):
-            for j, xi in enumerate(tf.xigrid.coords):
-                val = v.values[i, j]
-                rows.append((float(x), float(xi), float(val.real),
-                             float(val.imag)))
-        _write(args, _csv_text(("x", "xi", "value-real", "value-imag"), rows))
-        return 0
+    xs, xis = tf.xgrid.coords, tf.xigrid.coords
+    # a generator, so that a JSON run never builds the 129^2 rows
+    rows = ((float(x), float(xi), float(val.real), float(val.imag))
+            for x, vrow in zip(xs, v.values) for xi, val in zip(xis, vrow))
     a = np.abs(v.values)
-    params = {"input": desc, "window": str(wspec),
+    params = {"input": desc, "window": wdesc,
               "half_width": args.half_width, "points": args.points}
-    rep = _report(args, "stft", params, {
+    return params, {
         "verdict": None,
         "max_abs": float(a.max()),
         "profiles": {
-            "x": [(float(x), float(p)) for x, p in
-                  zip(tf.xgrid.coords, a.max(axis=1))],
-            "xi": [(float(xi), float(p)) for xi, p in
-                   zip(tf.xigrid.coords, a.max(axis=0))],
+            "x": [(float(x), float(p)) for x, p in zip(xs, a.max(axis=1))],
+            "xi": [(float(xi), float(p)) for xi, p in zip(xis, a.max(axis=0))],
         },
-    }, elapsed)
-    _write(args, _jdump(rep) + "\n")
-    return 0
+    }, ("x", "xi", "value-real", "value-imag"), rows, 0
 
 
-def _fit_tables(rep):
-    def row(f):
-        return {"C": f.C, "attained_at": f.attained_at,
-                "interior_attained": f.interior_attained,
-                "masked_edge": f.masked_edge}
-    return ({str(n): row(f) for n, f in sorted(rep.N_table.items())},
-            {format(r, ".17g"): row(f)
-             for r, f in sorted(rep.beurling_table.items())})
+_FIT_FIELDS = ("C", "attained_at", "interior_attained", "masked_edge")
 
 
-def _cmd_classify(args) -> int:
-    t0 = time.perf_counter()
+def _fit_table(items) -> dict:
+    return {key: {k: getattr(fit, k) for k in _FIT_FIELDS}
+            for key, fit in items}
+
+
+def _cmd_classify(args) -> tuple:
     f, desc = _input_function(args)
     idx = _space_index(args)
     opts = _options(args)
     if args.window:
-        wspec = parse_function_expr(args.window)
-        window = catalog_eval(wspec, f.grid)
-        tf = TFGrid(Grid1D(0.0, 4 * f.grid.step, 513), Grid1D(0.0, 0.5, 1001))
-        rep = classify_stft(f, window, idx, tf, opts)
-        wdesc = str(wspec)
+        wdesc, window = _window(args, f.grid)
+        rep = classify_stft(f, window, idx, classify_tfgrid(f.grid), opts)
     else:
-        rep = classify_function(f, idx, opts)
-        wdesc = None
-    elapsed = time.perf_counter() - t0
-    ntab, btab = _fit_tables(rep)
+        wdesc, rep = None, classify_function(f, idx, opts)
+    ntab = _fit_table((str(n), fit) for n, fit in sorted(rep.N_table.items()))
+    btab = _fit_table((_cfloat(r), fit)
+                      for r, fit in sorted(rep.beurling_table.items()))
     params = {"input": desc, "window": wdesc,
               "s": None if math.isinf(idx.s) else idx.s,
               "sigma": None if math.isinf(idx.sigma) else idx.sigma,
@@ -276,101 +242,70 @@ def _cmd_classify(args) -> int:
               "half_width": args.half_width, "points": args.points,
               "n_max": opts.n_max, "r_list": list(opts.trial_rs()),
               "floor": opts.floor_rel}
-    if args.format == "csv":
-        rows = [("meta", "verdict", rep.verdict, "", "", ""),
-                ("meta", "C_peak", format(rep.C_peak, ".17g"), "", "", ""),
-                ("meta", "r_fit", _jfloat(rep.r_fit).strip('"'), "", "", "")]
-        for kind, table in (("poly", ntab), ("beurling", btab)):
-            rows += [(kind, key, _jfloat(t["C"]).strip('"'), t["attained_at"],
-                      t["interior_attained"], t["masked_edge"])
-                     for key, t in table.items()]
-        _write(args, _csv_text(
-            ("kind", "key", "value", "attained_at", "interior_attained",
-             "masked_edge"), rows))
-    else:
-        out = _report(args, "classify", params, {
-            "verdict": rep.verdict,
-            "fitted": {"C_peak": rep.C_peak, "r_fit": rep.r_fit,
-                       "N_table": ntab, "beurling_table": btab},
-            "diagnostics": {
-                "attainment": {
-                    "poly_all_interior": all(
-                        t["interior_attained"] and not t["masked_edge"]
-                        for t in ntab.values()),
-                },
-                "floor": opts.floor_rel,
-                "guard_band": opts.guard,
+    body = {
+        "verdict": rep.verdict,
+        "fitted": {"C_peak": rep.C_peak, "r_fit": rep.r_fit,
+                   "N_table": ntab, "beurling_table": btab},
+        "diagnostics": {
+            "attainment": {
+                "poly_all_interior": all(
+                    t["interior_attained"] and not t["masked_edge"]
+                    for t in ntab.values()),
             },
-        }, elapsed)
-        _write(args, _jdump(out) + "\n")
-    if args.assert_member and rep.verdict != MEMBER:
-        return 1
-    return 0
+            "floor": opts.floor_rel,
+            "guard_band": opts.guard,
+        },
+    }
+    rows = [("meta", "verdict", rep.verdict, "", "", ""),
+            ("meta", "C_peak", _cfloat(rep.C_peak), "", "", ""),
+            ("meta", "r_fit", _cfloat(rep.r_fit), "", "", "")]
+    rows += [(kind, key, _cfloat(t["C"]), t["attained_at"],
+              t["interior_attained"], t["masked_edge"])
+             for kind, table in (("poly", ntab), ("beurling", btab))
+             for key, t in table.items()]
+    code = 1 if args.assert_member and rep.verdict != MEMBER else 0
+    return params, body, ("kind", "key", "value", *_FIT_FIELDS[1:]), rows, code
 
 
-def _cmd_witness(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_witness(args) -> tuple:
     idx = _space_index(args)
-    grid = _make_grid(args)
-    w = make_witness(idx, grid)
-    elapsed = time.perf_counter() - t0
+    w = make_witness(idx, _make_grid(args))
     params = {"s": idx.s, "sigma": idx.sigma, "regularity": idx.regularity,
               "half_width": args.half_width, "points": args.points}
-    return _samples_report(args, "witness", params, {
-        "verdict": "Witness",
-        "grid": {"center": w.grid.center, "step": w.grid.step,
-                 "count": w.grid.count},
-    }, w, elapsed)
+    return _samples(params, {"verdict": "Witness", "grid": asdict(w.grid)},
+                    w)
 
 
-def _cmd_toeplitz(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_toeplitz(args) -> tuple:
     f, desc = _input_function(args)
-    wspec = parse_function_expr(args.window)
-    window = catalog_eval(wspec, f.grid)
+    wdesc, window = _window(args, f.grid)
     window = window * (1.0 / window.norm2())
-    tf = _default_tfgrid(f.grid)
-    if args.symbol == "unit":
-        sym = TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count)))
-    else:
-        x = tf.xgrid.coords[:, None]
-        xi = tf.xigrid.coords[None, :]
-        sym = TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
+    tf = phase_space_grid(f.grid)
+    unit = args.symbol == "unit"
+    sym = (TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count))) if unit
+           else gaussian_symbol(tf))
     out = apply_toeplitz(sym, window, window, f)
-    elapsed = time.perf_counter() - t0
     scale = float(np.max(np.abs(f.values))) or 1.0
-    params = {"input": desc, "window": str(wspec), "symbol": args.symbol,
+    params = {"input": desc, "window": wdesc, "symbol": args.symbol,
               "half_width": args.half_width, "points": args.points}
-    return _samples_report(args, "toeplitz", params, {
+    return _samples(params, {
         "verdict": None,
         "reproduction_defect": float(
-            np.max(np.abs(out.values - f.values)) / scale)
-        if args.symbol == "unit" else None,
-    }, out, elapsed)
+            np.max(np.abs(out.values - f.values)) / scale) if unit else None,
+    }, out)
 
 
-# ------------------------------------------------------------ verify suite
-
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args) -> tuple:
     suites = SUITES if args.suite == "all" else (args.suite,)
-    checks = [c for suite in suites for c in run_suite(suite)]
-    elapsed = time.perf_counter() - t0
-    rows = [(name, _jfloat(val).strip('"'), _jfloat(tol).strip('"'),
-             "pass" if val <= tol else "fail")
-            for name, val, tol in checks]
-    ok = all(val <= tol for _, val, tol in checks)
-    if args.format == "csv":
-        _write(args, _csv_text(("check", "value", "tolerance", "status"), rows))
-    else:
-        rep = _report(args, "verify", {"suite": args.suite}, {
-            "verdict": "pass" if ok else "fail",
-            "checks": [{"name": n, "value": v, "tolerance": t,
-                        "status": "pass" if v <= t else "fail"}
-                       for n, v, t in checks],
-        }, elapsed)
-        _write(args, _jdump(rep) + "\n")
-    return 0 if ok else 1
+    checks = [(name, val, tol, "pass" if val <= tol else "fail")
+              for suite in suites for name, val, tol in run_suite(suite)]
+    ok = all(status == "pass" for *_, status in checks)
+    body = {"verdict": "pass" if ok else "fail",
+            "checks": [{"name": n, "value": v, "tolerance": t, "status": st}
+                       for n, v, t, st in checks]}
+    rows = [(n, _cfloat(v), _cfloat(t), st) for n, v, t, st in checks]
+    return ({"suite": args.suite}, body,
+            ("check", "value", "tolerance", "status"), rows, 0 if ok else 1)
 
 
 # -------------------------------------------------------------- dispatch
@@ -451,7 +386,10 @@ def run_command(argv) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        params, body, header, rows, code = args.func(args)
+        _emit(args, params, body, header, rows, time.perf_counter() - t0)
+        return code
     except GstfError as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 2

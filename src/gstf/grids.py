@@ -53,13 +53,16 @@ class Grid1D:
             raise GridError(f"coordinate {x} is not a sample of this grid")
         return j
 
-    def shift_index(self, x: float, rtol: float = 1e-9) -> int:
-        """Integer k with x = k*step; GridError if x is not a step multiple."""
-        pos = (x - 0.0) / self.step
-        k = int(round(pos))
-        if abs(pos - k) > rtol * max(1.0, abs(pos)) + 1e-9:
-            raise GridError(f"{x} is not an integer multiple of step {self.step}")
-        return k
+    def shift_index(self, x, rtol: float = 1e-9):
+        """Integer k with x = k*step, an intp array for an array x;
+        GridError if x is not a step multiple."""
+        pos = np.asarray(x, dtype=float) / self.step
+        k = np.rint(pos)
+        off = np.abs(pos - k) > rtol * np.maximum(1.0, np.abs(pos)) + 1e-9
+        if off.any():
+            raise GridError(f"{np.ravel(x)[off.argmax()]} is not an integer "
+                            f"multiple of step {self.step}")
+        return k.astype(np.intp) if k.ndim else int(k)
 
 
 @dataclass(frozen=True)

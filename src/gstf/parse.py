@@ -79,41 +79,28 @@ def _as_spec(node, name: str, offset: int) -> FunctionSpec:
     return node
 
 
-def _build_call(name: str, args: list, offset: int) -> FunctionSpec:
-    def need(n):
-        if len(args) != n:
-            raise ArityMismatch(
-                f"{name} takes {n} argument(s), got {len(args)}", offset=offset)
+# name -> (node class, converter of each argument)
+_CALLS = {
+    "gaussian": (Gaussian, (_as_number,)),
+    "hermite": (Hermite, (_as_int,)),
+    "bump": (Bump, ()),
+    "subexp": (SubExp, (_as_number, _as_number)),
+    "poly": (Poly, (_as_int,)),
+    "translate": (Translate, (_as_spec, _as_number)),
+    "modulate": (Modulate, (_as_spec, _as_number)),
+    "scale": (Scale, (_as_spec, _as_number)),
+}
 
-    if name == "gaussian":
-        need(1)
-        return Gaussian(_as_number(args[0], name, offset))
-    if name == "hermite":
-        need(1)
-        return Hermite(_as_int(args[0], name, offset))
-    if name == "bump":
-        need(0)
-        return Bump()
-    if name == "subexp":
-        need(2)
-        return SubExp(_as_number(args[0], name, offset),
-                      _as_number(args[1], name, offset))
-    if name == "poly":
-        need(1)
-        return Poly(_as_int(args[0], name, offset))
-    if name == "translate":
-        need(2)
-        return Translate(_as_spec(args[0], name, offset),
-                         _as_number(args[1], name, offset))
-    if name == "modulate":
-        need(2)
-        return Modulate(_as_spec(args[0], name, offset),
-                        _as_number(args[1], name, offset))
-    if name == "scale":
-        need(2)
-        return Scale(_as_spec(args[0], name, offset),
-                     _as_number(args[1], name, offset))
-    raise UnknownIdentifier(f"unknown function {name!r}", offset=offset)
+
+def _build_call(name: str, args: list, offset: int) -> FunctionSpec:
+    if name not in _CALLS:
+        raise UnknownIdentifier(f"unknown function {name!r}", offset=offset)
+    node, converters = _CALLS[name]
+    if len(args) != len(converters):
+        raise ArityMismatch(f"{name} takes {len(converters)} argument(s), "
+                            f"got {len(args)}", offset=offset)
+    return node(*(conv(arg, name, offset)
+                  for conv, arg in zip(converters, args)))
 
 
 class _Parser:

@@ -32,11 +32,6 @@ def apply_toeplitz(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
     return adjoint_stft(TFR(a.tfgrid, a.values * v.values), phi2)
 
 
-def _reverse(values: np.ndarray, axis: int) -> np.ndarray:
-    # On a symmetric grid, coordinate negation is index reversal.
-    return np.flip(values, axis=axis)
-
-
 def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
                                   phi1: SampledFunction, phi2: SampledFunction,
                                   tfgrid: TFGrid) -> dict:
@@ -67,9 +62,10 @@ def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
     A = stft(phi1, phi2, rhs_grid).values
     # B[y_i, eta_k] = V_f g(y_i, eta_k); needed at (-y, eta)
     B = stft(g, f, rhs_grid).values
-    # transpose both to (eta, y) layout matching lhs
-    a_part = _reverse(A, axis=1).T        # (eta, y): A(y, -eta)
-    b_part = _reverse(B, axis=0).T        # (eta, y): B(-y, eta)
+    # transpose both to (eta, y) layout matching lhs; on a symmetric grid,
+    # coordinate negation is index reversal
+    a_part = np.flip(A, axis=1).T        # (eta, y): A(y, -eta)
+    b_part = np.flip(B, axis=0).T        # (eta, y): B(-y, eta)
     phase = np.exp(1j * np.outer(eta_grid.coords, y_grid.coords))
     scale = np.max(np.abs(lhs.values))
     if scale == 0.0:

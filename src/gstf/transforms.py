@@ -112,13 +112,7 @@ def _stft_plan(grid: Grid1D, tfgrid: TFGrid) -> tuple:
     """
     xigrid = tfgrid.xigrid
     n, m = grid.count, xigrid.count
-    x = tfgrid.xgrid.coords
-    pos = x / grid.step
-    shift = np.rint(pos)
-    off = np.abs(pos - shift) > 1e-9 * np.maximum(1.0, np.abs(pos)) + 1e-9
-    if off.any():
-        raise GridError(f"{x[off.argmax()]} is not an integer multiple of "
-                        f"step {grid.step}")
+    shift = grid.shift_index(tfgrid.xgrid.coords)
     size = _fft_length(n + m - 1)
     ld = np.longdouble
     h, d = ld(grid.step), ld(xigrid.step)
@@ -139,7 +133,7 @@ def _stft_plan(grid: Grid1D, tfgrid: TFGrid) -> tuple:
         z[size - behind + 1:] = chirp[behind - 1:0:-1]
         return np.fft.fft(z)
 
-    starts = n - np.clip(shift, -n, n).astype(np.intp)
+    starts = n - np.clip(shift, -n, n)
     plan = (a, b, spectrum(c, m, n), spectrum(np.conj(c), n, m), starts)
     for arr in plan:
         arr.flags.writeable = False

@@ -63,12 +63,25 @@ def classification_suite():
         "catalog_agreement_mismatches"])
 
 
-def test_criterion_1_identity_suite():
+@pytest.fixture(scope="module")
+def identity_suite():
+    """The identities suite's values, its pass flag and its run time."""
     t0 = time.perf_counter()
     v, ok = suite_values("identities", [
         "moyal_defect", "stft_inversion_defect", "twisted_convolution_defect",
         "product_transform_defect", "product_transform_sign_consistent"])
-    elapsed = time.perf_counter() - t0
+    return v, ok, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def toeplitz_suite():
+    return suite_values("toeplitz", [
+        "unit_symbol_reproduction", "adjoint_symmetry", "positivity_defect",
+        "continuity_probe_nonmember_outputs"])
+
+
+def test_criterion_1_identity_suite(identity_suite):
+    v, ok, elapsed = identity_suite
     report(1, ok and elapsed < 60.0,
            f"moyal={v['moyal_defect']:.2e} "
            f"inversion={v['stft_inversion_defect']:.2e} "
@@ -78,15 +91,12 @@ def test_criterion_1_identity_suite():
            f"elapsed={elapsed:.1f}s")
 
 
-def test_identity_defects_at_present_magnitudes():
+def test_identity_defects_at_present_magnitudes(identity_suite,
+                                                toeplitz_suite):
     # The defects sit at rounding level, far under their gates; a faster
     # STFT engine must keep them there, not merely under the gates.
-    ident, _ = suite_values("identities", [
-        "moyal_defect", "stft_inversion_defect", "twisted_convolution_defect",
-        "product_transform_defect", "product_transform_sign_consistent"])
-    oper, _ = suite_values("toeplitz", [
-        "unit_symbol_reproduction", "adjoint_symmetry", "positivity_defect",
-        "continuity_probe_nonmember_outputs"])
+    ident, _, _ = identity_suite
+    oper, _ = toeplitz_suite
     for name in ("moyal_defect", "stft_inversion_defect",
                  "twisted_convolution_defect"):
         assert ident[name] <= 1e-14, (name, ident[name])
@@ -178,10 +188,8 @@ def test_criterion_6_triviality_boundary():
            f"witnesses self-verify={witness_ok}")
 
 
-def test_criterion_7_toeplitz():
-    v, ok = suite_values("toeplitz", [
-        "unit_symbol_reproduction", "adjoint_symmetry", "positivity_defect",
-        "continuity_probe_nonmember_outputs"])
+def test_criterion_7_toeplitz(toeplitz_suite):
+    v, ok = toeplitz_suite
     report(7, ok, f"reproduction={v['unit_symbol_reproduction']:.2e} "
                   f"adjoint={v['adjoint_symmetry']:.2e} "
                   f"positivity_min={-v['positivity_defect']:.2e} "

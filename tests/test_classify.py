@@ -122,6 +122,13 @@ class TestSupEnvelopeConstant:
         with pytest.raises(GstfError):
             sup_envelope_constant(f, 1.0, 0.0)
 
+    def test_zero_sample_under_infinite_weight_is_not_the_sup(self):
+        # x^2 overflows at the rim, where 0 * exp(inf) is 0, not nan
+        f = SampledFunction(Grid1D(0.0, 1e154, 5), [0.0, 1.0, 1.0, 1.0, 0.0])
+        fit = sup_envelope_constant(f, 1e-306, 0.5, guard=0)
+        assert fit.attained_at == 1
+        assert fit.C == pytest.approx(math.exp(100.0), rel=1e-12)
+
 
 class TestFitDecayRate:
     def test_gaussian_oracle(self):
@@ -149,6 +156,12 @@ class TestFitDecayRate:
     def test_zero_function_gives_inf(self):
         f = SampledFunction(ODD_GRID, np.zeros(ODD_GRID.count))
         assert math.isinf(fit_decay_rate(f, 1.0))
+
+    def test_peak_with_underflowing_weight_bounds_rate_by_zero(self):
+        # |x|^(1/s) underflows to 0 at the peak, one step from the origin:
+        # its true weight is positive, so the ratio 0/0 has the limit 0
+        f = SampledFunction(Grid1D(0.0, 1e-78, 5), [0.5, 1.0, 0.9, 0.5, 0.25])
+        assert fit_decay_rate(f, 1e-2) == 0.0
 
     def test_monotone_nondecreasing_in_s_on_outer_samples(self):
         # For samples with |x| >= 1 the weight |x|^(1/s) shrinks as s grows,
@@ -181,6 +194,14 @@ class TestFitPolyTable:
         f = catalog_eval(Gaussian(1.0), ODD_GRID)
         with pytest.raises(GstfError):
             fit_poly_table(f, 17)
+
+    def test_limits_where_x_squared_overflows(self):
+        # the N = 0 weight stays 1, so C_0 is the sample maximum; N >= 1
+        # weights are infinite at every sample, so C_N is too
+        f = SampledFunction(Grid1D(0.0, 1e300, 4), [0.25, 1.0, 0.5, 0.125])
+        table = fit_poly_table(f, 1)
+        assert (table[0].C, table[0].attained_at) == (1.0, 1)
+        assert math.isinf(table[1].C)
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,12 @@ import sys
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gstf import SubExp, build_grid, catalog_eval, dft
 from gstf.cli import run_command
 
 
@@ -59,6 +61,53 @@ class TestGoldenReports:
                       "--n-max", "2", "--timings")
         rep = json.loads(out.stdout)
         assert rep["timings"]["elapsed_s"] > 0
+
+
+SAMPLES_HEADER = ["x", "value-real", "value-imag"]
+
+# One small run of each subcommand, with the header its CSV documents.
+SUBCOMMANDS = {
+    "transform": (["transform", "--expr", "gaussian(1)", "--points", "64"],
+                  SAMPLES_HEADER),
+    "stft": (["stft", "--expr", "gaussian(1)", "--points", "256"],
+             ["x", "xi", "value-real", "value-imag"]),
+    "classify": (["classify", "--expr", "gaussian(1)", "--space", "S",
+                  "--s", "0.5", "--points", "256", "--n-max", "2"],
+                 ["kind", "key", "value", "attained_at", "interior_attained",
+                  "masked_edge"]),
+    "witness": (["witness", "--s", "0.75", "--sigma", "0.75", "--type",
+                 "beurling", "--points", "64"], SAMPLES_HEADER),
+    "toeplitz": (["toeplitz", "--expr", "gaussian(1)", "--points", "256"],
+                 SAMPLES_HEADER),
+    "verify": (["verify", "--suite", "toeplitz"],
+               ["check", "value", "tolerance", "status"]),
+}
+
+
+class TestReportPath:
+    """Every subcommand writes the same bytes to stdout and to --out, in
+    either format."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_stdout_equals_out_file(self, tmp_path, capsys, command, fmt):
+        argv, header = SUBCOMMANDS[command]
+        argv = [*argv, "--format", fmt]
+        out = run_cli(capsys, *argv)
+        path = tmp_path / "report"
+        code = run_command([*argv, "--out", str(path)])
+        assert out.returncode == code == 0
+        assert capsys.readouterr().out == ""
+        assert out.stdout.encode() == path.read_bytes()
+        assert out.stderr == ""
+        if fmt == "csv":
+            rows = list(csv.reader(out.stdout.splitlines()))
+            assert rows[0] == header and len(rows) > 1
+            return
+        rep = json.loads(out.stdout)
+        assert (rep["command"], rep["timings"]) == (command, None)
+        timed = json.loads(run_cli(capsys, *argv, "--timings").stdout)
+        assert timed["timings"]["elapsed_s"] > 0
 
 
 class TestClassifyCommand:
@@ -217,6 +266,27 @@ class TestInProcessContract:
         assert json.loads(out)["verdict"] in ("Member", "NotMember",
                                               "Inconclusive")
 
+    def test_rate_fit_at_underflowing_weights_is_zero(self, capsys):
+        # |x|^(1/s) underflows at the peak sample: r_fit is the limit 0
+        out = run_cli(capsys, "classify", "--expr", "poly(3) * gaussian(2)",
+                      "--half-width=1.0119745965501096e-78", "--space", "S",
+                      "--s=1.0119745965501096e-78")
+        rep = json.loads(out.stdout)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert rep["fitted"]["r_fit"] == 0
+        assert rep["verdict"] == "NotMember"
+
+    def test_n0_constant_is_the_transform_maximum(self, capsys):
+        # x^2 overflows on the dual grid, but the N = 0 weight stays 1
+        out = run_cli(capsys, "classify", "--expr", "subexp(1, 1)",
+                      "--points=2", "--half-width=1e-300", "--space", "Sigma",
+                      "--s=1e-30", "--n-max=0")
+        rep = json.loads(out.stdout)
+        fhat = dft(catalog_eval(SubExp(1.0, 1.0), build_grid(1e-300, 1)))
+        assert (out.returncode, out.stderr) == (0, "")
+        assert rep["fitted"]["N_table"]["0"]["C"] == pytest.approx(
+            np.abs(fhat.values).max(), rel=1e-12, abs=0)
+
     def test_overflowing_samples_exit_2_without_warnings(self, capsys):
         self.assert_error_exit(["classify", "--expr", "poly(3) * gaussian(2)",
                                 "--space", "S", "--s", "0.5",
@@ -286,3 +356,5 @@ class TestCliContractFuzz:
         assert "Traceback" not in err.getvalue()
         if code in (0, 1):
             json.loads(out.getvalue())
+            # a limit, never nan, wherever the classifier's weights overflow
+            assert '"nan"' not in out.getvalue(), argv

@@ -55,6 +55,18 @@ class TestGrid1D:
         with pytest.raises(GridError):
             g.shift_index(0.3)
 
+    def test_shift_index_of_an_array(self):
+        g = Grid1D(0.0, 0.25, 16)
+        k = g.shift_index(np.array([0.75, -1.0, 0.0]))
+        assert k.dtype == np.intp and k.tolist() == [3, -4, 0]
+        assert type(g.shift_index(0.75)) is int
+        # the message names the first off-step entry, as for a scalar
+        with pytest.raises(GridError) as want:
+            g.shift_index(0.3)
+        with pytest.raises(GridError) as got:
+            g.shift_index(np.array([0.5, 0.3, 0.7]))
+        assert str(got.value) == str(want.value)
+
     def test_validation(self):
         with pytest.raises(GridError):
             Grid1D(0.0, 0.0, 8)
