@@ -4,11 +4,14 @@ A :class:`FunctionSpec` is a tree over the catalog primitives
 (gaussian, hermite, bump, subexp, poly, translate, modulate, scale)
 combined with +, - and *.  Evaluation is pointwise and deterministic:
 equal specs on equal grids give bit-identical samples.
+
+Each node class declares its own syntax, which printing, the finiteness
+check and :mod:`gstf.parse` all read: a call node its ``call`` name and,
+by its fields' types, one kind per argument (float, int or FunctionSpec);
+an infix node its operator ``op``, its precedence ``prec`` and its ufunc.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,13 +20,17 @@ from .grids import Grid1D, SampledFunction
 
 __all__ = [
     "FunctionSpec", "Const", "Gaussian", "Hermite", "Bump", "SubExp", "Poly",
-    "Translate", "Modulate", "Scale", "Sum", "Diff", "Product",
+    "Translate", "Modulate", "Scale", "Infix", "Sum", "Diff", "Product",
     "catalog_eval", "hermite_poly",
 ]
 
 
 class FunctionSpec:
-    """Base node.  Subclasses implement ``_eval`` and ``__str__``."""
+    """Base node.  Subclasses implement ``_eval``; a call node sets
+    ``call``, its name in the expression language, and types each field
+    float, int or FunctionSpec, in argument order."""
+
+    call = ""
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -31,19 +38,24 @@ class FunctionSpec:
     def __call__(self, x):
         return self._eval(np.asarray(x, dtype=float))
 
+    def _args(self):
+        return [(getattr(self, f.name), f.type) for f in fields(self)]
 
-def _check_finite(name, *params):
-    for p in params:
-        if not np.isfinite(p):
-            raise GstfError(f"{name}: parameter {p!r} is not finite")
+    def __post_init__(self):
+        for v, kind in self._args():
+            if kind is float and not np.isfinite(v):
+                raise GstfError(f"{type(self).__name__.lower()}: "
+                                f"parameter {v!r} is not finite")
+
+    def __str__(self):
+        args = (str(v) if kind is FunctionSpec else repr(kind(v))
+                for v, kind in self._args())
+        return f"{self.call}({', '.join(args)})"
 
 
 @dataclass(frozen=True)
 class Const(FunctionSpec):
     value: float
-
-    def __post_init__(self):
-        _check_finite("const", self.value)
 
     def _eval(self, x):
         return np.full_like(x, self.value, dtype=complex)
@@ -56,18 +68,16 @@ class Const(FunctionSpec):
 class Gaussian(FunctionSpec):
     """exp(-a x^2 / 2); a = 1 is the fixed point of the unitary Fourier transform."""
 
+    call = "gaussian"
     a: float
 
     def __post_init__(self):
-        _check_finite("gaussian", self.a)
+        super().__post_init__()
         if self.a <= 0:
             raise GstfError("gaussian: width parameter must be positive")
 
     def _eval(self, x):
         return np.exp(-0.5 * self.a * x * x).astype(complex)
-
-    def __str__(self):
-        return f"gaussian({float(self.a)!r})"
 
 
 def hermite_poly(k: int, x: np.ndarray) -> np.ndarray:
@@ -85,6 +95,7 @@ def hermite_poly(k: int, x: np.ndarray) -> np.ndarray:
 class Hermite(FunctionSpec):
     """H_k(x) exp(-x^2/2), physicists' normalization (no L2 rescale)."""
 
+    call = "hermite"
     k: int
 
     def __post_init__(self):
@@ -94,13 +105,12 @@ class Hermite(FunctionSpec):
     def _eval(self, x):
         return (hermite_poly(self.k, x) * np.exp(-0.5 * x * x)).astype(complex)
 
-    def __str__(self):
-        return f"hermite({int(self.k)})"
-
 
 @dataclass(frozen=True)
 class Bump(FunctionSpec):
     """exp(-1/(1-x^2)) on |x| < 1, exactly 0 elsewhere."""
+
+    call = "bump"
 
     def _eval(self, x):
         out = np.zeros_like(x, dtype=complex)
@@ -109,33 +119,29 @@ class Bump(FunctionSpec):
         out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
         return out
 
-    def __str__(self):
-        return "bump()"
-
 
 @dataclass(frozen=True)
 class SubExp(FunctionSpec):
     """exp(-r |x|^(1/s))."""
 
+    call = "subexp"
     s: float
     r: float
 
     def __post_init__(self):
-        _check_finite("subexp", self.s, self.r)
+        super().__post_init__()
         if self.s <= 0:
             raise GstfError("subexp: decay index s must be positive")
 
     def _eval(self, x):
         return np.exp(-self.r * np.abs(x) ** (1.0 / self.s)).astype(complex)
 
-    def __str__(self):
-        return f"subexp({float(self.s)!r}, {float(self.r)!r})"
-
 
 @dataclass(frozen=True)
 class Poly(FunctionSpec):
     """x^k."""
 
+    call = "poly"
     k: int
 
     def __post_init__(self):
@@ -145,102 +151,72 @@ class Poly(FunctionSpec):
     def _eval(self, x):
         return (x ** self.k).astype(complex)
 
-    def __str__(self):
-        return f"poly({int(self.k)})"
-
 
 @dataclass(frozen=True)
 class Translate(FunctionSpec):
+    call = "translate"
     inner: FunctionSpec
     x0: float
-
-    def __post_init__(self):
-        _check_finite("translate", self.x0)
 
     def _eval(self, x):
         return self.inner._eval(x - self.x0)
 
-    def __str__(self):
-        return f"translate({self.inner}, {float(self.x0)!r})"
-
 
 @dataclass(frozen=True)
 class Modulate(FunctionSpec):
+    call = "modulate"
     inner: FunctionSpec
     xi0: float
 
-    def __post_init__(self):
-        _check_finite("modulate", self.xi0)
-
     def _eval(self, x):
         return np.exp(1j * self.xi0 * x) * self.inner._eval(x)
-
-    def __str__(self):
-        return f"modulate({self.inner}, {float(self.xi0)!r})"
 
 
 @dataclass(frozen=True)
 class Scale(FunctionSpec):
     """Scalar multiple c * f."""
 
+    call = "scale"
     inner: FunctionSpec
     c: float
-
-    def __post_init__(self):
-        _check_finite("scale", self.c)
 
     def _eval(self, x):
         return self.c * self.inner._eval(x)
 
-    def __str__(self):
-        return f"scale({self.inner}, {float(self.c)!r})"
-
 
 @dataclass(frozen=True)
-class Sum(FunctionSpec):
+class Infix(FunctionSpec):
+    """``left op right``, left-associative; a higher ``prec`` binds
+    tighter.  Subclasses declare ``op``, ``prec`` and ``ufunc``."""
+
     left: FunctionSpec
     right: FunctionSpec
 
     def _eval(self, x):
-        return self.left._eval(x) + self.right._eval(x)
+        return self.ufunc(self.left._eval(x), self.right._eval(x))
 
     def __str__(self):
-        right = str(self.right)
-        if isinstance(self.right, (Sum, Diff)):
-            right = f"({right})"
-        return f"{self.left} + {right}"
+        # an operand binding looser is parenthesised, and so is a right
+        # operand binding equally, since a chain groups to the left
+        def wrap(node, prec):
+            if isinstance(node, Infix) and node.prec <= prec:
+                return f"({node})"
+            return str(node)
+
+        return (f"{wrap(self.left, self.prec - 1)} {self.op} "
+                f"{wrap(self.right, self.prec)}")
 
 
-@dataclass(frozen=True)
-class Diff(FunctionSpec):
-    left: FunctionSpec
-    right: FunctionSpec
-
-    def _eval(self, x):
-        return self.left._eval(x) - self.right._eval(x)
-
-    def __str__(self):
-        right = str(self.right)
-        if isinstance(self.right, (Sum, Diff)):
-            right = f"({right})"
-        return f"{self.left} - {right}"
+class Sum(Infix):
+    op, prec, ufunc = "+", 1, np.add
 
 
-@dataclass(frozen=True)
-class Product(FunctionSpec):
-    left: FunctionSpec
-    right: FunctionSpec
+class Diff(Infix):
+    op, prec, ufunc = "-", 1, np.subtract
 
-    def _eval(self, x):
-        return self.left._eval(x) * self.right._eval(x)
 
-    def __str__(self):
-        def wrap(node, nested_product):
-            s = str(node)
-            kinds = (Sum, Diff, Product) if nested_product else (Sum, Diff)
-            return f"({s})" if isinstance(node, kinds) else s
-
-        return f"{wrap(self.left, False)} * {wrap(self.right, True)}"
+class Product(Infix):
+    op, prec, ufunc = "*", 2, np.multiply
 
 
 def catalog_eval(spec: FunctionSpec, grid: Grid1D) -> SampledFunction:

@@ -109,11 +109,17 @@ def _load_csv_samples(path: str) -> SampledFunction:
     if len(xs) < 2:
         raise GridError("CSV input needs at least two samples")
     xs = np.asarray(xs)
-    steps = np.diff(xs)
-    step = steps[0]
-    if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * abs(step)):
-        raise GridError("CSV input must have strictly increasing uniform x")
-    grid = Grid1D(float((xs[0] + xs[-1]) / 2), float(step), len(xs))
+    if not np.isfinite(xs).all():
+        raise GridError("CSV input x must be finite")
+    # an overflowing step is inf (and inf - inf nan, which passes the
+    # comparison): Grid1D rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(xs)
+        step = steps[0]
+        if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * abs(step)):
+            raise GridError("CSV input must have strictly increasing "
+                            "uniform x")
+        grid = Grid1D(float((xs[0] + xs[-1]) / 2), float(step), len(xs))
     return SampledFunction(grid, np.asarray(vals))
 
 
@@ -227,7 +233,7 @@ def _cmd_classify(args) -> tuple:
     f, desc = _input_function(args)
     idx = _space_index(args)
     opts = _options(args)
-    if args.window:
+    if args.window is not None:
         wdesc, window = _window(args, f.grid)
         rep = classify_stft(f, window, idx, classify_tfgrid(f.grid), opts)
     else:

@@ -1,25 +1,29 @@
-"""Recursive-descent parser for function expressions.
+"""Precedence-climbing parser for function expressions.
 
-Grammar (standard precedence, '*' binds tighter, left-associative):
+Grammar ('*' binds tighter than '+' and '-'; all are left-associative):
 
-    expr   := term (('+'|'-') term)*
-    term   := factor ('*' factor)*
+    expr   := factor (op factor)*     op is '+', '-' or '*', read by expr(prec)
     factor := '-' factor | number | call | '(' expr ')'
-    call   := ident '(' (arg (',' arg)*)? ')'
-    arg    := expr
+    call   := ident '(' (expr (',' expr)*)? ')'
 
-Every error carries the byte offset where it was detected.  Unary minus
-is accepted in factor position (negated numbers become negative
-constants, anything else is wrapped in scale(..., -1)).
+The call names, argument kinds and operator precedences are the
+declarations of the node classes in gstf.catalog.  Every error carries
+the byte offset where it was detected.  Unary minus is accepted in factor
+position (negated numbers become negative constants, anything else is
+wrapped in scale(..., -1)).
+
+Limits: MAX_EXPR_LEN characters, and MAX_DEPTH levels of parentheses,
+unary minuses, argument lists and infix operators around any number or
+call (a minus sign directly before a number is part of it, and a + b + c
+is (a + b) + c).  Past one, ParseError at the first token past it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .catalog import (Bump, Const, Diff, FunctionSpec, Gaussian, Hermite,
-                      Modulate, Poly, Product, Scale, SubExp, Sum, Translate)
+from .catalog import Const, FunctionSpec, Infix, Scale
 from .errors import (ArityMismatch, LexicalError, ParseError, UnbalancedParen,
                      UnknownIdentifier)
 
@@ -33,6 +37,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 MAX_EXPR_LEN = 4096
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -49,58 +54,42 @@ def tokenize(text: str) -> list:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise LexicalError(f"unexpected character {text[pos]!r}", offset=pos)
-        if m.lastgroup == "number":
-            tokens.append(Token("number", m.group(), pos))
-        elif m.lastgroup == "ident":
-            tokens.append(Token("ident", m.group(), pos))
-        elif m.lastgroup == "sym":
-            tokens.append(Token(m.group(), m.group(), pos))
+        if m.lastgroup != "ws":
+            kind = m.group() if m.lastgroup == "sym" else m.lastgroup
+            tokens.append(Token(kind, m.group(), pos))
         pos = m.end()
     return tokens
 
 
-def _as_number(node, name: str, offset: int) -> float:
-    if isinstance(node, Const):
-        return node.value
-    raise ArityMismatch(f"{name} expects a numeric argument", offset=offset)
-
-
-def _as_int(node, name: str, offset: int) -> int:
-    v = _as_number(node, name, offset)
-    if v != int(v):
+def _convert(kind, node, name: str, offset: int):
+    """Argument ``node`` of call ``name`` as a value of its field's kind."""
+    if kind is FunctionSpec:
+        if isinstance(node, Const):
+            raise ArityMismatch(f"{name} expects a function as its first "
+                                "argument", offset=offset)
+        return node
+    if not isinstance(node, Const):
+        raise ArityMismatch(f"{name} expects a numeric argument", offset=offset)
+    if kind is int and node.value != int(node.value):
         raise ArityMismatch(f"{name} expects an integer argument", offset=offset)
-    return int(v)
+    return kind(node.value)
 
 
-def _as_spec(node, name: str, offset: int) -> FunctionSpec:
-    if isinstance(node, Const):
-        raise ArityMismatch(
-            f"{name} expects a function as its first argument", offset=offset)
-    return node
-
-
-# name -> (node class, converter of each argument)
-_CALLS = {
-    "gaussian": (Gaussian, (_as_number,)),
-    "hermite": (Hermite, (_as_int,)),
-    "bump": (Bump, ()),
-    "subexp": (SubExp, (_as_number, _as_number)),
-    "poly": (Poly, (_as_int,)),
-    "translate": (Translate, (_as_spec, _as_number)),
-    "modulate": (Modulate, (_as_spec, _as_number)),
-    "scale": (Scale, (_as_spec, _as_number)),
-}
+_CALLS = {node.call: node for node in FunctionSpec.__subclasses__()
+          if node.call}
+_INFIX = {node.op: node for node in Infix.__subclasses__()}
 
 
 def _build_call(name: str, args: list, offset: int) -> FunctionSpec:
-    if name not in _CALLS:
+    node = _CALLS.get(name)
+    if node is None:
         raise UnknownIdentifier(f"unknown function {name!r}", offset=offset)
-    node, converters = _CALLS[name]
-    if len(args) != len(converters):
-        raise ArityMismatch(f"{name} takes {len(converters)} argument(s), "
+    kinds = [f.type for f in fields(node)]
+    if len(args) != len(kinds):
+        raise ArityMismatch(f"{name} takes {len(kinds)} argument(s), "
                             f"got {len(args)}", offset=offset)
-    return node(*(conv(arg, name, offset)
-                  for conv, arg in zip(converters, args)))
+    return node(*(_convert(kind, arg, name, offset)
+                  for kind, arg in zip(kinds, args)))
 
 
 class _Parser:
@@ -126,8 +115,14 @@ class _Parser:
             raise ParseError(f"expected {kind!r}", offset=offset)
         return self.advance()
 
+    def limit(self, level: int, tok: Token) -> int:
+        if level > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} "
+                             "levels", offset=tok.offset)
+        return level
+
     def parse(self) -> FunctionSpec:
-        node = self.expr()
+        node, _ = self.expr(0)
         tok = self.peek()
         if tok is not None:
             if tok.kind == ")":
@@ -135,56 +130,58 @@ class _Parser:
             raise ParseError(f"unexpected {tok.text!r}", offset=tok.offset)
         return node
 
-    def expr(self) -> FunctionSpec:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok.kind in ("+", "-"):
-            self.advance()
-            right = self.term()
-            node = Sum(node, right) if tok.kind == "+" else Diff(node, right)
-        return node
+    # expr, factor and call parse at nesting ``depth`` and return the node
+    # and its ``level``, the depth of its deepest number or call.
 
-    def term(self) -> FunctionSpec:
-        node = self.factor()
-        while (tok := self.peek()) is not None and tok.kind == "*":
-            self.advance()
-            node = Product(node, self.factor())
-        return node
+    def expr(self, depth: int, prec: int = 0) -> tuple:
+        node, level = self.factor(depth)
+        while ((tok := self.peek()) is not None and tok.kind in _INFIX
+               and _INFIX[tok.kind].prec > prec):
+            op = _INFIX[self.advance().kind]
+            right, right_level = self.expr(depth, op.prec)
+            level = self.limit(max(level, right_level) + 1, tok)
+            node = op(node, right)
+        return node, level
 
-    def factor(self) -> FunctionSpec:
+    def factor(self, depth: int) -> tuple:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of expression",
                              offset=len(self.text))
+        self.limit(depth, tok)
         if tok.kind == "-":
             self.advance()
-            inner = self.factor()
+            sign = (nxt := self.peek()) is not None and nxt.kind == "number"
+            inner, level = self.factor(depth if sign else depth + 1)
             if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Scale(inner, -1.0)
+                return Const(-inner.value), level
+            return Scale(inner, -1.0), level
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), depth
         if tok.kind == "ident":
-            return self.call()
+            return self.call(depth)
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            node = self.expr(depth + 1)
             self.expect(")")
             return node
         raise ParseError(f"unexpected {tok.text!r}", offset=tok.offset)
 
-    def call(self) -> FunctionSpec:
+    def call(self, depth: int) -> tuple:
         name_tok = self.advance()
         self.expect("(")
         args = []
         tok = self.peek()
         if tok is not None and tok.kind != ")":
-            args.append(self.expr())
+            args.append(self.expr(depth + 1))
             while (tok := self.peek()) is not None and tok.kind == ",":
                 self.advance()
-                args.append(self.expr())
+                args.append(self.expr(depth + 1))
         self.expect(")")
-        return _build_call(name_tok.text, args, name_tok.offset)
+        node = _build_call(name_tok.text, [arg for arg, _ in args],
+                           name_tok.offset)
+        return node, max((level for _, level in args), default=depth)
 
 
 def parse_function_expr(text: str) -> FunctionSpec:

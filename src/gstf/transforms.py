@@ -50,12 +50,13 @@ def _phase_fft(vals: np.ndarray, grid: Grid1D, sign: int, axis: int,
         raise GridError(f"{what}: count {n} is not a power of two")
     if grid.center != 0.0:
         raise GridError(f"{what}: grid must be centered at 0")
-    m = (n - 1) / 2.0
-    alpha = 2.0 * np.pi * m / n
+    pre, factor = _fft_phases(n)
+    if sign > 0:
+        pre, factor = pre.conj(), factor.conjugate()
     shape = [1] * vals.ndim
     shape[axis] = n
-    pre = np.exp(-sign * 1j * alpha * np.arange(n)).reshape(shape)
-    post = pre * np.exp(sign * 2j * np.pi * m * m / n)
+    pre = pre.reshape(shape)
+    post = pre * factor
     if sign < 0:
         return grid.step / _SQRT_2PI * post * np.fft.fft(vals * pre, axis=axis)
     return n * grid.step / _SQRT_2PI * post * np.fft.ifft(vals * pre, axis=axis)
@@ -94,6 +95,19 @@ def _unit(phase: np.ndarray) -> np.ndarray:
     """exp(i phase) for long-double phases, reduced mod 2*pi before the
     float64 exp so that phases of thousands of radians keep their digits."""
     return np.exp(1j * np.mod(phase, _TWO_PI).astype(float))
+
+
+@lru_cache(maxsize=8)
+def _fft_phases(n: int) -> tuple:
+    """The forward transform's pre-phases exp(i*pi*(n-1)*j/n), j < n, and
+    its post-phase factor exp(-i*pi*(n-1)^2/(2n)); the post-phases are
+    the pre-phases times that factor, and the inverse uses conjugates.
+    The multiples of pi are reduced exactly in integers, so the phases
+    keep full precision at every n."""
+    j = np.arange(n, dtype=np.int64)
+    pre = _unit(_TWO_PI * ((n - 1) * j % (2 * n)) / (2 * n))
+    pre.flags.writeable = False
+    return pre, complex(_unit(-_TWO_PI * ((n - 1) ** 2 % (4 * n)) / (4 * n)))
 
 
 @lru_cache(maxsize=8)

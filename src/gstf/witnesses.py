@@ -115,11 +115,11 @@ def boundary_triviality_demo(s: float, grid: Grid1D | None = None,
     sigma = 1.0 - s
     grid = grid or default_witness_grid()
     opts = opts or ClassifyOptions(n_max=4)  # default trial list {0.25..4}
-    candidates = [(f"gaussian({a})", Gaussian(a)) for a in (0.5, 1.0, 2.0)]
-    candidates += [(f"hermite({k})", Hermite(k)) for k in range(4)]
+    candidates = [Gaussian(a) for a in (0.5, 1.0, 2.0)]
+    candidates += [Hermite(k) for k in range(4)]
 
     rows = []
-    for name, spec in candidates:
+    for spec in candidates:
         f = catalog_eval(spec, grid)
         hit = _first_boundary_failure(f, s, opts)
         side = "function"
@@ -127,10 +127,10 @@ def boundary_triviality_demo(s: float, grid: Grid1D | None = None,
             hit = _first_boundary_failure(dft(f), sigma, opts)
             side = "fourier"
         if hit is None:
-            rows.append(BoundaryCandidate(name, False, "", math.nan, -1))
+            rows.append(BoundaryCandidate(str(spec), False, "", math.nan, -1))
         else:
             r, at = hit
-            rows.append(BoundaryCandidate(name, True, side, r, at))
+            rows.append(BoundaryCandidate(str(spec), True, side, r, at))
     rows = tuple(rows)
     return BoundaryReport(s=s, sigma=sigma, candidates=rows,
                           all_failed=all(c.failed for c in rows))

@@ -98,9 +98,8 @@ def test_identity_defects_at_present_magnitudes(identity_suite,
     ident, _, _ = identity_suite
     oper, _ = toeplitz_suite
     for name in ("moyal_defect", "stft_inversion_defect",
-                 "twisted_convolution_defect"):
+                 "twisted_convolution_defect", "product_transform_defect"):
         assert ident[name] <= 1e-14, (name, ident[name])
-    assert ident["product_transform_defect"] <= 1e-13
     for name in ("unit_symbol_reproduction", "adjoint_symmetry"):
         assert oper[name] <= 1e-14, (name, oper[name])
 

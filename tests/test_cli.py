@@ -182,6 +182,14 @@ class TestErrorPaths:
                       "--points", "1000")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["stft"], ["toeplitz"], ["classify", "--space", "S", "--s", "0.5"]])
+    def test_empty_window_exits_2(self, capsys, argv):
+        out = run_cli(capsys, *argv, "--expr", "gaussian(1)", "--points",
+                      "256", "--window", "")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == "error: ParseError: empty expression (offset 0)\n"
+
 
 class TestOtherCommands:
     def test_witness_csv_has_samples(self, capsys):
@@ -227,6 +235,11 @@ class TestInProcessContract:
         "x,value-real\n0.0,abc\n1.0,0.5\n",  # non-numeric value
         "0.0,1.0\n1.0\n",                      # short row
         b"0.0,1.0\n1.0,\xff\xfe\n",           # not UTF-8
+        "0.0,1.0\ninf,0.5\n",                  # non-finite x
+        "nan,1.0\n1.0,0.5\n",
+        "-1e308,1.0\n1e308,0.5\n",             # the step overflows
+        "-1e308,1.0\n0.0,1.0\n1e308,0.5\n",
+        "1.7e308,1.0\n1.79e308,0.5\n",         # the centre overflows
     ])
     def test_malformed_csv(self, tmp_path, capsys, content):
         path = tmp_path / "bad.csv"
@@ -287,6 +300,23 @@ class TestInProcessContract:
         assert rep["fitted"]["N_table"]["0"]["C"] == pytest.approx(
             np.abs(fhat.values).max(), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "bump()" + ")" * 400,
+        "-" * 1500 + "bump()",
+        "scale(" * 300 + "bump()" + ", 1)" * 300,
+        "+".join(["bump()"] * 500),
+        "*".join(["bump()"] * 500),
+        "(" * 101 + "bump()" + ")" * 101,
+        "-" * 101 + "bump()",
+        "scale(" * 101 + "bump()" + ", 1)" * 101,
+        " + ".join(["bump()"] * 102),
+        " * ".join(["bump()"] * 102),
+    ], ids=lambda t: f"{t[:8]}..{len(t)}")
+    def test_deep_expressions_exit_2(self, capsys, text):
+        # past the parser's depth limit, well under its length cap
+        self.assert_error_exit(["transform", f"--expr={text}", "--points",
+                                "64"], capsys)
+
     def test_overflowing_samples_exit_2_without_warnings(self, capsys):
         self.assert_error_exit(["classify", "--expr", "poly(3) * gaussian(2)",
                                 "--space", "S", "--s", "0.5",
@@ -336,25 +366,112 @@ def _cli_args(draw):
     return args
 
 
+_NUMBER = st.one_of(st.integers(0, 12).map(str),
+                    st.floats(0.0, 1e3).map(repr),
+                    st.sampled_from(["1e999", ".5", "2.", "1e-400", "0"]))
+_CALL = st.one_of(
+    st.just("bump()"),
+    st.sampled_from(["gaussian", "hermite", "poly", "spike"]).flatmap(
+        lambda name: _NUMBER.map(lambda v: f"{name}({v})")),
+    st.tuples(_NUMBER, _NUMBER).map(lambda t: "subexp(%s, %s)" % t))
+_DEEP = {  # nesting shapes of a given size
+    "(": lambda n: "(" * n + "bump()" + ")" * n,
+    "-": lambda n: "-" * n + "bump()",
+    "scale": lambda n: "scale(" * n + "bump()" + ", 1)" * n,
+    "+": lambda n: "+".join(["bump()"] * n),
+    "*": lambda n: "*".join(["gaussian(1)"] * n),
+}
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " - ", " * "]),
+                  inner).map("".join),
+        inner.map(lambda t: f"({t})"),
+        inner.map(lambda t: f"-{t}"),
+        st.tuples(st.sampled_from(["translate", "modulate", "scale"]),
+                  inner, _NUMBER).map(lambda t: "%s(%s, %s)" % t))
+
+
+# Expression text from the grammar, its deep shapes across the depth
+# limit, and stray characters.
+_EXPR_TEXT = st.one_of(
+    st.recursive(st.one_of(_NUMBER, _CALL), _extend, max_leaves=10),
+    st.tuples(st.sampled_from(sorted(_DEEP)), st.integers(90, 1500)).map(
+        lambda t: _DEEP[t[0]](t[1])),
+    st.text(alphabet="()+-*,. 0123456789eabgmpsu", max_size=30))
+
+
+@st.composite
+def _csv_content(draw):
+    """CSV samples on a grid that may be broken or overflow, with at most
+    one bad row (non-finite or overflowing x or value, a short row, a
+    stray cell, an imaginary part), after an optional header."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 4, 8, 16]))
+    step = draw(st.one_of(st.floats(0.01, 2.0), st.floats(0.01, 2.0),
+                          _ANY_FLOAT))
+    centre = draw(st.one_of(st.just(0.0), st.just(0.0), _ANY_FLOAT))
+    xs = [centre + (j - (n - 1) / 2) * step for j in range(n)]
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    rows = [f"{x!r},{v!r}" for x, v in zip(xs, values)]
+    if rows and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        x, v = draw(_ANY_FLOAT), draw(_ANY_FLOAT)
+        rows[j] = draw(st.sampled_from([
+            f"{x!r},{values[j]!r}", f"{xs[j]!r},{v!r}", f"{xs[j]!r}",
+            f"{xs[j]!r},?", f"{xs[j]!r},{values[j]!r},{v!r}"]))
+    header = draw(st.sampled_from(["", "x,value-real\n", "X,re,im\n",
+                                   "t,v\n"]))
+    return header + "\n".join(rows) + "\n"
+
+
+def _assert_contract(argv):
+    """0, 1 or 2, never a traceback or a numpy warning, and a JSON report
+    whenever the command ran."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_command(argv)
+    assert not [w for w in caught
+                if issubclass(w.category, RuntimeWarning)], argv
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        json.loads(out.getvalue())
+        # a limit, never nan, wherever the classifier's weights overflow
+        assert '"nan"' not in out.getvalue(), argv
+    else:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+
+
 class TestCliContractFuzz:
-    """Every input keeps the exit-code contract: 0, 1 or 2, never a
-    traceback or a numpy warning, and a JSON report whenever the command
-    ran."""
+    """Every input keeps the exit-code contract."""
 
     @settings(max_examples=40, deadline=None)
     @given(_cli_args())
     def test_exit_code_contract(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = run_command(argv)
-        assert not [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)], argv
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if code in (0, 1):
-            json.loads(out.getvalue())
-            # a limit, never nan, wherever the classifier's weights overflow
-            assert '"nan"' not in out.getvalue(), argv
+        _assert_contract(argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["transform", "classify", "stft"]), _EXPR_TEXT)
+    def test_expression_text(self, command, text):
+        argv = [command, "--points=64"]
+        if command == "classify":
+            argv += ["--space=S", "--s=1", f"--expr={text}"]
+        elif command == "stft":
+            argv += ["--expr=gaussian(1)", f"--window={text}"]
+        else:
+            argv += [f"--expr={text}"]
+        _assert_contract(argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([["transform"], ["stft"],
+                            ["classify", "--space=S", "--s=1"]]),
+           _csv_content())
+    def test_csv_content(self, tmp_path_factory, command, content):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_text(content)
+        _assert_contract([*command, "--in", str(path)])

@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from gstf import (ArityMismatch, Bump, Const, Diff, Gaussian, Hermite,
                   LexicalError, Modulate, ParseError, Poly, Product, Scale,
                   SubExp, Sum, Translate, UnbalancedParen, UnknownIdentifier,
-                  parse_function_expr, pretty_print, tokenize)
-from gstf.parse import MAX_EXPR_LEN
+                  build_grid, catalog_eval, parse_function_expr,
+                  pretty_print, tokenize)
+from gstf.parse import MAX_DEPTH, MAX_EXPR_LEN
 
 G = Gaussian(1.0)
 
@@ -118,3 +120,75 @@ class TestTokenizer:
     def test_scientific_notation_is_one_token(self):
         toks = tokenize("2.5e-3")
         assert len(toks) == 1 and toks[0].kind == "number"
+
+
+def nested_parens(n):
+    return "(" * n + "bump()" + ")" * n
+
+
+def minus_chain(n):
+    return "-" * n + "bump()"
+
+
+def nested_scales(n):
+    return "scale(" * n + "bump()" + ", 1)" * n
+
+
+def flat_sum(n):
+    return " + ".join(["bump()"] * n)
+
+
+def flat_product(n):
+    return " * ".join(["bump()"] * n)
+
+
+# Each nesting shape with its size at the depth limit, and the offset of
+# the first token past the limit in the shape one size larger.
+DEPTH_SHAPES = {
+    "parentheses": (nested_parens, MAX_DEPTH, MAX_DEPTH + 1),
+    "unary_minus": (minus_chain, MAX_DEPTH, MAX_DEPTH + 1),
+    "scale_calls": (nested_scales, MAX_DEPTH, 6 * (MAX_DEPTH + 1)),
+    # n terms lie inside n - 1 operators; the offset is the last '+'
+    "flat_sum": (flat_sum, MAX_DEPTH + 1, 9 * (MAX_DEPTH + 1) - 2),
+    "flat_product": (flat_product, MAX_DEPTH + 1, 9 * (MAX_DEPTH + 1) - 2),
+}
+
+
+class TestDepthLimit:
+    """Expressions at MAX_DEPTH work in every stage; one level deeper is a
+    ParseError at the first token past the limit, not a RecursionError."""
+
+    @pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+    def test_at_the_limit(self, shape):
+        make, size, _ = DEPTH_SHAPES[shape]
+        spec = parse_function_expr(make(size))
+        text = str(spec)
+        again = parse_function_expr(text)
+        assert again == spec and hash(again) == hash(spec)
+        assert repr(again) == repr(spec)
+        values = catalog_eval(spec, build_grid(2.0, 5)).values
+        assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+    def test_one_level_past_the_limit(self, shape):
+        make, size, offset = DEPTH_SHAPES[shape]
+        text = make(size + 1)
+        assert len(text) <= MAX_EXPR_LEN
+        with pytest.raises(ParseError) as exc:
+            parse_function_expr(text)
+        assert type(exc.value) is ParseError
+        assert exc.value.offset == offset
+        assert "deeper than" in str(exc.value)
+
+    def test_sign_of_a_number_adds_no_level(self):
+        # the printed form of a unary-minus chain nests scale(..., -1.0)
+        spec = parse_function_expr(minus_chain(MAX_DEPTH))
+        assert str(spec).count("-1.0") == MAX_DEPTH
+        assert parse_function_expr(str(spec)) == spec
+
+    def test_number_in_an_argument_list_is_one_level_deeper(self):
+        parse_function_expr("(" * (MAX_DEPTH - 1) + "gaussian(1)"
+                            + ")" * (MAX_DEPTH - 1))
+        with pytest.raises(ParseError):
+            parse_function_expr("(" * MAX_DEPTH + "gaussian(1)"
+                                + ")" * MAX_DEPTH)
