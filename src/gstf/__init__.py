@@ -2,61 +2,24 @@
 Fourier and short-time Fourier transforms, decay-class membership
 verdicts for Gelfand-Shilov-type spaces, Gabor-multiplier (Toeplitz)
 operators, and machine-checkable identity suites.
+
+The public names are those of each module's ``__all__``, re-exported here.
 """
 
-from .catalog import (Bump, Const, Diff, FunctionSpec, Gaussian, Hermite,
-                      Modulate, Poly, Product, Scale, SubExp, Sum, Translate,
-                      catalog_eval, hermite_poly)
-from .classify import (INCONCLUSIVE, INF, MEMBER, NOT_MEMBER, ClassifyOptions,
-                       EnvelopeFit, EnvelopeReport, GSIndex, classify_function,
-                       classify_stft, classify_symbol, dual_growth_report,
-                       fit_decay_rate, fit_poly_table, sup_envelope_constant)
-from .errors import (ArityMismatch, BoundaryMassError, GridError, GstfError,
-                     LexicalError, ParseError, TrivialSpace, UnbalancedParen,
-                     UnknownIdentifier, UnsupportedRegion)
-from .grids import TFR, Grid1D, SampledFunction, TFGrid, build_grid
-from .inequalities import (peetre_bound_check, subexp_triangle_check,
-                           subexp_triangle_constant)
-from .parse import parse_function_expr, pretty_print, tokenize
-from .toeplitz import (ContinuityEntry, ContinuityReport, apply_toeplitz,
-                       continuity_probe, stft_product_transform_defect)
-from .transforms import (BOUNDARY_FLOOR, adjoint_stft, dft, dft2, idft,
-                         spectral_derivative, stft, twisted_convolution_defect)
-from .witnesses import (BoundaryCandidate, BoundaryReport,
-                        boundary_triviality_demo, default_witness_grid,
-                        make_witness, witness_check_options)
+from . import (catalog, classify, errors, grids, inequalities, parse,
+               toeplitz, transforms, witnesses)
+from .catalog import *  # noqa: F403
+from .classify import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .grids import *  # noqa: F403
+from .inequalities import *  # noqa: F403
+from .parse import *  # noqa: F403
+from .toeplitz import *  # noqa: F403
+from .transforms import *  # noqa: F403
+from .witnesses import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # grids
-    "Grid1D", "TFGrid", "SampledFunction", "TFR", "build_grid",
-    # catalog
-    "FunctionSpec", "Const", "Gaussian", "Hermite", "Bump", "SubExp", "Poly",
-    "Translate", "Modulate", "Scale", "Sum", "Diff", "Product",
-    "catalog_eval", "hermite_poly",
-    # transforms
-    "dft", "idft", "dft2", "stft", "adjoint_stft", "spectral_derivative",
-    "twisted_convolution_defect", "BOUNDARY_FLOOR",
-    # classification
-    "GSIndex", "ClassifyOptions", "EnvelopeFit", "EnvelopeReport",
-    "MEMBER", "NOT_MEMBER", "INCONCLUSIVE", "INF",
-    "sup_envelope_constant", "fit_decay_rate", "fit_poly_table",
-    "classify_function", "classify_stft", "classify_symbol",
-    "dual_growth_report",
-    # witnesses
-    "make_witness", "boundary_triviality_demo", "default_witness_grid",
-    "witness_check_options", "BoundaryCandidate", "BoundaryReport",
-    # toeplitz
-    "apply_toeplitz", "stft_product_transform_defect", "continuity_probe",
-    "ContinuityEntry", "ContinuityReport",
-    # inequalities
-    "peetre_bound_check", "subexp_triangle_constant", "subexp_triangle_check",
-    # parsing
-    "parse_function_expr", "pretty_print", "tokenize",
-    # errors
-    "GstfError", "GridError", "BoundaryMassError", "TrivialSpace",
-    "UnsupportedRegion", "ParseError", "LexicalError", "UnknownIdentifier",
-    "ArityMismatch", "UnbalancedParen",
-]
+__all__ = ["__version__", *(name for module in (
+    catalog, classify, errors, grids, inequalities, parse, toeplitz,
+    transforms, witnesses) for name in module.__all__)]

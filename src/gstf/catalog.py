@@ -88,6 +88,8 @@ def hermite_poly(k: int, x: np.ndarray) -> np.ndarray:
     h = 2.0 * x
     for m in range(1, k):
         h, h_prev = 2.0 * x * h - 2.0 * m * h_prev, h
+        if not np.isfinite(h).any():  # no later order has a finite sample
+            break
     return h
 
 

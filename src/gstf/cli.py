@@ -324,6 +324,10 @@ def _add_common(p: argparse.ArgumentParser, with_input=True):
     p.add_argument("--half-width", type=float, default=12.0)
     p.add_argument("--points", type=int, default=2048,
                    help="sample count (power of two)")
+    _add_output(p)
+
+
+def _add_output(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--timings", action="store_true",
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity/classification/"
                                       "toeplitz check suites")
-    _add_common(p, with_input=False)
+    _add_output(p)
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.set_defaults(func=_cmd_verify)
     return ap

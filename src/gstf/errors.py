@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GstfError", "GridError", "BoundaryMassError", "TrivialSpace",
+    "UnsupportedRegion", "ParseError", "LexicalError", "UnknownIdentifier",
+    "ArityMismatch", "UnbalancedParen",
+]
+
 
 class GstfError(Exception):
     """Base class for all errors raised by this package."""

@@ -35,30 +35,18 @@ class Grid1D:
         j = np.arange(self.count)
         return self.center + (j - (self.count - 1) / 2) * self.step
 
-    @property
-    def span(self) -> float:
-        """Half-width of the grid around its center."""
-        return (self.count - 1) / 2 * self.step
-
     def dual(self) -> "Grid1D":
         """Frequency grid matching an FFT of this grid: same count,
         step 2*pi/(count*step), centered at 0."""
         return Grid1D(0.0, 2.0 * np.pi / (self.count * self.step), self.count)
 
-    def index_of(self, x: float, rtol: float = 1e-9) -> int:
-        """Index of the sample at coordinate x; GridError if x is off-grid."""
-        pos = (x - self.center) / self.step + (self.count - 1) / 2
-        j = int(round(pos))
-        if j < 0 or j >= self.count or abs(pos - j) > rtol * max(1.0, abs(pos)) + 1e-9:
-            raise GridError(f"coordinate {x} is not a sample of this grid")
-        return j
-
-    def shift_index(self, x, rtol: float = 1e-9):
+    def shift_index(self, x):
         """Integer k with x = k*step, an intp array for an array x;
-        GridError if x is not a step multiple."""
+        GridError if x is not a step multiple (to 1e-9, relative and
+        absolute)."""
         pos = np.asarray(x, dtype=float) / self.step
         k = np.rint(pos)
-        off = np.abs(pos - k) > rtol * np.maximum(1.0, np.abs(pos)) + 1e-9
+        off = np.abs(pos - k) > 1e-9 * np.maximum(1.0, np.abs(pos)) + 1e-9
         if off.any():
             raise GridError(f"{np.ravel(x)[off.argmax()]} is not an integer "
                             f"multiple of step {self.step}")

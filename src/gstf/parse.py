@@ -20,6 +20,7 @@ is (a + b) + c).  Past one, ParseError at the first token past it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -27,7 +28,7 @@ from .catalog import Const, FunctionSpec, Infix, Scale
 from .errors import (ArityMismatch, LexicalError, ParseError, UnbalancedParen,
                      UnknownIdentifier)
 
-__all__ = ["Token", "tokenize", "parse_function_expr", "pretty_print"]
+__all__ = ["Token", "tokenize", "parse_function_expr"]
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -158,7 +159,11 @@ class _Parser:
             return Scale(inner, -1.0), level
         if tok.kind == "number":
             self.advance()
-            return Const(float(tok.text)), depth
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ParseError(f"number {tok.text} overflows",
+                                 offset=tok.offset)
+            return Const(value), depth
         if tok.kind == "ident":
             return self.call(depth)
         if tok.kind == "(":
@@ -192,8 +197,3 @@ def parse_function_expr(text: str) -> FunctionSpec:
         raise ParseError(f"expression longer than {MAX_EXPR_LEN} characters",
                          offset=MAX_EXPR_LEN)
     return _Parser(text).parse()
-
-
-def pretty_print(spec: FunctionSpec) -> str:
-    """Canonical text form; parse_function_expr(pretty_print(s)) == s."""
-    return str(spec)

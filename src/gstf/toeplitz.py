@@ -89,20 +89,15 @@ class ContinuityEntry:
 class ContinuityReport:
     entries: tuple
     all_member: bool
-    symbol_verdict: str
 
 
 def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
                      testset: list, idx: GSIndex,
-                     opts: ClassifyOptions | None = None,
-                     symbol_verdict: str = "unchecked") -> ContinuityReport:
+                     opts: ClassifyOptions | None = None) -> ContinuityReport:
     """Desk-scale continuity evidence: apply the operator to each test
-    function and classify the output in the same class.
-
-    ``symbol_verdict`` is carried through from a prior classify_symbol or
-    dual-growth run on the symbol; the probe itself only measures
-    envelope-in / envelope-out behavior.
-    """
+    function and classify the output in the same class.  The probe only
+    measures envelope-in / envelope-out behavior; classify_symbol or
+    dual_growth_report judges the symbol itself."""
     opts = opts or ClassifyOptions()
     for name, w in (("phi1", phi1), ("phi2", phi2)):
         r = classify_function(w, idx, opts)
@@ -119,5 +114,4 @@ def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
     entries = tuple(entries)
     return ContinuityReport(
         entries=entries,
-        all_member=all(e.verdict_out == MEMBER for e in entries),
-        symbol_verdict=symbol_verdict)
+        all_member=all(e.verdict_out == MEMBER for e in entries))

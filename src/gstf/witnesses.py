@@ -31,12 +31,8 @@ def default_witness_grid() -> Grid1D:
 
 def witness_check_options() -> ClassifyOptions:
     """Trial rates small enough that the envelope/function crossover of
-    every shipped witness stays inside the default grid.  The noise floor
-    is looser than the default because the transform-of-bump witness goes
-    through a forward+inverse FFT round trip, whose error is ~1e-13
-    relative rather than ~1e-16."""
-    return ClassifyOptions(n_max=4, r_list=(0.0625, 0.125, 0.25, 0.5),
-                           floor_rel=1e-11)
+    every shipped witness stays inside the default grid."""
+    return ClassifyOptions(n_max=4, r_list=(0.0625, 0.125, 0.25, 0.5))
 
 
 def make_witness(idx: GSIndex, grid: Grid1D | None = None) -> SampledFunction:

@@ -29,6 +29,26 @@ class TestPrimitives:
                                    np_hermite.hermval(X, coeffs),
                                    rtol=1e-12, atol=1e-9)
 
+    def test_hermite_poly_stops_once_no_sample_is_finite(self):
+        # the full recurrence accepts and rejects the same orders, with the
+        # same samples; both grids pass through 0
+        def full(k, x):
+            h_prev, h = np.ones_like(x), 2.0 * x
+            for m in range(1, k):
+                h, h_prev = 2.0 * x * h - 2.0 * m * h_prev, h
+            return h_prev if k == 0 else h
+
+        grids = (X, np.linspace(-60.0, 60.0, 241))
+        with np.errstate(all="ignore"):
+            for x in grids:
+                for k in (0, 1, 2, 150, 151, 300, 301, 700):
+                    got, want = hermite_poly(k, x), full(k, x)
+                    if np.isfinite(want).all():
+                        assert np.array_equal(got, want), k
+                    else:
+                        assert not np.isfinite(got).all(), k
+            assert not np.isfinite(hermite_poly(10**308, X)).any()
+
     def test_hermite_function(self):
         f = Hermite(2)(X)
         np.testing.assert_allclose(

@@ -190,6 +190,14 @@ class TestErrorPaths:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr == "error: ParseError: empty expression (offset 0)\n"
 
+    @pytest.mark.parametrize("flag", [("--points", "3"),
+                                      ("--half-width", "-5")])
+    def test_verify_rejects_grid_flags(self, capsys, flag):
+        # the suites run on fixed grids, so verify takes no grid flags
+        out = run_cli(capsys, "verify", "--suite", "toeplitz", *flag)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert "unrecognized arguments" in out.stderr
+
 
 class TestOtherCommands:
     def test_witness_csv_has_samples(self, capsys):
@@ -316,6 +324,19 @@ class TestInProcessContract:
         # past the parser's depth limit, well under its length cap
         self.assert_error_exit(["transform", f"--expr={text}", "--points",
                                 "64"], capsys)
+
+    @pytest.mark.parametrize("text", ["hermite(1e7)", "hermite(1e308)"])
+    def test_huge_hermite_order_exits_2(self, capsys, text):
+        # the recurrence stops once no sample is finite
+        self.assert_error_exit(["transform", "--expr", text, "--points",
+                                "64"], capsys)
+
+    @pytest.mark.parametrize("text,offset", [("gaussian(1e999)", 9),
+                                             ("-1e999", 1)])
+    def test_overflowing_literal_is_a_parse_error(self, capsys, text, offset):
+        assert run_command(["transform", f"--expr={text}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ParseError: number 1e999 overflows (offset {offset})\n")
 
     def test_overflowing_samples_exit_2_without_warnings(self, capsys):
         self.assert_error_exit(["classify", "--expr", "poly(3) * gaussian(2)",

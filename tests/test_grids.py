@@ -20,8 +20,7 @@ class TestGrid1D:
 
     def test_span(self):
         g = Grid1D(0.0, 0.5, 9)
-        assert g.span == 2.0
-        assert g.coords[-1] == g.span
+        assert (g.coords[0], g.coords[-1]) == (-2.0, 2.0)
 
     def test_dual_step_matches_fft_bin_width(self):
         g = Grid1D(0.0, 0.1, 64)
@@ -35,18 +34,6 @@ class TestGrid1D:
         dd = g.dual().dual()
         assert dd.step == pytest.approx(g.step)
         assert dd.count == g.count
-
-    def test_index_of_round_trip(self):
-        g = Grid1D(-2.0, 0.3, 21)
-        for j, x in enumerate(g.coords):
-            assert g.index_of(x) == j
-
-    def test_index_of_rejects_off_grid(self):
-        g = Grid1D(0.0, 0.5, 11)
-        with pytest.raises(GridError):
-            g.index_of(0.123)
-        with pytest.raises(GridError):
-            g.index_of(100.0)
 
     def test_shift_index(self):
         g = Grid1D(0.0, 0.25, 16)

@@ -143,10 +143,8 @@ class TestContinuityProbe:
         testset = [catalog_eval(s, grid) for s in
                    (Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2),
                     Hermite(3))]
-        rep = continuity_probe(a, unit_window, unit_window, testset, idx, opts,
-                               symbol_verdict="Member")
+        rep = continuity_probe(a, unit_window, unit_window, testset, idx, opts)
         assert rep.all_member
-        assert rep.symbol_verdict == "Member"
         assert len(rep.entries) == 5
         for e in rep.entries:
             assert e.verdict_in == MEMBER
