@@ -167,7 +167,7 @@ def _toeplitz():
         q = g.step * np.sum(apply_toeplitz(pos_sym, w, w, ff).values
                             * np.conj(ff.values))
         qmin = min(qmin, float(q.real))
-    yield "positivity_defect", -qmin
+    yield "positivity_defect", max(0.0, -qmin)  # never -0
 
     idx = GSIndex(1.0, math.inf, "beurling")
     opts = ClassifyOptions(n_max=4, r_scale=0.5)

@@ -38,7 +38,11 @@ _BLOCK_BYTES = 8 << 20
 # 2*pi to long-double precision, for reducing the chirp phases
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
 
+# Overflow gives non-finite results, which SampledFunction and TFR reject.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
+
+@_QUIET
 def _phase_fft(vals: np.ndarray, grid: Grid1D, sign: int, axis: int,
                what: str) -> np.ndarray:
     """Unitary-continuum transform along ``axis`` of ``vals`` sampled on
@@ -184,6 +188,7 @@ def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill):
         yield sl, blk
 
 
+@_QUIET
 def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
     """Short-time Fourier transform V(x, xi) = F[f * conj(w(. - x))](xi).
 
@@ -238,6 +243,14 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
     return TFR(tfgrid, vals)
 
 
+def _hermitian(values: np.ndarray, xigrid: Grid1D) -> bool:
+    """values(x, -xi) == conj values(x, xi) exactly, xi grid centred at 0."""
+    k = (values.shape[1] + 1) // 2  # each mirror pair of columns once
+    return (xigrid.center == 0.0
+            and np.array_equal(values[:, :k], values[:, ::-1][:, :k].conj()))
+
+
+@_QUIET
 def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     """Adjoint of the STFT against the 2-D Riemann inner product:
 
@@ -246,20 +259,43 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     Satisfies adjoint_stft(stft(f, w), w) ~ ||w||^2 f on well-covered grids.
     """
     a, b, _, adj, starts = _stft_plan(window.grid, F.tfgrid)
-    rows, ca = _window_rows(window.values), np.conj(a)
-    out = np.zeros(b.size, dtype=complex)
-    for sl, conv in _chirp_rows(
-            starts.size, a.size, adj,
-            lambda sl, blk: np.multiply(F.values[sl], ca, out=blk)):
-        terms = conv[:, :b.size]
-        for r, c in enumerate(range(sl.start, sl.stop)):
-            terms[r] *= rows[starts[c]]
-        # carry the running sum in the first row, so that the rows add up
-        # in one order whatever the block size
+    count, n, ca = starts.size, b.size, np.conj(a)
+    w = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / _SQRT_2PI
+    if window.values.imag.any() or not _hermitian(F.values, F.tfgrid.xigrid):
+        rows, out = _window_rows(window.values), np.zeros(n, dtype=complex)
+        for sl, conv in _chirp_rows(
+                count, a.size, adj,
+                lambda sl, blk: np.multiply(F.values[sl], ca, out=blk)):
+            terms = conv[:, :n]
+            for r, c in enumerate(range(sl.start, sl.stop)):
+                terms[r] *= rows[starts[c]]
+            # carry the running sum in the first row, so that the rows add
+            # up in one order whatever the block size
+            terms[0] += out
+            np.sum(terms, axis=0, out=out)
+        return SampledFunction(window.grid, np.conj(b) * w * out)
+
+    # Hermitian F: each row's xi sum G_c is real, so one chirp row carries
+    # (F_c + i F_c+1) conj(a) and, times conj(b), gives G_c + i G_c+1; even
+    # and odd rows add up each in row order.  An odd last row goes in alone.
+    rows, out = _window_rows(window.values.real), np.zeros(2 * n)
+
+    def fill_pairs(sl, blk):
+        pair = F.values[2 * sl.start:2 * sl.stop]
+        blk[:] = pair[::2]
+        blk.real[:len(pair) // 2] -= pair[1::2].imag
+        blk.imag[:len(pair) // 2] += pair[1::2].real
+        blk *= ca
+
+    for sl, conv in _chirp_rows((count + 1) // 2, a.size, adj, fill_pairs):
+        z = conv[:, :n]
+        terms = np.multiply(z, np.conj(b), out=z).view(float)  # re, im, ...
+        for r, c in enumerate(range(2 * sl.start, 2 * sl.stop, 2)):
+            terms[r, ::2] *= rows[starts[c]]
+            terms[r, 1::2] *= rows[starts[c + 1]] if c + 1 < count else 0.0
         terms[0] += out
         np.sum(terms, axis=0, out=out)
-    w = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / _SQRT_2PI
-    return SampledFunction(window.grid, np.conj(b) * w * out)
+    return SampledFunction(window.grid, w * (out[0::2] + out[1::2]))
 
 
 def edge_mass(values: np.ndarray) -> float:
@@ -315,9 +351,12 @@ def _twisted_sum(v1f: np.ndarray, v23: np.ndarray,
     np.conj(turn, out=turn)  # now exp(-i x eta), the post-modulation
     acc = np.zeros((nxi, nx), dtype=complex)
     work = np.empty((nxi, L), dtype=complex)
+    # Hermitian operands give a Hermitian sum (eta -> -eta): fill xi >= 0.
+    half = mxi if (_hermitian(v1f, tfgrid.xigrid)
+                   and _hermitian(v23, tfgrid.xigrid)) else 0
     for jeta in range(nxi):
         # xi - eta maps xi index jxi to v1f column jxi - jeta + mxi
-        lo = max(0, jeta - mxi)
+        lo = max(half, jeta - mxi)
         hi = min(nxi, nxi + jeta - mxi)
         conv = work[:hi - lo]
         np.multiply(a_hat[lo - jeta + mxi : hi - jeta + mxi], b_hat[jeta],
@@ -326,6 +365,7 @@ def _twisted_sum(v1f: np.ndarray, v23: np.ndarray,
         kept = conv[:, mx : mx + nx]
         kept *= turn[jeta]
         acc[lo:hi] += kept
+    acc[:half] = np.conj(acc[::-1][:half])  # the xi < 0 mirror
     weight = tfgrid.xgrid.step * tfgrid.xigrid.step / _SQRT_2PI
     return weight * acc.T
 

@@ -2,7 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -221,6 +223,13 @@ class TestOtherCommands:
         rep = json.loads(out.stdout)
         assert rep["reproduction_defect"] < 1e-5
 
+    def test_verify_reports_no_negative_zero(self, capsys):
+        out = run_cli(capsys, "verify", "--suite", "all")
+        assert out.returncode == 0
+        values = [c["value"] for c in json.loads(out.stdout)["checks"]]
+        assert all(v > 0 or math.copysign(1.0, v) == 1.0 for v in values)
+        assert re.search(r"-0(?![.\de])", out.stdout) is None
+
     def test_verify_toeplitz_suite_passes(self, capsys):
         out = run_cli(capsys, "verify", "--suite", "toeplitz")
         assert out.returncode == 0
@@ -342,6 +351,21 @@ class TestInProcessContract:
         self.assert_error_exit(["classify", "--expr", "poly(3) * gaussian(2)",
                                 "--space", "S", "--s", "0.5",
                                 "--half-width", "1e300"], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["transform"], ["stft"], ["toeplitz"],
+        ["classify", "--space", "S", "--s", "0.5"],
+        ["classify", "--space", "S", "--s", "0.5", "--window", "gaussian(1)"],
+    ])
+    def test_overflowing_transform_exits_2_without_warnings(self, capsys,
+                                                            argv):
+        # finite samples whose FFT overflows: the finiteness check of the
+        # result decides, and numpy warns of nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.assert_error_exit([*argv, "--expr", "1e308 * gaussian(1)",
+                                    "--points", "64"], capsys)
+        assert [str(w.message) for w in caught] == []
 
     def test_control_characters_in_strings_stay_valid_json(self, tmp_path,
                                                             capsys):

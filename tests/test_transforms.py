@@ -322,6 +322,99 @@ class TestStftRealPath:
         assert np.array_equal(stft(f, w, tf).values, _one_shift_stft(f, w, tf))
 
 
+def _one_row_adjoint(F, w):
+    """adjoint_stft with one x row per chirp-z row: the engine as it ran
+    before Hermitian rows were paired."""
+    a, b, _, adj, starts = transforms._stft_plan(w.grid, F.tfgrid)
+    n, size = b.size, adj.size
+    padded = np.zeros(3 * n, dtype=complex)
+    padded[n:2 * n] = w.values
+    rows = np.lib.stride_tricks.sliding_window_view(padded, n)
+    ca = np.conj(a)
+    step = max(1, transforms._BLOCK_BYTES // (16 * size))
+    out = np.zeros(n, dtype=complex)
+    for lo in range(0, starts.size, step):
+        sl = slice(lo, min(starts.size, lo + step))
+        blk = np.zeros((sl.stop - lo, size), dtype=complex)
+        np.multiply(F.values[sl], ca, out=blk[:, :a.size])
+        np.fft.fft(blk, axis=-1, out=blk)
+        blk *= adj
+        np.fft.ifft(blk, axis=-1, out=blk)
+        terms = blk[:, :n]
+        for r, c in enumerate(range(sl.start, sl.stop)):
+            terms[r] *= rows[starts[c]]
+        terms[0] += out
+        np.sum(terms, axis=0, out=out)
+    weight = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / np.sqrt(2 * np.pi)
+    return np.conj(b) * weight * out
+
+
+class TestAdjointPacked:
+    """An exactly Hermitian F (in xi, on a xi grid centred at 0) with a
+    real window runs two x rows per chirp-z row; every other input keeps
+    one row per chirp-z row and its bits."""
+
+    @pytest.mark.parametrize("source", ["stft", "random"])
+    @pytest.mark.parametrize("name", ["129x129", "128x128", "513x1001"])
+    def test_hermitian_input_matches_reference(self, request, name,
+                                                 source):
+        # 129 and 513 x rows are odd counts: the last row goes in alone.
+        # An odd, off-centre f and a random F have no symmetry in x to hide
+        # a swapped pair.  A random F fills the whole xi band, where the
+        # dense kernel's own phase error (1e-13 of the peak at 513x1001)
+        # exceeds the bound, so it is held to the one-row engine instead.
+        grid, tf = _case_grids(request, name)
+        w = catalog_eval(Gaussian(2.0), grid)
+        if source == "stft":
+            F = stft(catalog_eval(Translate(Hermite(1), 1.5), grid), w, tf)
+            ref = _reference_adjoint(F, w)
+        else:
+            rng = np.random.default_rng(11)
+            shape = (tf.xgrid.count, tf.xigrid.count)
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            F = TFR(tf, (z + np.conj(z[:, ::-1])) / 2)
+            ref = _one_row_adjoint(F, w)
+        assert transforms._hermitian(F.values, tf.xigrid)
+        got = adjoint_stft(F, w).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["random-symbol", "modulated-f",
+                                      "odd-t", "complex-window"])
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_other_inputs_keep_their_bits(self, request, monkeypatch, name,
+                                          block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(transforms, "_BLOCK_BYTES", block_bytes)
+        grid, tf = _case_grids(request, {"random-symbol": "129x129",
+                                         "modulated-f": "513x1001",
+                                         "odd-t": "odd-t",
+                                         "complex-window": "128x128"}[name])
+        f = catalog_eval(Modulate(Gaussian(1.0), 1.0) if name == "modulated-f"
+                         else Hermite(2), grid)
+        w = catalog_eval(Gaussian(1.0), grid)
+        F = stft(f, w, tf)
+        if name == "random-symbol":
+            rng = np.random.default_rng(5)
+            F = TFR(tf, F.values * (rng.standard_normal(F.values.shape)
+                                    + 1j * rng.standard_normal(F.values.shape)))
+        if name == "complex-window":  # F stays Hermitian
+            w = catalog_eval(Modulate(Gaussian(1.0), 2.0), grid)
+        assert np.array_equal(adjoint_stft(F, w).values, _one_row_adjoint(F, w))
+
+    def test_hermitian_predicate_is_exact(self, tf_small):
+        rng = np.random.default_rng(2)
+        z = (rng.standard_normal((129, 129))
+             + 1j * rng.standard_normal((129, 129)))
+        v = z + np.conj(z[:, ::-1])
+        assert transforms._hermitian(v, tf_small.xigrid)
+        off = Grid1D(0.25, tf_small.xigrid.step, tf_small.xigrid.count)
+        assert not transforms._hermitian(v, off)
+        for k in (0, 64, 128):  # either end and the real centre column
+            bent = v.copy()
+            bent.imag[3, k] = np.nextafter(bent.imag[3, k], np.inf)
+            assert not transforms._hermitian(bent, tf_small.xigrid)
+
+
 class TestDft2:
     def test_separable_gaussian(self):
         g = Grid1D(0.0, 24.0 / 127, 128)
@@ -416,9 +509,18 @@ class TestTwistedConvolution:
         phi1, phi2, phi3 = (catalog_eval(Gaussian(a), grid10) for a in windows)
         v1f = stft(f, phi1, tf_small).values
         v23 = stft(phi3, phi2, tf_small).values
-        assert np.array_equal(transforms._twisted_sum(v1f, v23, tf_small),
-                              self.fresh_array_loop(v1f, v23,
-                                                             tf_small))
+        got = transforms._twisted_sum(v1f, v23, tf_small)
+        want = self.fresh_array_loop(v1f, v23, tf_small)
+        if f.values.imag.any():  # V_phi1 f is not Hermitian: every bit kept
+            assert np.array_equal(got, want)
+            return
+        # Real f and windows: both operands are Hermitian in xi, the loop
+        # fills the xi >= 0 columns, which keep their bits, and the xi < 0
+        # columns are their exact mirror.  The centre column keeps its
+        # rounding-level imaginary part, as in the full loop.
+        m = (tf_small.xigrid.count - 1) // 2
+        assert np.array_equal(got[:, m:], want[:, m:])
+        assert np.array_equal(got[:, :m], np.conj(got[:, :m:-1]))
 
     def test_requires_odd_centered_tfgrid(self, grid10):
         h = grid10.step
