@@ -6,13 +6,12 @@ operators, and machine-checkable identity suites.
 The public names are those of each module's ``__all__``, re-exported here.
 """
 
-from . import (catalog, classify, errors, grids, inequalities, parse,
-               toeplitz, transforms, witnesses)
+from . import (catalog, classify, errors, grids, parse, toeplitz,
+               transforms, witnesses)
 from .catalog import *  # noqa: F403
 from .classify import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .grids import *  # noqa: F403
-from .inequalities import *  # noqa: F403
 from .parse import *  # noqa: F403
 from .toeplitz import *  # noqa: F403
 from .transforms import *  # noqa: F403
@@ -21,5 +20,5 @@ from .witnesses import *  # noqa: F403
 __version__ = "0.1.0"
 
 __all__ = ["__version__", *(name for module in (
-    catalog, classify, errors, grids, inequalities, parse, toeplitz,
-    transforms, witnesses) for name in module.__all__)]
+    catalog, classify, errors, grids, parse, toeplitz, transforms,
+    witnesses) for name in module.__all__)]

@@ -4,16 +4,20 @@ A one-parameter class is named by a :class:`GSIndex` with exactly one
 finite entry: a finite ``s`` constrains the function side with envelopes
 C * exp(-r |x|^(1/s)); a finite ``sigma`` constrains the Fourier side the
 same way.  The unconstrained side is always a polynomial-envelope table
-(1+|.|^2)^(-N), N = 0..n_max.  Roumieu classes need one working rate,
-Beurling classes need every rate in a trial list.
+(1+|.|^2)^(-N), N = 0..n_max.
+
+One table of envelope sups over a trial list of rates decides both
+regularities: Roumieu classes need one working rate, Beurling classes
+need every rate in the list.  The fitted rate r_fit is reported beside
+the verdict and does not decide it.
 
 Quantifiers over all r > 0 / all N are finitized to configurable trial
 lists; finiteness of a sup on an unbounded domain is proxied by interior
 attainment on the truncated grid (argmax not within a guard band of the
 truncation boundary).  Samples below a relative noise floor are excluded
-from rate fits and polynomial tables; a sup attained at the boundary with
-a below-floor raw value yields the honest third verdict, Inconclusive.
-"""
+from the polynomial tables, and from the rate tables when a transform
+computed them; a sup still rising where the samples reach that floor
+yields the honest third verdict, Inconclusive."""
 
 from __future__ import annotations
 
@@ -24,14 +28,13 @@ import numpy as np
 
 from .errors import GstfError
 from .grids import SampledFunction, TFGrid, TFR
-from .transforms import dft, dft2, stft
+from .transforms import dft, stft
 
 __all__ = [
     "INF", "GSIndex", "ClassifyOptions", "EnvelopeFit", "EnvelopeReport",
     "MEMBER", "NOT_MEMBER", "INCONCLUSIVE",
     "sup_envelope_constant", "fit_decay_rate", "fit_poly_table",
     "classify_function", "classify_stft", "dual_growth_report",
-    "classify_symbol",
 ]
 
 INF = math.inf
@@ -68,7 +71,6 @@ class GSIndex:
 
 @dataclass(frozen=True)
 class ClassifyOptions:
-    r_min: float = 1e-3
     r_scale: float = 1.0
     r_list: tuple = ()  # empty = default geometric list times r_scale
     n_max: int = 8
@@ -78,12 +80,12 @@ class ClassifyOptions:
     def __post_init__(self):
         # Out-of-range values would make a side of the test vacuous: a
         # negative n_max empties the polynomial table, a negative guard
-        # counts the grid edge as interior, a nan rate zeroes every
-        # Beurling sup.
+        # counts the grid edge as interior, a nan rate zeroes its sup in
+        # the rate table.
         for name, n in (("n_max", self.n_max), ("guard", self.guard)):
             if not (isinstance(n, (int, np.integer)) and n >= 0):
                 raise GstfError(f"{name} must be an integer >= 0, got {n!r}")
-        for name, r in (("r_min", self.r_min), ("r_scale", self.r_scale),
+        for name, r in (("r_scale", self.r_scale),
                         *(("r_list entry", r) for r in self.r_list)):
             if not 0 < r < INF:
                 raise GstfError(f"{name} must be finite and > 0, got {r!r}")
@@ -112,37 +114,56 @@ class EnvelopeReport:
     C_peak: float
     r_fit: float
     N_table: dict = field(default_factory=dict)
-    beurling_table: dict = field(default_factory=dict)
+    rate_table: dict = field(default_factory=dict)
     verdict: str = INCONCLUSIVE
     diagnostics: dict = field(default_factory=dict)
 
 
-def _weighted_sup(absvals: np.ndarray, logweight: np.ndarray, guard: int,
-                  mask: np.ndarray | None = None) -> EnvelopeFit:
-    """Sup of |f| * exp(logweight) in the log domain, with attainment
-    diagnostics.  ``mask`` selects the admissible samples; an argmax whose
-    neighbor is inadmissible is flagged masked_edge (the sup may continue
-    growing where the samples are round-off garbage)."""
+def _sup_table(absvals: np.ndarray, logabs: np.ndarray, base: np.ndarray,
+               scales, guard: int, mask: np.ndarray | None = None) -> dict:
+    """{k: fit} of the sup of |f| * exp(k * base) for each k in ``scales``,
+    in the log domain, with attainment diagnostics.  ``logabs`` is log|f|;
+    k = 0 is the weight 1 exactly, also where ``base`` is infinite.
+    ``mask`` selects the admissible samples; an argmax whose neighbor is
+    inadmissible is flagged masked_edge (the sup may continue growing
+    where the samples are round-off garbage)."""
     n = absvals.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, -inf + inf
-        logv = np.log(absvals) + logweight
     if mask is not None:
-        logv = np.where(mask, logv, -np.inf)
-    i = int(np.argmax(logv))
-    if np.isnan(logv[i]):  # log 0 + inf: a zero sample stays at -inf
-        logv[np.isnan(logv)] = -np.inf
-        i = int(np.argmax(logv))
-    top = logv[i]
-    if top == -np.inf:  # no admissible nonzero sample
-        return EnvelopeFit(C=0.0, attained_at=n // 2, interior_attained=True,
-                           raw_abs=0.0)
-    c = math.inf if top > _LOG_MAX else float(math.exp(top))
-    interior = guard <= i <= n - 1 - guard
-    edge = False
-    if mask is not None and interior:
-        edge = (i > 0 and not mask[i - 1]) or (i < n - 1 and not mask[i + 1])
-    return EnvelopeFit(C=c, attained_at=i, interior_attained=interior,
-                       raw_abs=float(absvals[i]), masked_edge=bool(edge))
+        logabs = np.where(mask, logabs, -np.inf)
+    table = {}
+    # k * base may overflow to inf, its limit; -inf + inf is a zero or
+    # excluded sample under an infinite weight
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in scales:
+            logv = logabs + (k * base if k else 0.0)
+            i = int(np.argmax(logv))
+            if math.isnan(logv[i]):  # such a sample stays at -inf
+                logv[np.isnan(logv)] = -np.inf
+                i = int(np.argmax(logv))
+            top = logv[i]
+            if top == -np.inf:  # no admissible nonzero sample
+                table[k] = EnvelopeFit(C=0.0, attained_at=n // 2,
+                                       interior_attained=True, raw_abs=0.0)
+                continue
+            interior = guard <= i <= n - 1 - guard
+            edge = mask is not None and interior and (
+                (i > 0 and not mask[i - 1]) or (i < n - 1 and not mask[i + 1]))
+            table[k] = EnvelopeFit(
+                C=math.inf if top > _LOG_MAX else float(math.exp(top)),
+                attained_at=i, interior_attained=interior,
+                raw_abs=float(absvals[i]), masked_edge=bool(edge))
+    return table
+
+
+def _decay_samples(f: SampledFunction, s: float) -> tuple:
+    """(|f|, log|f|, |x|^(1/s)): what every rate of a decay envelope
+    reads, computed once."""
+    if s <= 0:
+        raise GstfError("s must be positive")
+    a = np.abs(f.values)
+    # log 0 = -inf; |x|^(1/s) may overflow to inf, its limit
+    with np.errstate(divide="ignore", over="ignore"):
+        return a, np.log(a), np.abs(f.x) ** (1.0 / s)
 
 
 def sup_envelope_constant(f: SampledFunction, r: float, s: float,
@@ -153,13 +174,29 @@ def sup_envelope_constant(f: SampledFunction, r: float, s: float,
     Pass an absolute ``floor`` when the samples came out of a transform
     (FFT, STFT): below it they are round-off noise, and the unbounded
     weight would amplify that noise into a fake boundary sup."""
-    if s <= 0:
-        raise GstfError("s must be positive")
-    a = np.abs(f.values)
-    with np.errstate(over="ignore"):  # an overflow to inf is the limit
-        w = r * np.abs(f.x) ** (1.0 / s)
+    a, loga, xw = _decay_samples(f, s)
     mask = a >= floor if floor is not None else None
-    return _weighted_sup(a, w, guard, mask)
+    return _sup_table(a, loga, xw, (r,), guard, mask)[r]
+
+
+def _fit_rate(f: SampledFunction, a: np.ndarray, loga: np.ndarray,
+              xw: np.ndarray, floor: float | None) -> float:
+    """fit_decay_rate on the arrays of ``_decay_samples(f, s)``."""
+    c_peak = float(a.max())
+    if c_peak == 0.0:
+        return math.inf
+    if floor is None:
+        floor = 1e-13 * c_peak
+    sel = (a > floor) & (np.abs(f.x) >= f.grid.step)
+    if not np.any(sel):
+        return math.inf
+    # a weight that overflowed to inf or underflowed to 0 is at its limit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (math.log(c_peak) - loga[sel]) / xw[sel]
+    r = float(ratios.min())
+    # 0/0 is a sample at the peak whose positive weight underflowed: it
+    # bounds r by 0
+    return 0.0 if math.isnan(r) else r
 
 
 def fit_decay_rate(f: SampledFunction, s: float, floor: float | None = None) -> float:
@@ -167,25 +204,7 @@ def fit_decay_rate(f: SampledFunction, s: float, floor: float | None = None) -> 
 
     Samples below the noise floor or inside one step of the origin are
     excluded; +inf when no sample qualifies (e.g. compact support)."""
-    if s <= 0:
-        raise GstfError("s must be positive")
-    a = np.abs(f.values)
-    c_peak = float(a.max())
-    if c_peak == 0.0:
-        return math.inf
-    if floor is None:
-        floor = 1e-13 * c_peak
-    x = np.abs(f.x)
-    sel = (a > floor) & (x >= f.grid.step)
-    if not np.any(sel):
-        return math.inf
-    # |x|^(1/s) may overflow to inf or underflow to 0, its limits
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratios = (math.log(c_peak) - np.log(a[sel])) / x[sel] ** (1.0 / s)
-    r = float(ratios.min())
-    # 0/0 is a sample at the peak whose positive weight underflowed: it
-    # bounds r by 0
-    return 0.0 if math.isnan(r) else r
+    return _fit_rate(f, *_decay_samples(f, s), floor)
 
 
 def fit_poly_table(f: SampledFunction, n_max: int, floor_rel: float = 1e-13,
@@ -197,11 +216,11 @@ def fit_poly_table(f: SampledFunction, n_max: int, floor_rel: float = 1e-13,
     a = np.abs(f.values)
     peak = a.max()
     mask = a >= floor_rel * peak if peak > 0 else None
-    with np.errstate(over="ignore"):  # x^2 = inf, its limit
+    # x^2 = inf is its limit; log 0 = -inf
+    with np.errstate(over="ignore", divide="ignore"):
         logw1 = np.log1p(f.x**2)
-    # the N = 0 weight is exactly 1, also where x^2 overflows
-    return {n: _weighted_sup(a, n * logw1 if n else 0.0, guard, mask)
-            for n in range(n_max + 1)}
+        loga = np.log(a)
+    return _sup_table(a, loga, logw1, range(n_max + 1), guard, mask)
 
 
 def _poly_side(fn: SampledFunction, opts: ClassifyOptions):
@@ -213,23 +232,23 @@ def _poly_side(fn: SampledFunction, opts: ClassifyOptions):
 
 def _decay_side(fn: SampledFunction, s: float, opts: ClassifyOptions,
                 beurling: bool, masked: bool):
-    """((ok, inconclusive), r_fit, beurling_table) for the decay side.
+    """((ok, inconclusive), r_fit, rate_table) for the decay side.
 
-    Roumieu needs the fitted rate to reach r_min; Beurling needs every
-    trial-list sup interior-attained.  ``masked`` marks transform-computed
-    samples, whose sub-floor values are noise and get excluded; direct
-    samples are trusted all the way down, so a boundary-attained sup is
-    conclusive."""
-    r_fit = fit_decay_rate(fn, s)
-    if not beurling:
-        return (r_fit >= opts.r_min, False), r_fit, {}
-    floor = opts.floor_rel * float(np.abs(fn.values).max()) if masked else None
-    table = {r: sup_envelope_constant(fn, r, s, opts.guard, floor)
-             for r in opts.trial_rs()}
+    One table of envelope sups over the trial rates decides both
+    regularities.  A rate is good when its sup is interior-attained and
+    not at a masked edge; Beurling needs every rate good, Roumieu one.
+    ``masked`` marks transform-computed samples, whose sub-floor values
+    are noise and get excluded; direct samples are trusted all the way
+    down, so a boundary-attained sup is conclusive.  r_fit is reported,
+    not judged."""
+    a, loga, xw = _decay_samples(fn, s)
+    mask = a >= opts.floor_rel * float(a.max()) if masked else None
+    table = _sup_table(a, loga, xw, opts.trial_rs(), opts.guard, mask)
+    good = [f.interior_attained and not f.masked_edge for f in table.values()]
+    ok = all(good) if beurling else any(good)
     # A masked edge is still rising where the samples turn to noise.
-    inconclusive = any(f.masked_edge for f in table.values())
-    ok = not inconclusive and all(f.interior_attained for f in table.values())
-    return (ok, inconclusive), r_fit, table
+    inconclusive = not ok and any(f.masked_edge for f in table.values())
+    return (ok, inconclusive), _fit_rate(fn, a, loga, xw, None), table
 
 
 def _aggregate(*sides) -> str:
@@ -252,12 +271,12 @@ def _verdict(decay_fn: SampledFunction, s: float, poly_fn: SampledFunction,
              masked: bool) -> EnvelopeReport:
     """One decay side against one polynomial side: the test shared by the
     direct and the STFT characterisation of a one-parameter class."""
-    decay, r_fit, beurling_table = _decay_side(
+    decay, r_fit, rate_table = _decay_side(
         decay_fn, s, opts, idx.regularity == "beurling", masked)
     poly, n_table = _poly_side(poly_fn, opts)
     return EnvelopeReport(
         C_peak=c_peak, r_fit=r_fit, N_table=n_table,
-        beurling_table=beurling_table, verdict=_aggregate(decay, poly),
+        rate_table=rate_table, verdict=_aggregate(decay, poly),
         diagnostics={"floor_rel": opts.floor_rel, "guard": opts.guard})
 
 
@@ -275,15 +294,6 @@ def classify_function(f: SampledFunction, idx: GSIndex,
         return _verdict(f, idx.s, dft(f), idx, opts, c_peak, masked=False)
     # S^sigma / Sigma^sigma: mirrored, the decay samples come out of the FFT
     return _verdict(dft(f), idx.sigma, f, idx, opts, c_peak, masked=True)
-
-
-def _profiles(v: TFR, decay_on_x: bool):
-    """(decay, polynomial) max-magnitude profiles of a TFR.  The decay
-    variable is position when ``decay_on_x``, frequency otherwise."""
-    a = np.abs(v.values)
-    x_profile = SampledFunction(v.tfgrid.xgrid, a.max(axis=1))
-    xi_profile = SampledFunction(v.tfgrid.xigrid, a.max(axis=0))
-    return (x_profile, xi_profile) if decay_on_x else (xi_profile, x_profile)
 
 
 def _window_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
@@ -315,7 +325,11 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     # frequency.  STFT samples are quadrature outputs: sub-floor values
     # are noise.
     decay_on_x = math.isinf(idx.sigma)
-    decay_fn, poly_fn = _profiles(v, decay_on_x)
+    a = np.abs(v.values)
+    x_profile = SampledFunction(v.tfgrid.xgrid, a.max(axis=1))
+    xi_profile = SampledFunction(v.tfgrid.xigrid, a.max(axis=0))
+    decay_fn, poly_fn = ((x_profile, xi_profile) if decay_on_x
+                         else (xi_profile, x_profile))
     c_peak = float(np.abs(decay_fn.values).max())  # the max of |V|
     if c_peak == 0.0:
         return _zero_report()
@@ -385,39 +399,7 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
         member = all(n0 is not None for n0 in n0_by_r.values())
     else:
         member = any(n0 is not None for n0 in n0_by_r.values())
-    return EnvelopeReport(C_peak=c_peak, r_fit=math.nan, beurling_table=table,
+    return EnvelopeReport(C_peak=c_peak, r_fit=math.nan, rate_table=table,
                           verdict=MEMBER if member else NOT_MEMBER,
                           diagnostics={"N0_by_r": n0_by_r})
 
-
-def classify_symbol(a: TFR, s_or_sigma: float, side: str,
-                    opts: ClassifyOptions | None = None) -> EnvelopeReport:
-    """Mixed-envelope verdict for a phase-space symbol a(x, xi).
-
-    side="position-decay": sub-exponential decay in x and a polynomial
-    table in xi for a itself; polynomial in eta and sub-exponential in y
-    for its 2-D transform a^(eta, y).  side="frequency-decay" mirrors the
-    roles.  The single index is used on both sub-exponential axes, which
-    is the symbol hypothesis the Toeplitz continuity probes need."""
-    opts = opts or ClassifyOptions()
-    if side not in ("position-decay", "frequency-decay"):
-        raise GstfError(f"unknown side {side!r}")
-    c_peak = float(np.abs(a.values).max())
-    if c_peak == 0.0:
-        return _zero_report()
-    decay_on_x = side == "position-decay"
-    decay_fn, poly_fn = _profiles(a, decay_on_x)
-    hat_decay, hat_poly = _profiles(dft2(a), not decay_on_x)
-
-    decay, r_fit, _ = _decay_side(decay_fn, s_or_sigma, opts,
-                                  beurling=False, masked=False)
-    poly, n_table = _poly_side(poly_fn, opts)
-    hat_side, r_fit_hat, _ = _decay_side(hat_decay, s_or_sigma, opts,
-                                         beurling=False, masked=False)
-    hat_poly_side, hat_table = _poly_side(hat_poly, opts)
-    return EnvelopeReport(
-        C_peak=c_peak, r_fit=r_fit, N_table=n_table,
-        verdict=_aggregate(decay, poly, hat_side, hat_poly_side),
-        diagnostics={"r_fit_transform": r_fit_hat,
-                     "transform_N_table": hat_table,
-                     "side": side})

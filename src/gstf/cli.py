@@ -34,7 +34,7 @@ from .witnesses import make_witness
 
 __all__ = ["main", "run_command"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------- reports
@@ -239,8 +239,8 @@ def _cmd_classify(args) -> tuple:
     else:
         wdesc, rep = None, classify_function(f, idx, opts)
     ntab = _fit_table((str(n), fit) for n, fit in sorted(rep.N_table.items()))
-    btab = _fit_table((_cfloat(r), fit)
-                      for r, fit in sorted(rep.beurling_table.items()))
+    rtab = _fit_table((_cfloat(r), fit)
+                      for r, fit in sorted(rep.rate_table.items()))
     params = {"input": desc, "window": wdesc,
               "s": None if math.isinf(idx.s) else idx.s,
               "sigma": None if math.isinf(idx.sigma) else idx.sigma,
@@ -251,7 +251,7 @@ def _cmd_classify(args) -> tuple:
     body = {
         "verdict": rep.verdict,
         "fitted": {"C_peak": rep.C_peak, "r_fit": rep.r_fit,
-                   "N_table": ntab, "beurling_table": btab},
+                   "N_table": ntab, "rate_table": rtab},
         "diagnostics": {
             "attainment": {
                 "poly_all_interior": all(
@@ -267,7 +267,7 @@ def _cmd_classify(args) -> tuple:
             ("meta", "r_fit", _cfloat(rep.r_fit), "", "", "")]
     rows += [(kind, key, _cfloat(t["C"]), t["attained_at"],
               t["interior_attained"], t["masked_edge"])
-             for kind, table in (("poly", ntab), ("beurling", btab))
+             for kind, table in (("poly", ntab), ("rate", rtab))
              for key, t in table.items()]
     code = 1 if args.assert_member and rep.verdict != MEMBER else 0
     return params, body, ("kind", "key", "value", *_FIT_FIELDS[1:]), rows, code

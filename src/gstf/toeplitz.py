@@ -96,8 +96,8 @@ def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
                      opts: ClassifyOptions | None = None) -> ContinuityReport:
     """Desk-scale continuity evidence: apply the operator to each test
     function and classify the output in the same class.  The probe only
-    measures envelope-in / envelope-out behavior; classify_symbol or
-    dual_growth_report judges the symbol itself."""
+    measures envelope-in / envelope-out behavior and does not judge the
+    symbol itself."""
     opts = opts or ClassifyOptions()
     for name, w in (("phi1", phi1), ("phi2", phi2)):
         r = classify_function(w, idx, opts)

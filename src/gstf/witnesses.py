@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Bump, Gaussian, Hermite, catalog_eval
-from .classify import INF, ClassifyOptions, GSIndex, sup_envelope_constant
+from .catalog import Gaussian, Hermite, catalog_eval
+from .classify import ClassifyOptions, GSIndex, sup_envelope_constant
 from .errors import TrivialSpace, UnsupportedRegion
 from .grids import Grid1D, SampledFunction, build_grid
 from .transforms import dft
 
 __all__ = [
-    "default_witness_grid", "witness_check_options", "make_witness",
+    "default_witness_grid", "make_witness",
     "BoundaryCandidate", "BoundaryReport", "boundary_triviality_demo",
 ]
 
@@ -29,20 +29,37 @@ def default_witness_grid() -> Grid1D:
     return build_grid(12.0, 11)
 
 
-def witness_check_options() -> ClassifyOptions:
-    """Trial rates small enough that the envelope/function crossover of
-    every shipped witness stays inside the default grid."""
-    return ClassifyOptions(n_max=4, r_list=(0.0625, 0.125, 0.25, 0.5))
+def _gevrey_order(sigma: float, beurling: bool) -> float:
+    """Gevrey order t of the bump witness whose transform must decay like
+    exp(-r |xi|^(1/sigma)).  The transform of a compactly supported
+    Gevrey-t function decays like exp(-c |xi|^(1/t)) for some c > 0, so
+    one rate (Roumieu) needs t <= sigma and every rate (Beurling) needs
+    t < sigma.  Callers pass sigma > 1: no compactly supported function
+    has t = 1 (Paley-Wiener).  t stops at 2, the order of bump()."""
+    return min((1.0 + sigma) / 2 if beurling else sigma, 2.0)
+
+
+def _gevrey_bump(t: float, grid: Grid1D) -> SampledFunction:
+    """exp(-(1-x^2)^(-1/(t-1))) on |x| < 1, exactly 0 elsewhere: a bump
+    of Gevrey order t > 1 (Rodino, Linear Partial Differential Operators
+    in Gevrey Spaces, 1993).  At t = 2 it is bump() sample for sample."""
+    x = grid.coords
+    inside = np.abs(x) < 1.0
+    vals = np.zeros(grid.count, dtype=complex)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 near the rim
+        vals[inside] = np.exp(-(1.0 - x[inside] ** 2) ** (-1.0 / (t - 1.0)))
+    return SampledFunction(grid, vals)
 
 
 def make_witness(idx: GSIndex, grid: Grid1D | None = None) -> SampledFunction:
     """A sampled nontrivial member of the two-parameter class idx.
 
-    Constructions: gaussian(1) when both indices clear 1/2; bump() when
-    the Fourier index clears 1 (any decay index); the transform of bump()
-    in the mirrored case.  TrivialSpace in the trivial region;
+    Constructions: gaussian(1) when both indices clear 1/2; a Gevrey bump
+    when the Fourier index exceeds 1 (any decay index); the transform of
+    one in the mirrored case.  TrivialSpace in the trivial region;
     UnsupportedRegion where the class is nontrivial but no elementary
-    formula is shipped.
+    formula is shipped, among them the Roumieu classes with one index 1
+    and the other below 1/2.
     """
     if idx.one_parameter:
         raise UnsupportedRegion("witnesses are for two-parameter classes")
@@ -60,10 +77,10 @@ def make_witness(idx: GSIndex, grid: Grid1D | None = None) -> SampledFunction:
 
     if clears(min(s, sigma), 0.5):
         return catalog_eval(Gaussian(1.0), grid)
-    if clears(sigma, 1.0):
-        return catalog_eval(Bump(), grid)
-    if clears(s, 1.0):
-        return dft(catalog_eval(Bump(), grid))
+    if sigma > 1.0:
+        return _gevrey_bump(_gevrey_order(sigma, beurling), grid)
+    if s > 1.0:
+        return dft(_gevrey_bump(_gevrey_order(s, beurling), grid))
     raise UnsupportedRegion(
         f"class s={s}, sigma={sigma} ({idx.regularity}) is nontrivial but "
         "no elementary witness formula is shipped for this region")

@@ -17,12 +17,12 @@ import pytest
 from gstf import (MEMBER, GSIndex, Gaussian, TrivialSpace,
                   boundary_triviality_demo, catalog_eval, checks,
                   classify_function, default_witness_grid, dft, make_witness,
-                  parse_function_expr, stft, witness_check_options)
+                  parse_function_expr, stft)
 from gstf.errors import GstfError, UnsupportedRegion
 
 from test_parse import INVALID as PARSE_INVALID
 from test_parse import VALID as PARSE_VALID
-from test_witnesses import WITNESS_CASES
+from test_witnesses import WITNESS_CASES, witness_check_options
 
 
 def report(n, ok, detail):

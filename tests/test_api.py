@@ -6,8 +6,8 @@ import pytest
 
 import gstf
 
-MODULES = ("catalog", "classify", "errors", "grids", "inequalities", "parse",
-           "toeplitz", "transforms", "witnesses")
+MODULES = ("catalog", "classify", "errors", "grids", "parse", "toeplitz",
+           "transforms", "witnesses")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -8,11 +8,10 @@ from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
                   GSIndex, Gaussian, Grid1D, GstfError, Hermite, Modulate,
                   Poly, Product, SampledFunction, SubExp, Sum, TFGrid,
                   Translate, build_grid, catalog_eval, classify_function,
-                  classify_stft, classify_symbol, dft, dual_growth_report,
+                  classify_stft, dft, dual_growth_report,
                   fit_decay_rate, fit_poly_table, stft, sup_envelope_constant)
-from gstf.classify import EnvelopeFit, EnvelopeReport
+from gstf.classify import EnvelopeFit, EnvelopeReport, _decay_side
 from gstf.checks import CATALOG_SPACES, CATALOG_SPECS
-from gstf.grids import TFR
 
 from conftest import beurling, roumieu
 
@@ -22,27 +21,28 @@ M, N = MEMBER, NOT_MEMBER
 # Direct verdicts on the catalog pairs of the classification suite, one
 # column per class in CATALOG_SPACES.  The suite checks only that the
 # direct and the STFT verdicts agree, so a change to the shared verdict
-# code could flip both unnoticed; this table catches that.  It records
-# what the classifier answers, not the mathematics: functions whose peak
-# is off the origin (hermite(k), translates, poly(2) * gaussian) fail the
-# Roumieu classes because fit_decay_rate pins C at the sample peak, which
-# gives r_fit = 0.  A change that corrects a verdict updates the table
-# and says so.
+# code could flip both unnoticed; this table catches that.  The rows are
+# the closed-form truth: Gaussian-Hermite functions lie in every class;
+# bump()'s transform decays only like exp(-c|xi|^(1/2)), so it misses
+# S^1/2; exp(-|x|^(1/2)) decays too slowly for S_1 and has a kink at the
+# origin.  One row is the truncated grid's answer instead:
+# gaussian(0.001) is a member of every class, but its samples are still
+# 0.93 of the peak at |x| = 12, so no grid of that half-width can see it
+# decay.
 CATALOG_DIRECT_VERDICTS = {
     "gaussian(1.0)": [M, M, M, M],
     "gaussian(0.5)": [M, M, M, M],
-    "hermite(1)": [N, N, M, N],
-    "hermite(2)": [N, N, M, N],
-    "hermite(3)": [N, N, M, N],
+    "hermite(1)": [M, M, M, M],
+    "hermite(2)": [M, M, M, M],
+    "hermite(3)": [M, M, M, M],
     "bump()": [M, M, M, N],
-    "translate(gaussian(1.0), 1.5)": [N, N, M, M],
-    "modulate(gaussian(1.0), 3.0)": [M, M, M, N],
+    "translate(gaussian(1.0), 1.5)": [M, M, M, M],
+    "modulate(gaussian(1.0), 3.0)": [M, M, M, M],
     "gaussian(0.001)": [N, N, N, N],
-    "poly(2) * gaussian(1.0)": [N, N, M, M],
-    "gaussian(1.0) + translate(gaussian(1.0), 2.0)": [N, N, M, M],
+    "poly(2) * gaussian(1.0)": [M, M, M, M],
+    "gaussian(1.0) + translate(gaussian(1.0), 2.0)": [M, M, M, M],
     "subexp(2.0, 1.0)": [N, N, N, N],
 }
-
 
 class TestGSIndex:
     def test_rejects_unknown_regularity(self):
@@ -66,10 +66,10 @@ class TestGSIndex:
 
 class TestClassifyOptions:
     @pytest.mark.parametrize("kw", [
-        {"n_max": -1}, {"n_max": 2.5}, {"r_min": 0.0}, {"r_min": math.nan},
-        {"r_scale": -0.5}, {"r_scale": math.inf}, {"r_list": (1.0, math.nan)},
-        {"r_list": (0.0,)}, {"floor_rel": math.nan}, {"floor_rel": -1e-13},
-        {"floor_rel": 1.0}, {"guard": -1}, {"guard": 1.5},
+        {"n_max": -1}, {"n_max": 2.5}, {"r_scale": -0.5}, {"r_scale": math.inf},
+        {"r_list": (1.0, math.nan)}, {"r_list": (0.0,)},
+        {"floor_rel": math.nan}, {"floor_rel": -1e-13}, {"floor_rel": 1.0},
+        {"guard": -1}, {"guard": 1.5},
     ])
     def test_rejects_values_that_make_a_side_vacuous(self, kw):
         with pytest.raises(GstfError):
@@ -204,6 +204,29 @@ class TestFitPolyTable:
         assert math.isinf(table[1].C)
 
 
+class TestDecaySide:
+    # exp(-x^2/2) over a 1e-16 noise floor at s = 1/2: the rate 1/4 sup is
+    # interior; the rate 1 sup climbs until the samples turn to noise,
+    # where a transform's floor leaves it open (masked edge) and direct
+    # samples carry it to the rim.
+    @pytest.mark.parametrize("r_list, masked, roumieu_side, beurling_side", [
+        ((0.25, 1.0), True, (True, False), (False, True)),
+        ((0.25, 1.0), False, (True, False), (False, False)),
+        ((1.0,), True, (False, True), (False, True)),
+        ((1.0,), False, (False, False), (False, False)),
+    ])
+    def test_one_rate_table_decides_both_regularities(
+            self, r_list, masked, roumieu_side, beurling_side):
+        fn = SampledFunction(ODD_GRID, np.exp(-0.5 * ODD_GRID.coords**2)
+                             + 1e-16)
+        opts = ClassifyOptions(r_list=r_list)
+        for beurling, want in ((False, roumieu_side), (True, beurling_side)):
+            side, r_fit, table = _decay_side(fn, 0.5, opts, beurling, masked)
+            assert side == want
+            assert list(table) == list(r_list)
+            assert r_fit == fit_decay_rate(fn, 0.5)
+
+
 @pytest.fixture(scope="module")
 def grid():
     return build_grid(12.0, 11)
@@ -288,7 +311,7 @@ class TestClassifyFunction:
         f = catalog_eval(Gaussian(1.0), grid)
         rep = classify_function(f, beurling(s=1.0), opts)
         assert set(rep.N_table) == set(range(5))
-        assert len(rep.beurling_table) == len(opts.trial_rs())
+        assert len(rep.rate_table) == len(opts.trial_rs())
         assert rep.C_peak == pytest.approx(1.0, abs=1e-4)
 
 
@@ -381,7 +404,7 @@ def _dual_growth_reference(v, idx, opts):
     else:
         member = any(n0 is not None for n0 in n0_by_r.values())
     return EnvelopeReport(C_peak=float(a.max()), r_fit=math.nan,
-                          beurling_table=table,
+                          rate_table=table,
                           verdict=MEMBER if member else NOT_MEMBER,
                           diagnostics={"N0_by_r": n0_by_r})
 
@@ -443,7 +466,7 @@ class TestDualGrowth:
         assert rep.verdict == MEMBER
         assert all(n0 == 0 for n0 in rep.diagnostics["N0_by_r"].values())
         assert all(fit.C == 0.0 and fit.attained_at == v.values.size // 2
-                   for fit in rep.beurling_table.values())
+                   for fit in rep.rate_table.values())
 
     def test_class_member_is_also_dual_element(self, grid11, tf_classify,
                                                classify_opts, gauss_window):
@@ -464,28 +487,3 @@ class TestDualGrowth:
                                  classify_opts)
         assert rep.verdict == MEMBER
 
-
-class TestClassifySymbol:
-    def test_gaussian_symbol_is_member(self):
-        g = Grid1D(0.0, 24.0 / 127, 128)
-        tf = TFGrid(g, g)
-        x = g.coords[:, None]
-        xi = g.coords[None, :]
-        a = TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
-        rep = classify_symbol(a, 1.0, "position-decay",
-                              ClassifyOptions(n_max=4))
-        assert rep.verdict == MEMBER
-
-    def test_flat_symbol_is_rejected(self):
-        g = Grid1D(0.0, 24.0 / 127, 128)
-        tf = TFGrid(g, g)
-        a = TFR(tf, np.ones((128, 128)))
-        rep = classify_symbol(a, 1.0, "position-decay",
-                              ClassifyOptions(n_max=4))
-        assert rep.verdict == NOT_MEMBER
-
-    def test_rejects_unknown_side(self):
-        g = Grid1D(0.0, 24.0 / 127, 128)
-        a = TFR(TFGrid(g, g), np.ones((128, 128)))
-        with pytest.raises(GstfError):
-            classify_symbol(a, 1.0, "sideways")

@@ -119,11 +119,11 @@ class TestClassifyCommand:
                       "--n-max", "4")
         assert out.returncode == 0
         rep = json.loads(out.stdout)
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["command"] == "classify"
         assert rep["verdict"] == "Member"
         assert set(rep["fitted"]) == {"C_peak", "r_fit", "N_table",
-                                      "beurling_table"}
+                                      "rate_table"}
         assert rep["diagnostics"]["floor"] == 1e-13
         assert rep["timings"] is None
 

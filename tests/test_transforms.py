@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gstf import transforms
-from gstf import (BoundaryMassError, Gaussian, Grid1D, GridError, Hermite,
-                  Modulate, SampledFunction, TFGrid, Translate, adjoint_stft,
-                  build_grid, catalog_eval, dft, dft2, idft,
-                  spectral_derivative, stft, twisted_convolution_defect)
+from gstf import (Gaussian, Grid1D, GridError, Hermite, Modulate,
+                  SampledFunction, TFGrid, Translate, adjoint_stft,
+                  build_grid, catalog_eval, dft, dft2, idft, stft,
+                  twisted_convolution_defect)
 from gstf.grids import TFR
 
 from conftest import rel_max_err
@@ -74,31 +74,6 @@ class TestDft:
         g = Grid1D(1.0, 0.1, 64)
         with pytest.raises(GridError):
             dft(SampledFunction(g, np.zeros(64)))
-
-
-class TestSpectralDerivative:
-    def test_matches_analytic_derivative(self, grid10):
-        # D = -i d/dx on exp(-x^2/2): D f = i x f
-        f = catalog_eval(Gaussian(1.0), grid10)
-        df = spectral_derivative(f, 1)
-        ref = 1j * f.x * f.values
-        assert np.max(np.abs(df.values - ref)) < 1e-10
-
-    def test_second_order(self, grid10):
-        f = catalog_eval(Gaussian(1.0), grid10)
-        d2 = spectral_derivative(f, 2)
-        ref = -(f.x**2 - 1.0) * f.values  # (-i d/dx)^2 f = -f''
-        assert np.max(np.abs(d2.values - ref)) < 1e-9
-
-    def test_order_zero_is_identity(self, grid10):
-        f = catalog_eval(Hermite(1), grid10)
-        assert spectral_derivative(f, 0) is f
-
-    def test_rejects_boundary_mass(self):
-        g = build_grid(2.0, 8)  # gaussian not decayed at |x| = 2
-        f = catalog_eval(Gaussian(0.1), g)
-        with pytest.raises(BoundaryMassError):
-            spectral_derivative(f, 1)
 
 
 class TestStft:
@@ -179,19 +154,34 @@ def _shifted(v, k):
     return out
 
 
+def _dense_kernel(tgrid, xigrid, sign):
+    """exp(sign * i t xi) over two grids.  Each phase t * xi, some 3000 rad
+    at 513x1001, is formed from the grid definitions and reduced mod 2*pi
+    in long double: float64 coordinates or a float64 exp of the unreduced
+    phase would each be off by 1e-13 of the peak."""
+    ld = np.longdouble
+
+    def coords(g):
+        j = np.arange(g.count, dtype=ld)
+        return ld(g.center) + (j - ld((g.count - 1) / 2)) * ld(g.step)
+
+    phase = np.mod(np.outer(coords(tgrid), coords(xigrid)),
+                   8 * np.arctan(ld(1)))
+    return np.exp(sign * 1j * phase.astype(float))
+
+
 def _reference_stft(f, w, tf):
     """stft as a product with the dense kernel exp(-i t xi)."""
     shifts = [f.grid.shift_index(x) for x in tf.xgrid.coords]
     g = f.values[:, None] * np.stack(
         [_shifted(np.conj(w.values), k) for k in shifts], axis=1)
-    kernel = np.exp(-1j * np.outer(f.grid.coords, tf.xigrid.coords))
+    kernel = _dense_kernel(f.grid, tf.xigrid, -1)
     return (f.grid.step / np.sqrt(2 * np.pi)) * (g.T @ kernel)
 
 
 def _reference_adjoint(F, w):
     """adjoint_stft as a product with the dense kernel exp(+i xi t)."""
-    phases = F.values @ np.exp(1j * np.outer(F.tfgrid.xigrid.coords,
-                                             w.grid.coords))
+    phases = F.values @ _dense_kernel(F.tfgrid.xigrid, w.grid, 1)
     out = np.zeros(w.grid.count, dtype=complex)
     for c, x in enumerate(F.tfgrid.xgrid.coords):
         out += phases[c] * _shifted(w.values, w.grid.shift_index(x))
@@ -259,6 +249,27 @@ class TestStftChirpZ:
         assert np.max(np.abs(v.values - ref)) <= 1e-14 * np.max(np.abs(ref))
         ref = _reference_adjoint(v, w)
         assert (np.max(np.abs(adjoint_stft(v, w).values - ref))
+                <= 1e-14 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", ["129x129", "513x1001"])
+    def test_full_band_random_input_matches_dense_reference(self, request,
+                                                            name):
+        # Random samples fill the whole band, so the largest phases t * xi
+        # carry full weight: the real and the complex stft, and the
+        # one-row adjoint (TestAdjointPacked holds the packed one).
+        grid, tf = _case_grids(request, name)
+        w = catalog_eval(Gaussian(2.0), grid)
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((2, grid.count))
+        for f in (z[0], z[0] + 1j * z[1]):
+            f = SampledFunction(grid, f)
+            ref = _reference_stft(f, w, tf)
+            assert (np.max(np.abs(stft(f, w, tf).values - ref))
+                    <= 1e-14 * np.max(np.abs(ref)))
+        shape = (tf.xgrid.count, tf.xigrid.count)
+        F = TFR(tf, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        ref = _reference_adjoint(F, w)
+        assert (np.max(np.abs(adjoint_stft(F, w).values - ref))
                 <= 1e-14 * np.max(np.abs(ref)))
 
     def test_block_size_does_not_change_bits(self, case, monkeypatch):
@@ -360,23 +371,20 @@ class TestAdjointPacked:
                                                  source):
         # 129 and 513 x rows are odd counts: the last row goes in alone.
         # An odd, off-centre f and a random F have no symmetry in x to hide
-        # a swapped pair.  A random F fills the whole xi band, where the
-        # dense kernel's own phase error (1e-13 of the peak at 513x1001)
-        # exceeds the bound, so it is held to the one-row engine instead.
+        # a swapped pair.  A random F fills the whole xi band.
         grid, tf = _case_grids(request, name)
         w = catalog_eval(Gaussian(2.0), grid)
         if source == "stft":
             F = stft(catalog_eval(Translate(Hermite(1), 1.5), grid), w, tf)
-            ref = _reference_adjoint(F, w)
         else:
             rng = np.random.default_rng(11)
             shape = (tf.xgrid.count, tf.xigrid.count)
             z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             F = TFR(tf, (z + np.conj(z[:, ::-1])) / 2)
-            ref = _one_row_adjoint(F, w)
         assert transforms._hermitian(F.values, tf.xigrid)
         got = adjoint_stft(F, w).values
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for ref in (_reference_adjoint(F, w), _one_row_adjoint(F, w)):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("name", ["random-symbol", "modulated-f",
                                       "odd-t", "complex-window"])

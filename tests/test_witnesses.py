@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from gstf import (MEMBER, GSIndex, TrivialSpace, UnsupportedRegion,
-                  boundary_triviality_demo, build_grid, classify_function,
-                  default_witness_grid, make_witness, witness_check_options)
+from gstf import (MEMBER, Bump, GSIndex, TrivialSpace, UnsupportedRegion,
+                  boundary_triviality_demo, build_grid, catalog_eval,
+                  classify_function, default_witness_grid, dft, make_witness)
 from gstf.classify import ClassifyOptions
+from gstf.witnesses import _gevrey_order
 
 
 def two_param(s, sigma, regularity):
     return GSIndex(s, sigma, regularity)
+
+
+def witness_check_options() -> ClassifyOptions:
+    """Trial rates small enough that the envelope/function crossover of
+    every shipped witness stays inside the default grid."""
+    return ClassifyOptions(n_max=4, r_list=(0.0625, 0.125, 0.25, 0.5))
 
 
 class TestTrivialRegion:
@@ -41,23 +48,59 @@ class TestTrivialRegion:
         with pytest.raises(UnsupportedRegion):
             make_witness(two_param(0.5, 0.6, "beurling"))
 
+    @pytest.mark.parametrize("s,sigma", [(0.3, 1.0), (1.0, 0.3)])
+    def test_roumieu_index_one_has_no_bump_witness(self, s, sigma):
+        # A compactly supported function whose transform decays like
+        # exp(-r|xi|) would be entire (Paley-Wiener), and the other index
+        # is below the Gaussian's 1/2.
+        with pytest.raises(UnsupportedRegion):
+            make_witness(two_param(s, sigma, "roumieu"))
 
-# Each row: (index, the sides on which the returned witness must verify).
+
+class TestGevreyBump:
+    @pytest.mark.parametrize("regularity", ["roumieu", "beurling"])
+    @pytest.mark.parametrize("sigma", [1.01, 1.25, 1.5, 2.0, 2.5, 3.0, 8.0])
+    def test_order_puts_the_transform_in_the_class(self, sigma, regularity):
+        # The transform of a Gevrey-t bump decays like exp(-c|xi|^(1/t))
+        # for one c > 0: inside the Roumieu class of index sigma iff
+        # t <= sigma, inside the Beurling class iff t < sigma.  t > 1
+        # keeps the bump compactly supported.
+        t = _gevrey_order(sigma, regularity == "beurling")
+        assert 1.0 < t <= 2.0
+        assert t < sigma if regularity == "beurling" else t <= sigma
+
+    @pytest.mark.parametrize("sigma,regularity,t", [
+        (1.5, "roumieu", 1.5), (1.5, "beurling", 1.25),
+        (3.0, "beurling", 2.0), (2.5, "roumieu", 2.0)])
+    def test_witness_is_the_closed_form_bump(self, sigma, regularity, t):
+        grid = default_witness_grid()
+        x = grid.coords
+        inside = np.abs(x) < 1.0
+        ref = np.zeros(grid.count)
+        ref[inside] = np.exp(-(1.0 - x[inside] ** 2) ** (-1.0 / (t - 1.0)))
+        w = make_witness(two_param(0.2, sigma, regularity), grid)
+        assert np.max(np.abs(w.values - ref)) < 1e-15
+        mirrored = make_witness(two_param(sigma, 0.2, regularity), grid)
+        assert np.array_equal(mirrored.values, dft(w).values)
+        if t == 2.0:  # bump() itself, bit for bit
+            assert np.array_equal(w.values, catalog_eval(Bump(), grid).values)
+
+
+# Each row: an index whose witness must verify on both sides.
 WITNESS_CASES = [
     two_param(0.75, 0.75, "beurling"),
     two_param(0.5, 0.5, "roumieu"),
     two_param(1.0, 1.0, "roumieu"),
     two_param(2.0, 1.5, "beurling"),
-    two_param(0.2, 1.5, "beurling"),   # bump region
-    two_param(0.3, 1.0, "roumieu"),
-    two_param(1.5, 0.2, "beurling"),   # mirrored bump region
-    two_param(1.0, 0.3, "roumieu"),
-    # Gaussian-region cases stay at s <= 1.5: the rate fit pins its
-    # constant at the peak, so for larger s the fitted rate at the first
-    # off-origin sample (~ step^(2 - 1/s) / 2) drops below the minimum
-    # acceptable rate and the check turns into a grid artifact.
+    two_param(0.2, 1.5, "beurling"),   # Gevrey bump region
+    two_param(0.3, 1.25, "roumieu"),
+    two_param(1.5, 0.2, "beurling"),   # mirrored Gevrey bump region
+    two_param(1.25, 0.3, "roumieu"),
     two_param(1.5, 0.6, "roumieu"),
     two_param(0.6, 1.5, "roumieu"),
+    # A Roumieu side needs one trial rate with an interior sup: at s = 3
+    # the Gaussian beats exp(r |x|^(1/3)) inside the grid for every rate.
+    two_param(3.0, 0.75, "roumieu"),
 ]
 
 
