@@ -13,7 +13,7 @@ the verdict and does not decide it.
 
 Quantifiers over all r > 0 / all N are finitized to configurable trial
 lists; finiteness of a sup on an unbounded domain is proxied by interior
-attainment on the truncated grid (argmax not within a guard band of the
+attainment on the truncated grid (argmax not within GUARD samples of the
 truncation boundary).  Samples below a relative noise floor are excluded
 from the polynomial tables, and from the rate tables when a transform
 computed them; a sup still rising where the samples reach that floor
@@ -33,7 +33,7 @@ from .transforms import dft, stft
 __all__ = [
     "INF", "GSIndex", "ClassifyOptions", "EnvelopeFit", "EnvelopeReport",
     "MEMBER", "NOT_MEMBER", "INCONCLUSIVE",
-    "sup_envelope_constant", "fit_decay_rate", "fit_poly_table",
+    "fit_decay_rate",
     "classify_function", "classify_stft", "dual_growth_report",
 ]
 
@@ -44,6 +44,10 @@ NOT_MEMBER = "NotMember"
 INCONCLUSIVE = "Inconclusive"
 
 _LOG_MAX = math.log(np.finfo(float).max)
+
+# A sup attained within GUARD samples of the grid edge counts as
+# boundary-attained.
+GUARD = 2
 
 
 @dataclass(frozen=True)
@@ -75,16 +79,14 @@ class ClassifyOptions:
     r_list: tuple = ()  # empty = default geometric list times r_scale
     n_max: int = 8
     floor_rel: float = 1e-13
-    guard: int = 2
 
     def __post_init__(self):
         # Out-of-range values would make a side of the test vacuous: a
-        # negative n_max empties the polynomial table, a negative guard
-        # counts the grid edge as interior, a nan rate zeroes its sup in
-        # the rate table.
-        for name, n in (("n_max", self.n_max), ("guard", self.guard)):
-            if not (isinstance(n, (int, np.integer)) and n >= 0):
-                raise GstfError(f"{name} must be an integer >= 0, got {n!r}")
+        # negative n_max empties the polynomial table, a nan rate zeroes
+        # its sup in the rate table.
+        n = self.n_max
+        if not (isinstance(n, (int, np.integer)) and 0 <= n <= 16):
+            raise GstfError(f"n_max must be an integer in [0, 16], got {n!r}")
         for name, r in (("r_scale", self.r_scale),
                         *(("r_list entry", r) for r in self.r_list)):
             if not 0 < r < INF:
@@ -103,7 +105,6 @@ class EnvelopeFit:
     C: float  # may be +inf when the weighted product overflows
     attained_at: int
     interior_attained: bool
-    raw_abs: float  # |f| at the argmax, for floor diagnostics
     # Sup attained at the edge of the trustworthy (above-floor) samples
     # while still rising: the data cannot settle the bound either way.
     masked_edge: bool = False
@@ -119,15 +120,15 @@ class EnvelopeReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sup_table(absvals: np.ndarray, logabs: np.ndarray, base: np.ndarray,
-               scales, guard: int, mask: np.ndarray | None = None) -> dict:
+def _sup_table(logabs: np.ndarray, base: np.ndarray, scales,
+               mask: np.ndarray | None = None) -> dict:
     """{k: fit} of the sup of |f| * exp(k * base) for each k in ``scales``,
     in the log domain, with attainment diagnostics.  ``logabs`` is log|f|;
     k = 0 is the weight 1 exactly, also where ``base`` is infinite.
     ``mask`` selects the admissible samples; an argmax whose neighbor is
     inadmissible is flagged masked_edge (the sup may continue growing
     where the samples are round-off garbage)."""
-    n = absvals.shape[0]
+    n = logabs.shape[0]
     if mask is not None:
         logabs = np.where(mask, logabs, -np.inf)
     table = {}
@@ -143,15 +144,15 @@ def _sup_table(absvals: np.ndarray, logabs: np.ndarray, base: np.ndarray,
             top = logv[i]
             if top == -np.inf:  # no admissible nonzero sample
                 table[k] = EnvelopeFit(C=0.0, attained_at=n // 2,
-                                       interior_attained=True, raw_abs=0.0)
+                                       interior_attained=True)
                 continue
-            interior = guard <= i <= n - 1 - guard
+            interior = GUARD <= i <= n - 1 - GUARD
             edge = mask is not None and interior and (
                 (i > 0 and not mask[i - 1]) or (i < n - 1 and not mask[i + 1]))
             table[k] = EnvelopeFit(
                 C=math.inf if top > _LOG_MAX else float(math.exp(top)),
                 attained_at=i, interior_attained=interior,
-                raw_abs=float(absvals[i]), masked_edge=bool(edge))
+                masked_edge=bool(edge))
     return table
 
 
@@ -166,28 +167,13 @@ def _decay_samples(f: SampledFunction, s: float) -> tuple:
         return a, np.log(a), np.abs(f.x) ** (1.0 / s)
 
 
-def sup_envelope_constant(f: SampledFunction, r: float, s: float,
-                          guard: int = 2,
-                          floor: float | None = None) -> EnvelopeFit:
-    """Sup over the grid of |f(x)| exp(r |x|^(1/s)).
-
-    Pass an absolute ``floor`` when the samples came out of a transform
-    (FFT, STFT): below it they are round-off noise, and the unbounded
-    weight would amplify that noise into a fake boundary sup."""
-    a, loga, xw = _decay_samples(f, s)
-    mask = a >= floor if floor is not None else None
-    return _sup_table(a, loga, xw, (r,), guard, mask)[r]
-
-
 def _fit_rate(f: SampledFunction, a: np.ndarray, loga: np.ndarray,
-              xw: np.ndarray, floor: float | None) -> float:
+              xw: np.ndarray) -> float:
     """fit_decay_rate on the arrays of ``_decay_samples(f, s)``."""
     c_peak = float(a.max())
     if c_peak == 0.0:
         return math.inf
-    if floor is None:
-        floor = 1e-13 * c_peak
-    sel = (a > floor) & (np.abs(f.x) >= f.grid.step)
+    sel = (a > 1e-13 * c_peak) & (np.abs(f.x) >= f.grid.step)
     if not np.any(sel):
         return math.inf
     # a weight that overflowed to inf or underflowed to 0 is at its limit
@@ -199,32 +185,26 @@ def _fit_rate(f: SampledFunction, a: np.ndarray, loga: np.ndarray,
     return 0.0 if math.isnan(r) else r
 
 
-def fit_decay_rate(f: SampledFunction, s: float, floor: float | None = None) -> float:
+def fit_decay_rate(f: SampledFunction, s: float) -> float:
     """Largest rate r with |f(x)| <= sup|f| * exp(-r |x|^(1/s)) on the grid.
 
-    Samples below the noise floor or inside one step of the origin are
+    Samples below 1e-13 of the peak or inside one step of the origin are
     excluded; +inf when no sample qualifies (e.g. compact support)."""
-    return _fit_rate(f, *_decay_samples(f, s), floor)
-
-
-def fit_poly_table(f: SampledFunction, n_max: int, floor_rel: float = 1e-13,
-                   guard: int = 2) -> dict:
-    """C_N = sup |f(x)| (1+x^2)^N for N = 0..n_max, below-floor samples
-    excluded (polynomial weights amplify round-off garbage at the rim)."""
-    if n_max > 16:
-        raise GstfError("n_max must be at most 16")
-    a = np.abs(f.values)
-    peak = a.max()
-    mask = a >= floor_rel * peak if peak > 0 else None
-    # x^2 = inf is its limit; log 0 = -inf
-    with np.errstate(over="ignore", divide="ignore"):
-        logw1 = np.log1p(f.x**2)
-        loga = np.log(a)
-    return _sup_table(a, loga, logw1, range(n_max + 1), guard, mask)
+    return _fit_rate(f, *_decay_samples(f, s))
 
 
 def _poly_side(fn: SampledFunction, opts: ClassifyOptions):
-    table = fit_poly_table(fn, opts.n_max, opts.floor_rel, opts.guard)
+    """((ok, inconclusive), N_table): C_N = sup |f(x)| (1+x^2)^N for
+    N = 0..n_max, below-floor samples excluded (polynomial weights amplify
+    round-off garbage at the rim)."""
+    a = np.abs(fn.values)
+    peak = a.max()
+    mask = a >= opts.floor_rel * peak if peak > 0 else None
+    # x^2 = inf is its limit; log 0 = -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        logw1 = np.log1p(fn.x**2)
+        loga = np.log(a)
+    table = _sup_table(loga, logw1, range(opts.n_max + 1), mask)
     ok = all(f.interior_attained and not f.masked_edge for f in table.values())
     inconclusive = any(f.masked_edge for f in table.values())
     return (ok, inconclusive), table
@@ -243,12 +223,12 @@ def _decay_side(fn: SampledFunction, s: float, opts: ClassifyOptions,
     not judged."""
     a, loga, xw = _decay_samples(fn, s)
     mask = a >= opts.floor_rel * float(a.max()) if masked else None
-    table = _sup_table(a, loga, xw, opts.trial_rs(), opts.guard, mask)
+    table = _sup_table(loga, xw, opts.trial_rs(), mask)
     good = [f.interior_attained and not f.masked_edge for f in table.values()]
     ok = all(good) if beurling else any(good)
     # A masked edge is still rising where the samples turn to noise.
     inconclusive = not ok and any(f.masked_edge for f in table.values())
-    return (ok, inconclusive), _fit_rate(fn, a, loga, xw, None), table
+    return (ok, inconclusive), _fit_rate(fn, a, loga, xw), table
 
 
 def _aggregate(*sides) -> str:
@@ -276,8 +256,7 @@ def _verdict(decay_fn: SampledFunction, s: float, poly_fn: SampledFunction,
     poly, n_table = _poly_side(poly_fn, opts)
     return EnvelopeReport(
         C_peak=c_peak, r_fit=r_fit, N_table=n_table,
-        rate_table=rate_table, verdict=_aggregate(decay, poly),
-        diagnostics={"floor_rel": opts.floor_rel, "guard": opts.guard})
+        rate_table=rate_table, verdict=_aggregate(decay, poly))
 
 
 def classify_function(f: SampledFunction, idx: GSIndex,
@@ -384,17 +363,13 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
             pos = list(np.unravel_index(np.argmax(logv), logv.shape))
             pos[d] = hit[pos[d]]
             i = int(np.ravel_multi_index(pos, a.shape))
-            if all(opts.guard <= p < n - opts.guard
-                   for p, n in zip(pos, a.shape)):
+            if all(GUARD <= p < n - GUARD for p, n in zip(pos, a.shape)):
                 found = n0
                 break
         n0_by_r[r] = found
         table[r] = EnvelopeFit(
             C=math.inf if top > _LOG_MAX else float(math.exp(top)),
-            attained_at=i,
-            interior_attained=found is not None,
-            raw_abs=float(a.ravel()[i]),
-        )
+            attained_at=i, interior_attained=found is not None)
     if idx.regularity == "roumieu":
         member = all(n0 is not None for n0 in n0_by_r.values())
     else:

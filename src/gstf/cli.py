@@ -23,8 +23,8 @@ import numpy as np
 from .catalog import catalog_eval
 from .checks import (SUITES, classify_tfgrid, gaussian_symbol,
                      phase_space_grid, run_suite)
-from .classify import (ClassifyOptions, GSIndex, MEMBER, classify_function,
-                       classify_stft)
+from .classify import (GUARD, ClassifyOptions, GSIndex, MEMBER,
+                       classify_function, classify_stft)
 from .errors import GridError, GstfError
 from .grids import Grid1D, SampledFunction, TFR, build_grid
 from .parse import parse_function_expr
@@ -259,7 +259,7 @@ def _cmd_classify(args) -> tuple:
                     for t in ntab.values()),
             },
             "floor": opts.floor_rel,
-            "guard_band": opts.guard,
+            "guard_band": GUARD,
         },
     }
     rows = [("meta", "verdict", rep.verdict, "", "", ""),

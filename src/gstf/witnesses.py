@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Gaussian, Hermite, catalog_eval
-from .classify import ClassifyOptions, GSIndex, sup_envelope_constant
+from .classify import ClassifyOptions, GSIndex, _decay_samples, _sup_table
 from .errors import TrivialSpace, UnsupportedRegion
 from .grids import Grid1D, SampledFunction, build_grid
 from .transforms import dft
@@ -103,41 +103,39 @@ class BoundaryReport:
     all_failed: bool
 
 
-def _first_boundary_failure(fn: SampledFunction, s: float,
-                            opts: ClassifyOptions):
-    """Smallest trial r whose envelope sup is boundary-attained; None if
-    every trial passes.  Direct samples carry no noise floor."""
-    for r in sorted(opts.trial_rs()):
-        fit = sup_envelope_constant(fn, r, s, opts.guard)
+def _first_boundary_failure(fn: SampledFunction, s: float):
+    """Smallest default trial r whose envelope sup is boundary-attained;
+    None if every trial passes.  Direct samples carry no noise floor."""
+    _, loga, xw = _decay_samples(fn, s)
+    rates = sorted(ClassifyOptions().trial_rs())
+    for r, fit in _sup_table(loga, xw, rates).items():
         if not fit.interior_attained:
             return r, fit.attained_at
     return None
 
 
-def boundary_triviality_demo(s: float, grid: Grid1D | None = None,
-                             opts: ClassifyOptions | None = None) -> BoundaryReport:
+def boundary_triviality_demo(s: float) -> BoundaryReport:
     """Evidence for triviality on the Beurling boundary line s + sigma = 1.
 
     Runs the two-sided trial-list test at (s, 1-s) over a candidate
-    family of Gaussians and Hermite functions and records each first
-    failure.  all_failed = True is the expected outcome for every
-    0 < s < 1.
+    family of Gaussians and Hermite functions on the default witness grid
+    and records each first failure.  all_failed = True is the expected
+    outcome for every 0 < s < 1.
     """
     if not (0.0 < s < 1.0):
         raise TrivialSpace("boundary demo needs 0 < s < 1")
     sigma = 1.0 - s
-    grid = grid or default_witness_grid()
-    opts = opts or ClassifyOptions(n_max=4)  # default trial list {0.25..4}
+    grid = default_witness_grid()
     candidates = [Gaussian(a) for a in (0.5, 1.0, 2.0)]
     candidates += [Hermite(k) for k in range(4)]
 
     rows = []
     for spec in candidates:
         f = catalog_eval(spec, grid)
-        hit = _first_boundary_failure(f, s, opts)
+        hit = _first_boundary_failure(f, s)
         side = "function"
         if hit is None:
-            hit = _first_boundary_failure(dft(f), sigma, opts)
+            hit = _first_boundary_failure(dft(f), sigma)
             side = "fourier"
         if hit is None:
             rows.append(BoundaryCandidate(str(spec), False, "", math.nan, -1))

@@ -125,6 +125,7 @@ class TestClassifyCommand:
         assert set(rep["fitted"]) == {"C_peak", "r_fit", "N_table",
                                       "rate_table"}
         assert rep["diagnostics"]["floor"] == 1e-13
+        assert rep["diagnostics"]["guard_band"] == 2
         assert rep["timings"] is None
 
     def test_assert_member_failure_exits_1(self, capsys):
@@ -280,6 +281,8 @@ class TestInProcessContract:
         ("--floor", "nan"),
         ("--floor", "-1"),
         ("--floor", "1"),
+        ("--n-max", "17"),      # past the polynomial weights' bound
+        ("--n-max", "17", "--window", "gaussian(1)"),
     ])
     def test_out_of_range_options(self, capsys, flags):
         self.assert_error_exit(["classify", "--expr", "subexp(1, 1)",

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gstf import (MEMBER, Bump, GSIndex, TrivialSpace, UnsupportedRegion,
-                  boundary_triviality_demo, build_grid, catalog_eval,
-                  classify_function, default_witness_grid, dft, make_witness)
+                  boundary_triviality_demo, catalog_eval,
+                  classify_function, default_witness_grid, dft, make_witness,
+                  parse_function_expr)
 from gstf.classify import ClassifyOptions
 from gstf.witnesses import _gevrey_order
 
@@ -129,13 +130,33 @@ class TestBoundaryDemo:
             assert cand.failing_side in ("function", "fourier")
             assert cand.first_failing_r > 0
 
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.75])
+    def test_first_failure_matches_brute_force(self, s):
+        # Independent oracle: per candidate and side, the smallest default
+        # rate whose weighted log-samples peak within 2 samples of the rim
+        grid = default_witness_grid()
+        rates = (0.25, 0.5, 1.0, 2.0, 4.0)
+        rep = boundary_triviality_demo(s)
+        for cand in rep.candidates:
+            f = catalog_eval(parse_function_expr(cand.name), grid)
+            want = None
+            for side, fn, t in (("function", f, s),
+                                ("fourier", dft(f), 1 - s)):
+                with np.errstate(divide="ignore", over="ignore"):
+                    loga = np.log(np.abs(fn.values))
+                    xw = np.abs(fn.x) ** (1.0 / t)
+                for r in rates:
+                    i = int(np.argmax(loga + r * xw))
+                    if not 2 <= i <= grid.count - 3:
+                        want = (side, r, i)
+                        break
+                if want:
+                    break
+            assert want == (cand.failing_side, cand.first_failing_r,
+                            cand.attained_at), cand.name
+
     def test_rejects_s_outside_open_interval(self):
         with pytest.raises(TrivialSpace):
             boundary_triviality_demo(0.0)
         with pytest.raises(TrivialSpace):
             boundary_triviality_demo(1.0)
-
-    def test_custom_grid_and_options(self):
-        rep = boundary_triviality_demo(0.5, grid=build_grid(10.0, 10),
-                                       opts=ClassifyOptions(n_max=2))
-        assert rep.all_failed
