@@ -17,7 +17,10 @@ attainment on the truncated grid (argmax not within GUARD samples of the
 truncation boundary).  Samples below a relative noise floor are excluded
 from the polynomial tables, and from the rate tables when a transform
 computed them; a sup still rising where the samples reach that floor
-yields the honest third verdict, Inconclusive."""
+yields the honest third verdict, Inconclusive.
+
+The magnitudes and tables that several classes of one function share are
+computed once, in the function's memo; each report gets its own copies."""
 
 from __future__ import annotations
 
@@ -156,21 +159,28 @@ def _sup_table(logabs: np.ndarray, base: np.ndarray, scales,
     return table
 
 
-def _decay_samples(f: SampledFunction, s: float) -> tuple:
-    """(|f|, log|f|, |x|^(1/s)): what every rate of a decay envelope
-    reads, computed once."""
+def _magnitudes(f: SampledFunction) -> tuple:
+    """(|f|, log|f|, max |f|), computed once per function."""
+    def make():
+        a = np.abs(f.values)
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            loga = np.log(a)
+        a.flags.writeable = loga.flags.writeable = False
+        return a, loga, float(a.max())
+    return f._memoised("magnitudes", make)
+
+
+def _decay_weight(f: SampledFunction, s: float) -> np.ndarray:
+    """|x|^(1/s) on f's grid: the base weight of every decay envelope."""
     if s <= 0:
         raise GstfError("s must be positive")
-    a = np.abs(f.values)
-    # log 0 = -inf; |x|^(1/s) may overflow to inf, its limit
-    with np.errstate(divide="ignore", over="ignore"):
-        return a, np.log(a), np.abs(f.x) ** (1.0 / s)
+    with np.errstate(over="ignore"):  # an overflow to inf is the limit
+        return np.abs(f.x) ** (1.0 / s)
 
 
-def _fit_rate(f: SampledFunction, a: np.ndarray, loga: np.ndarray,
-              xw: np.ndarray) -> float:
-    """fit_decay_rate on the arrays of ``_decay_samples(f, s)``."""
-    c_peak = float(a.max())
+def _fit_rate(f: SampledFunction, xw: np.ndarray) -> float:
+    """fit_decay_rate with the weight ``xw = _decay_weight(f, s)``."""
+    a, loga, c_peak = _magnitudes(f)
     if c_peak == 0.0:
         return math.inf
     sel = (a > 1e-13 * c_peak) & (np.abs(f.x) >= f.grid.step)
@@ -190,21 +200,22 @@ def fit_decay_rate(f: SampledFunction, s: float) -> float:
 
     Samples below 1e-13 of the peak or inside one step of the origin are
     excluded; +inf when no sample qualifies (e.g. compact support)."""
-    return _fit_rate(f, *_decay_samples(f, s))
+    return _fit_rate(f, _decay_weight(f, s))
 
 
 def _poly_side(fn: SampledFunction, opts: ClassifyOptions):
     """((ok, inconclusive), N_table): C_N = sup |f(x)| (1+x^2)^N for
     N = 0..n_max, below-floor samples excluded (polynomial weights amplify
-    round-off garbage at the rim)."""
-    a = np.abs(fn.values)
-    peak = a.max()
-    mask = a >= opts.floor_rel * peak if peak > 0 else None
-    # x^2 = inf is its limit; log 0 = -inf
-    with np.errstate(over="ignore", divide="ignore"):
-        logw1 = np.log1p(fn.x**2)
-        loga = np.log(a)
-    table = _sup_table(loga, logw1, range(opts.n_max + 1), mask)
+    round-off garbage at the rim).  The table is computed once per
+    function, n_max and floor."""
+    def make():
+        a, loga, peak = _magnitudes(fn)
+        mask = a >= opts.floor_rel * peak if peak > 0 else None
+        with np.errstate(over="ignore"):  # x^2 = inf is its limit
+            logw1 = np.log1p(fn.x**2)
+        return _sup_table(loga, logw1, range(opts.n_max + 1), mask)
+
+    table = fn._memoised(("N", opts.n_max, opts.floor_rel), make)
     ok = all(f.interior_attained and not f.masked_edge for f in table.values())
     inconclusive = any(f.masked_edge for f in table.values())
     return (ok, inconclusive), table
@@ -220,15 +231,22 @@ def _decay_side(fn: SampledFunction, s: float, opts: ClassifyOptions,
     ``masked`` marks transform-computed samples, whose sub-floor values
     are noise and get excluded; direct samples are trusted all the way
     down, so a boundary-attained sup is conclusive.  r_fit is reported,
-    not judged."""
-    a, loga, xw = _decay_samples(fn, s)
-    mask = a >= opts.floor_rel * float(a.max()) if masked else None
-    table = _sup_table(loga, xw, opts.trial_rs(), mask)
+    not judged.  r_fit and the table are computed once per function, s,
+    trial list, floor and masking."""
+    rs = opts.trial_rs()
+
+    def make():
+        a, loga, peak = _magnitudes(fn)
+        xw = _decay_weight(fn, s)
+        mask = a >= opts.floor_rel * peak if masked else None
+        return _fit_rate(fn, xw), _sup_table(loga, xw, rs, mask)
+
+    r_fit, table = fn._memoised(("rates", s, rs, opts.floor_rel, masked), make)
     good = [f.interior_attained and not f.masked_edge for f in table.values()]
     ok = all(good) if beurling else any(good)
     # A masked edge is still rising where the samples turn to noise.
     inconclusive = not ok and any(f.masked_edge for f in table.values())
-    return (ok, inconclusive), _fit_rate(fn, a, loga, xw), table
+    return (ok, inconclusive), r_fit, table
 
 
 def _aggregate(*sides) -> str:
@@ -254,16 +272,17 @@ def _verdict(decay_fn: SampledFunction, s: float, poly_fn: SampledFunction,
     decay, r_fit, rate_table = _decay_side(
         decay_fn, s, opts, idx.regularity == "beurling", masked)
     poly, n_table = _poly_side(poly_fn, opts)
+    # the tables are the memo's: each report gets its own dicts
     return EnvelopeReport(
-        C_peak=c_peak, r_fit=r_fit, N_table=n_table,
-        rate_table=rate_table, verdict=_aggregate(decay, poly))
+        C_peak=c_peak, r_fit=r_fit, N_table=dict(n_table),
+        rate_table=dict(rate_table), verdict=_aggregate(decay, poly))
 
 
 def classify_function(f: SampledFunction, idx: GSIndex,
                       opts: ClassifyOptions | None = None) -> EnvelopeReport:
     """Membership verdict for f against a one-parameter class."""
     opts = opts or ClassifyOptions()
-    c_peak = float(np.abs(f.values).max())
+    c_peak = _magnitudes(f)[2]
     if c_peak == 0.0:
         return _zero_report()
     if not idx.one_parameter:
@@ -296,20 +315,18 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     The two-variable envelope C_N (1+|freq var|^2)^(-N) exp(-r |decay
     var|^(1/s)) is checked through its marginals: the max-profile along
     each axis is fed to the same fitters as classify_function.  Pass
-    ``precomputed = stft(f, window, tfgrid)`` to reuse one transform
-    across several classes."""
+    ``precomputed = stft(f, window, tfgrid)`` to reuse one transform, its
+    profiles and their tables across several classes."""
     opts = opts or ClassifyOptions()
     v = _window_stft(f, window, idx, tfgrid, opts, check_window, precomputed)
     # For a finite s the decay variable is position, for a finite sigma
     # frequency.  STFT samples are quadrature outputs: sub-floor values
     # are noise.
     decay_on_x = math.isinf(idx.sigma)
-    a = np.abs(v.values)
-    x_profile = SampledFunction(v.tfgrid.xgrid, a.max(axis=1))
-    xi_profile = SampledFunction(v.tfgrid.xigrid, a.max(axis=0))
+    x_profile, xi_profile = v.max_profiles()
     decay_fn, poly_fn = ((x_profile, xi_profile) if decay_on_x
                          else (xi_profile, x_profile))
-    c_peak = float(np.abs(decay_fn.values).max())  # the max of |V|
+    c_peak = _magnitudes(decay_fn)[2]  # the max of |V|
     if c_peak == 0.0:
         return _zero_report()
     return _verdict(decay_fn, idx.s if decay_on_x else idx.sigma, poly_fn,

@@ -208,15 +208,15 @@ def _cmd_stft(args) -> tuple:
     # a generator, so that a JSON run never builds the 129^2 rows
     rows = ((float(x), float(xi), float(val.real), float(val.imag))
             for x, vrow in zip(xs, v.values) for xi, val in zip(xis, vrow))
-    a = np.abs(v.values)
+    px, pxi = (p.values.real for p in v.max_profiles())
     params = {"input": desc, "window": wdesc,
               "half_width": args.half_width, "points": args.points}
     return params, {
         "verdict": None,
-        "max_abs": float(a.max()),
+        "max_abs": float(px.max()),
         "profiles": {
-            "x": [(float(x), float(p)) for x, p in zip(xs, a.max(axis=1))],
-            "xi": [(float(xi), float(p)) for xi, p in zip(xis, a.max(axis=0))],
+            "x": [(float(x), float(p)) for x, p in zip(xs, px)],
+            "xi": [(float(xi), float(p)) for xi, p in zip(xis, pxi)],
         },
     }, ("x", "xi", "value-real", "value-imag"), rows, 0
 

@@ -3,11 +3,15 @@
 All grids are arithmetic progressions symmetric about their center:
 sample ``j`` sits at ``center + (j - (count-1)/2) * step``.  For even
 ``count`` the center itself is not a sample.
+
+Coordinates and sample values are read-only, so work derived from them
+is computed once per object and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +34,12 @@ class Grid1D:
         if self.count < 2:
             raise GridError("grid needs at least two samples")
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
         j = np.arange(self.count)
-        return self.center + (j - (self.count - 1) / 2) * self.step
+        x = self.center + (j - (self.count - 1) / 2) * self.step
+        x.flags.writeable = False
+        return x
 
     def dual(self) -> "Grid1D":
         """Frequency grid matching an FFT of this grid: same count,
@@ -59,8 +65,26 @@ class TFGrid:
     xigrid: Grid1D
 
 
+class _Memo:
+    """Read-only ``values`` and a memo of work derived from them; the memo
+    is not a dataclass field, so ==, repr and asdict ignore it."""
+
+    def _seal(self, vals: np.ndarray):
+        if not vals.flags.owndata:  # a view's base may be written through
+            vals = vals.copy()
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_memo", {})
+
+    def _memoised(self, key, make):
+        """make() on the first call with ``key``, the same object after."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+
 @dataclass(frozen=True)
-class SampledFunction:
+class SampledFunction(_Memo):
     grid: Grid1D
     values: np.ndarray = field(repr=False)
 
@@ -72,7 +96,7 @@ class SampledFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise GridError("sampled values must be finite")
-        object.__setattr__(self, "values", vals)
+        self._seal(vals)
 
     @property
     def x(self) -> np.ndarray:
@@ -94,7 +118,7 @@ class SampledFunction:
 
 
 @dataclass(frozen=True)
-class TFR:
+class TFR(_Memo):
     tfgrid: TFGrid
     values: np.ndarray = field(repr=False)
 
@@ -105,7 +129,16 @@ class TFR:
             raise GridError(f"TFR shape {vals.shape} does not match grid {shape}")
         if not np.all(np.isfinite(vals)):
             raise GridError("TFR values must be finite")
-        object.__setattr__(self, "values", vals)
+        self._seal(vals)
+
+    def max_profiles(self) -> tuple:
+        """(max over xi of |V|, max over x of |V|) as functions of x and
+        of xi, computed once per TFR."""
+        def make():
+            a = np.abs(self.values)
+            return (SampledFunction(self.tfgrid.xgrid, a.max(axis=1)),
+                    SampledFunction(self.tfgrid.xigrid, a.max(axis=0)))
+        return self._memoised("max_profiles", make)
 
     def norm2(self) -> float:
         """2-D continuum L2 norm by a Riemann sum."""

@@ -66,9 +66,10 @@ def _phase_fft(vals: np.ndarray, grid: Grid1D, sign: int, axis: int,
 
 
 def dft(f: SampledFunction) -> SampledFunction:
-    """Forward transform onto the dual grid (same count, step 2*pi/(count*step))."""
-    vals = _phase_fft(f.values, f.grid, -1, 0, "dft")
-    return SampledFunction(f.grid.dual(), vals)
+    """Forward transform onto the dual grid (same count, step
+    2*pi/(count*step)), computed once per f."""
+    return f._memoised("dft", lambda: SampledFunction(
+        f.grid.dual(), _phase_fft(f.values, f.grid, -1, 0, "dft")))
 
 
 def idft(F: SampledFunction) -> SampledFunction:

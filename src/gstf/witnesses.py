@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Gaussian, Hermite, catalog_eval
-from .classify import ClassifyOptions, GSIndex, _decay_samples, _sup_table
+from .classify import (ClassifyOptions, GSIndex, _decay_weight, _magnitudes,
+                       _sup_table)
 from .errors import TrivialSpace, UnsupportedRegion
 from .grids import Grid1D, SampledFunction, build_grid
 from .transforms import dft
@@ -106,9 +107,9 @@ class BoundaryReport:
 def _first_boundary_failure(fn: SampledFunction, s: float):
     """Smallest default trial r whose envelope sup is boundary-attained;
     None if every trial passes.  Direct samples carry no noise floor."""
-    _, loga, xw = _decay_samples(fn, s)
     rates = sorted(ClassifyOptions().trial_rs())
-    for r, fit in _sup_table(loga, xw, rates).items():
+    table = _sup_table(_magnitudes(fn)[1], _decay_weight(fn, s), rates)
+    for r, fit in table.items():
         if not fit.interior_attained:
             return r, fit.attained_at
     return None

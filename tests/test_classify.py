@@ -6,13 +6,13 @@ import pytest
 
 from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
                   GSIndex, Gaussian, Grid1D, GstfError, Hermite, Modulate,
-                  Poly, Product, SampledFunction, SubExp, Sum, TFGrid,
+                  Poly, Product, SampledFunction, SubExp, Sum, TFGrid, TFR,
                   Translate, build_grid, catalog_eval, classify_function,
                   classify_stft, dft, dual_growth_report, fit_decay_rate,
-                  stft)
+                  stft, transforms)
 from gstf.classify import (GUARD, EnvelopeFit, EnvelopeReport, _decay_side,
                            _poly_side)
-from gstf.checks import CATALOG_SPACES, CATALOG_SPECS
+from gstf.checks import CATALOG_SPACES, CATALOG_SPECS, classify_tfgrid
 
 from conftest import beurling, roumieu
 
@@ -403,6 +403,63 @@ class TestClassifyStft:
                 b = classify_stft(f, w2, idx, tf, opts, check_window=False,
                                   precomputed=v2).verdict
                 assert a == b, (spec, idx)
+
+
+class TestSharedWork:
+    """Every class asked of one function reads the transform, magnitudes
+    and tables computed once on it; the reports must not show it."""
+
+    @pytest.mark.parametrize("exponent", [10, 11])
+    @pytest.mark.parametrize("through_stft", [False, True])
+    def test_reports_equal_those_of_fresh_copies(self, exponent,
+                                                 through_stft):
+        g = build_grid(12.0, exponent)
+        tf = classify_tfgrid(g)
+        win = catalog_eval(Gaussian(1.0), g)
+
+        def report(f, v, idx):
+            if through_stft:
+                return classify_stft(f, win, idx, tf, check_window=False,
+                                     precomputed=v)
+            return classify_function(f, idx)
+
+        for spec in CATALOG_SPECS:
+            f = catalog_eval(spec, g)
+            v = stft(f, win, tf) if through_stft else None
+            fresh = [report(catalog_eval(spec, g),
+                            None if v is None else TFR(tf, v.values.copy()),
+                            idx)
+                     for idx in CATALOG_SPACES]
+            for order in (1, -1):
+                # one sampled function (and one STFT) for all four classes
+                f1 = catalog_eval(spec, g)
+                v1 = None if v is None else TFR(tf, v.values.copy())
+                shared = {idx: report(f1, v1, idx)
+                          for idx in CATALOG_SPACES[::order]}
+                assert [shared[idx] for idx in CATALOG_SPACES] == fresh, (
+                    spec, order)
+
+    def test_four_classes_run_one_fft(self, grid10, monkeypatch):
+        calls = []
+        fft = transforms._phase_fft
+        monkeypatch.setattr(transforms, "_phase_fft",
+                            lambda *a: calls.append(a[-1]) or fft(*a))
+        f = catalog_eval(Hermite(2), grid10)
+        for idx in CATALOG_SPACES:
+            classify_function(f, idx)
+        assert calls == ["dft"]
+        assert dft(f) is dft(f)
+
+    def test_report_tables_are_independent(self, grid10):
+        f = catalog_eval(Gaussian(1.0), grid10)
+        first = classify_function(f, roumieu(s=1.0))
+        second = classify_function(f, beurling(s=1.0))
+        want = (dict(second.rate_table), dict(second.N_table))
+        first.rate_table.clear()
+        first.N_table[0] = None
+        assert (second.rate_table, second.N_table) == want
+        again = classify_function(f, roumieu(s=1.0))
+        assert (again.rate_table, again.N_table) == want
 
 
 def _dual_growth_reference(v, idx, opts):

@@ -1,9 +1,12 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstf import Grid1D, GridError, SampledFunction, build_grid
+from gstf import (TFR, Grid1D, GridError, SampledFunction, TFGrid,
+                  build_grid)
 
 
 class TestGrid1D:
@@ -34,6 +37,13 @@ class TestGrid1D:
         dd = g.dual().dual()
         assert dd.step == pytest.approx(g.step)
         assert dd.count == g.count
+
+    def test_coords_are_computed_once_and_read_only(self):
+        g = Grid1D(0.0, 0.25, 16)
+        assert g.coords is g.coords
+        with pytest.raises(ValueError):
+            g.coords[0] = 1.0
+        assert g == Grid1D(0.0, 0.25, 16) and "coords" not in repr(g)
 
     def test_shift_index(self):
         g = Grid1D(0.0, 0.25, 16)
@@ -118,3 +128,50 @@ class TestSampledFunction:
         h = SampledFunction(Grid1D(0.0, 2.0, 4), np.ones(4))
         with pytest.raises(GridError):
             f + h
+
+    def test_values_are_read_only(self):
+        f = SampledFunction(Grid1D(0.0, 1.0, 4), np.ones(4))
+        with pytest.raises(ValueError):
+            f.values[0] = 2.0
+        with pytest.raises(ValueError):
+            f.values *= 2.0
+
+    def test_a_view_is_copied(self):
+        # writing through the view's base must not reach the samples
+        base = np.zeros(8, dtype=complex)
+        f = SampledFunction(Grid1D(0.0, 1.0, 4), base[::2])
+        base[0] = 5.0
+        assert f.values[0] == 0.0
+
+    def test_memo_is_not_a_field(self):
+        f = SampledFunction(Grid1D(0.0, 1.0, 4), np.ones(4))
+        f._memoised("k", lambda: 1)
+        assert [fl.name for fl in fields(f)] == ["grid", "values"]
+        assert set(asdict(f)) == {"grid", "values"}
+        assert repr(f) == ("SampledFunction(grid=Grid1D(center=0.0, step=1.0, "
+                           "count=4))")
+
+    def test_memo_computes_once_per_object(self):
+        g = Grid1D(0.0, 1.0, 4)
+        f, h = SampledFunction(g, np.ones(4)), SampledFunction(g, np.ones(4))
+        calls = []
+        for fn in (f, f, h):
+            fn._memoised("k", lambda: calls.append(1) or len(calls))
+        assert calls == [1, 1] and f._memoised("k", None) == 1
+
+
+class TestTFR:
+    def test_values_are_read_only(self):
+        g = Grid1D(0.0, 1.0, 3)
+        v = TFR(TFGrid(g, g), np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            v.values[1, 1] = 0.0
+
+    def test_max_profiles(self):
+        g = Grid1D(0.0, 1.0, 3)
+        vals = np.array([[1, -4j, 0], [2, 0, 0], [0, 0, 3]])
+        v = TFR(TFGrid(g, g), vals)
+        px, pxi = v.max_profiles()
+        assert px.values.tolist() == [4, 2, 3]
+        assert pxi.values.tolist() == [2, 4, 3]
+        assert v.max_profiles()[0] is px
