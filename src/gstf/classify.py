@@ -186,8 +186,9 @@ def _fit_rate(f: SampledFunction, xw: np.ndarray) -> float:
     sel = (a > 1e-13 * c_peak) & (np.abs(f.x) >= f.grid.step)
     if not np.any(sel):
         return math.inf
-    # a weight that overflowed to inf or underflowed to 0 is at its limit
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a weight that overflowed to inf or underflowed to 0 is at its limit,
+    # and so is a ratio that overflows over a subnormal weight
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = (math.log(c_peak) - loga[sel]) / xw[sel]
     r = float(ratios.min())
     # 0/0 is a sample at the peak whose positive weight underflowed: it

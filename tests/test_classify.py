@@ -181,6 +181,13 @@ class TestFitDecayRate:
         f = SampledFunction(Grid1D(0.0, 1e-78, 5), [0.5, 1.0, 0.9, 0.5, 0.25])
         assert fit_decay_rate(f, 1e-2) == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_weight_gives_inf_rate(self):
+        # |x|^(1/s) = 1e-3^104 is subnormal: log 2 over it overflows to
+        # inf, the limit of the ratio, without a numpy warning
+        f = SampledFunction(Grid1D(0.0, 1e-3, 3), [0.5, 1.0, 0.5])
+        assert math.isinf(fit_decay_rate(f, 1.0 / 104))
+
     def test_monotone_nondecreasing_in_s_on_outer_samples(self):
         # For samples with |x| >= 1 the weight |x|^(1/s) shrinks as s grows,
         # so the fitted rate cannot drop when its argmin stays outside |x| < 1.
