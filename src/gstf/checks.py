@@ -11,8 +11,8 @@ import numpy as np
 
 from .catalog import (Bump, Gaussian, Hermite, Modulate, Poly, Product,
                       SubExp, Sum, Translate, catalog_eval)
-from .classify import (ClassifyOptions, GSIndex, classify_function,
-                       classify_stft, fit_decay_rate)
+from .classify import (ClassifyOptions, GSIndex, _decay_side,
+                       classify_function, classify_stft)
 from .grids import Grid1D, TFGrid, TFR, build_grid
 from .toeplitz import (apply_toeplitz, continuity_probe,
                        stft_product_transform_defect)
@@ -111,25 +111,26 @@ def _identities():
 
 def _classification():
     godd = Grid1D(0.0, 24.0 / 1024, 1025)
-    r1 = fit_decay_rate(catalog_eval(Gaussian(1.0), godd), 0.5)
-    yield "rate_recovery_gaussian", abs(r1 - 0.5)
-    r2 = fit_decay_rate(catalog_eval(SubExp(1.0, 2.0), godd), 1.0)
-    yield "rate_recovery_subexp", abs(r2 - 2.0)
+    for name, spec, s, rate in (("gaussian", Gaussian(1.0), 0.5, 0.5),
+                                ("subexp", SubExp(1.0, 2.0), 1.0, 2.0)):
+        _, r_star = _decay_side(catalog_eval(spec, godd), s,
+                                ClassifyOptions(), False, False)
+        yield f"rate_recovery_{name}", abs(r_star.value - rate)
 
     g = build_grid(12.0, 11)
     tf = classify_tfgrid(g)
     opts = ClassifyOptions(n_max=4, r_scale=0.5)
     win = catalog_eval(Gaussian(1.0), g)
-    mismatch = 0
-    for spec in CATALOG_SPECS:
+
+    def mismatches(spec):  # one STFT alive at a time
         f = catalog_eval(spec, g)
         v = stft(f, win, tf)
-        for idx in CATALOG_SPACES:
-            a = classify_function(f, idx, opts).verdict
-            b = classify_stft(f, win, idx, tf, opts, check_window=False,
-                              precomputed=v).verdict
-            mismatch += a != b
-    yield "catalog_agreement_mismatches", float(mismatch)
+        return sum(classify_function(f, idx, opts).verdict
+                   != classify_stft(f, win, idx, tf, opts, check_window=False,
+                                    precomputed=v).verdict
+                   for idx in CATALOG_SPACES)
+    yield "catalog_agreement_mismatches", float(sum(map(mismatches,
+                                                        CATALOG_SPECS)))
 
 
 def _toeplitz():

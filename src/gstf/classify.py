@@ -1,26 +1,22 @@
-"""Envelope fitting and membership verdicts for sub-exponential decay classes.
+"""Membership verdicts for sub-exponential decay classes, from one
+critical scale per side.
 
 A one-parameter class is named by a :class:`GSIndex` with exactly one
 finite entry: a finite ``s`` constrains the function side with envelopes
 C * exp(-r |x|^(1/s)); a finite ``sigma`` constrains the Fourier side the
-same way.  The unconstrained side is always a polynomial-envelope table
-(1+|.|^2)^(-N), N = 0..n_max.
+same way.  The other side is polynomial: C_N (1+|.|^2)^(-N), N <= n_max.
 
-One table of envelope sups over a trial list of rates decides both
-regularities: Roumieu classes need one working rate, Beurling classes
-need every rate in the list.  The fitted rate r_fit is reported beside
-the verdict and does not decide it.
-
-Quantifiers over all r > 0 / all N are finitized to configurable trial
-lists; finiteness of a sup on an unbounded domain is proxied by interior
-attainment on the truncated grid (argmax not within GUARD samples of the
-truncation boundary).  Samples below a relative noise floor are excluded
-from the polynomial tables, and from the rate tables when a transform
-computed them; a sup still rising where the samples reach that floor
-yields the honest third verdict, Inconclusive.
-
-The magnitudes and tables that several classes of one function share are
-computed once, in the function's memo; each report gets its own copies."""
+Finiteness of a sup on an unbounded domain is proxied by interior
+attainment on the truncated grid: the sup of |f| exp(k w) must not sit
+within GUARD samples of the grid edge, nor, for transform-computed
+samples, next to one below the relative noise floor (a masked edge).
+With w = |x|^(1/s) the passing scales k run up to a critical rate r*, a
+discrete Legendre transform of log|f| (Komatsu's associated function);
+with w = log(1+x^2) up to a critical power N*.  Each is computed once per
+function, in one pass, and kept in its memo.  Roumieu classes need the
+smallest trial rate at most r*, Beurling classes the largest, and the
+polynomial side n_max <= N*.  A side that fails at a masked edge leaves
+the verdict Inconclusive."""
 
 from __future__ import annotations
 
@@ -34,9 +30,8 @@ from .grids import SampledFunction, TFGrid, TFR
 from .transforms import dft, stft
 
 __all__ = [
-    "INF", "GSIndex", "ClassifyOptions", "EnvelopeFit", "EnvelopeReport",
-    "MEMBER", "NOT_MEMBER", "INCONCLUSIVE",
-    "fit_decay_rate",
+    "INF", "GSIndex", "ClassifyOptions", "EnvelopeFit", "CriticalScale",
+    "EnvelopeReport", "MEMBER", "NOT_MEMBER", "INCONCLUSIVE",
     "classify_function", "classify_stft", "dual_growth_report",
 ]
 
@@ -85,8 +80,8 @@ class ClassifyOptions:
 
     def __post_init__(self):
         # Out-of-range values would make a side of the test vacuous: a
-        # negative n_max empties the polynomial table, a nan rate zeroes
-        # its sup in the rate table.
+        # negative n_max passes below any N* >= 0, a nan rate fails every
+        # comparison with r*.
         n = self.n_max
         if not (isinstance(n, (int, np.integer)) and 0 <= n <= 16):
             raise GstfError(f"n_max must be an integer in [0, 16], got {n!r}")
@@ -104,59 +99,35 @@ class ClassifyOptions:
 
 
 @dataclass(frozen=True)
-class EnvelopeFit:
+class EnvelopeFit:  # one envelope sup of the dual-space probe
     C: float  # may be +inf when the weighted product overflows
     attained_at: int
     interior_attained: bool
-    # Sup attained at the edge of the trustworthy (above-floor) samples
-    # while still rising: the data cannot settle the bound either way.
+
+
+@dataclass(frozen=True)
+class CriticalScale:
+    """The critical scale of one side: the largest k whose sup of
+    |f| exp(k w) is attained at a trusted interior sample.  Above it the
+    sample at coordinate ``bound_at`` takes the sup over from the one at
+    ``attained_at``; ``masked_edge`` says that sample borders the noise
+    floor rather than lying in the guard band.  ``value`` is inf when no
+    such sample ever takes over (the coordinates are then None), and below
+    0 when one holds the sup already at k = 0."""
+
+    value: float
+    attained_at: float | None = None
+    bound_at: float | None = None
     masked_edge: bool = False
 
 
 @dataclass(frozen=True)
 class EnvelopeReport:
     C_peak: float
-    r_fit: float
-    N_table: dict = field(default_factory=dict)
-    rate_table: dict = field(default_factory=dict)
+    r_star: CriticalScale | None = None  # decay side; None for a dual probe
+    N_star: CriticalScale | None = None  # polynomial side
     verdict: str = INCONCLUSIVE
     diagnostics: dict = field(default_factory=dict)
-
-
-def _sup_table(logabs: np.ndarray, base: np.ndarray, scales,
-               mask: np.ndarray | None = None) -> dict:
-    """{k: fit} of the sup of |f| * exp(k * base) for each k in ``scales``,
-    in the log domain, with attainment diagnostics.  ``logabs`` is log|f|;
-    k = 0 is the weight 1 exactly, also where ``base`` is infinite.
-    ``mask`` selects the admissible samples; an argmax whose neighbor is
-    inadmissible is flagged masked_edge (the sup may continue growing
-    where the samples are round-off garbage)."""
-    n = logabs.shape[0]
-    if mask is not None:
-        logabs = np.where(mask, logabs, -np.inf)
-    table = {}
-    # k * base may overflow to inf, its limit; -inf + inf is a zero or
-    # excluded sample under an infinite weight
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in scales:
-            logv = logabs + (k * base if k else 0.0)
-            i = int(np.argmax(logv))
-            if math.isnan(logv[i]):  # such a sample stays at -inf
-                logv[np.isnan(logv)] = -np.inf
-                i = int(np.argmax(logv))
-            top = logv[i]
-            if top == -np.inf:  # no admissible nonzero sample
-                table[k] = EnvelopeFit(C=0.0, attained_at=n // 2,
-                                       interior_attained=True)
-                continue
-            interior = GUARD <= i <= n - 1 - GUARD
-            edge = mask is not None and interior and (
-                (i > 0 and not mask[i - 1]) or (i < n - 1 and not mask[i + 1]))
-            table[k] = EnvelopeFit(
-                C=math.inf if top > _LOG_MAX else float(math.exp(top)),
-                attained_at=i, interior_attained=interior,
-                masked_edge=bool(edge))
-    return table
 
 
 def _magnitudes(f: SampledFunction) -> tuple:
@@ -170,84 +141,108 @@ def _magnitudes(f: SampledFunction) -> tuple:
     return f._memoised("magnitudes", make)
 
 
-def _decay_weight(f: SampledFunction, s: float) -> np.ndarray:
-    """|x|^(1/s) on f's grid: the base weight of every decay envelope."""
-    if s <= 0:
-        raise GstfError("s must be positive")
-    with np.errstate(over="ignore"):  # an overflow to inf is the limit
-        return np.abs(f.x) ** (1.0 / s)
-
-
-def _fit_rate(f: SampledFunction, xw: np.ndarray) -> float:
-    """fit_decay_rate with the weight ``xw = _decay_weight(f, s)``."""
-    a, loga, c_peak = _magnitudes(f)
-    if c_peak == 0.0:
-        return math.inf
-    sel = (a > 1e-13 * c_peak) & (np.abs(f.x) >= f.grid.step)
-    if not np.any(sel):
-        return math.inf
-    # a weight that overflowed to inf or underflowed to 0 is at its limit,
-    # and so is a ratio that overflows over a subnormal weight
+def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
+              unit: float = 1.0) -> CriticalScale:
+    """The critical scale of log|fn| + k w, for a finite weight w >= 0
+    that grows with |x|, as k / ``unit`` (an overflow or underflow is the
+    limit).  Samples below ``floor`` times the peak are inadmissible, and
+    so are zeros.  An admissible sample is bad within GUARD samples of
+    the edge or next to an inadmissible one (a masked edge), else good.
+    A bad sample b beats every good one on the scales (t_b, u_b): t_b is
+    its last crossing with a lighter good sample, u_b its first with a
+    heavier one, and an equal-weight good one at least as high shuts it
+    out.  The critical scale is the least t_b below u_b, a tie going to
+    the good sample.  A bad sample that another bad one outweighs in both
+    log|f| and w, or that a good one as far out is as high as, never leads
+    at a scale >= 0 (u_b <= 0): it is dropped before any pass."""
+    a, loga, peak = _magnitudes(fn)
+    n = loga.size
+    lg = loga.copy()  # log|f| on the good samples, -inf elsewhere
+    b = np.concatenate((np.arange(min(GUARD, n)),  # the guard band
+                        np.arange(max(n - GUARD, GUARD), n)))
+    edge = np.zeros(n, dtype=bool)
+    if floor is not None:
+        mask = a >= floor * peak
+        lg[~mask] = -INF
+        edge[1:] = ~mask[:-1]
+        edge[:-1] |= ~mask[1:]
+        edge[b] = False
+        b = np.concatenate((b, np.flatnonzero(edge)))
+    b = b[lg[b] > -INF]
+    lg[b] = -INF
+    b = b[np.lexsort((-loga[b], -w[b]))]  # heaviest first, then highest
+    lb = loga[b]
+    b = b[lb > np.maximum.accumulate(np.concatenate(([-INF], lb[:-1])))]
+    x, w_good = fn.x, w[lg > -INF].max(initial=-INF)
+    if (w[b] <= w_good).any():
+        lo = np.searchsorted(x, -np.abs(x[b]), "right")  # x <= -|x_b| below
+        hi = np.searchsorted(x, np.abs(x[b]))  # x >= |x_b| from here
+        left = np.maximum.accumulate(lg)[lo - 1]
+        right = np.maximum.accumulate(lg[::-1])[n - 1 - np.minimum(hi, n - 1)]
+        b = b[(np.where(lo > 0, left, -INF) < loga[b])
+              & (np.where(hi < n, right, -INF) < loga[b])]
+    best = INF, None, None
+    # -inf off the good samples; a crossing that overflows, or falls on
+    # equal weights (u = -inf, or nan for a tie), is at its limit
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = (math.log(c_peak) - loga[sel]) / xw[sel]
-    r = float(ratios.min())
-    # 0/0 is a sample at the peak whose positive weight underflowed: it
-    # bounds r by 0
-    return 0.0 if math.isnan(r) else r
-
-
-def fit_decay_rate(f: SampledFunction, s: float) -> float:
-    """Largest rate r with |f(x)| <= sup|f| * exp(-r |x|^(1/s)) on the grid.
-
-    Samples below 1e-13 of the peak or inside one step of the origin are
-    excluded; +inf when no sample qualifies (e.g. compact support)."""
-    return _fit_rate(f, _decay_weight(f, s))
+        for j in b:
+            d = w[j] - w
+            if w[j] > w_good:  # every good sample is lighter
+                c, u = (lg - loga[j]) / np.maximum(d, 0.0), INF
+            else:
+                u = np.min((lg - loga[j]) / np.copysign(d, -1.0),
+                           where=d <= 0, initial=INF)
+                c = np.where(d > 0, (lg - loga[j]) / d, -INF)
+            i = int(c.argmax())
+            if c[i] < min(u, best[0]):
+                best = c[i], i if c[i] > -INF else None, j
+    k, i, j = float(best[0]), best[1], best[2]
+    if k and math.isfinite(k):  # the unit may overflow or underflow
+        with np.errstate(over="ignore", divide="ignore"):
+            k = float(np.float64(k) / unit)
+    return CriticalScale(k, None if i is None else float(x[i]),
+                         None if j is None else float(x[j]),
+                         j is not None and bool(edge[j]))
 
 
 def _poly_side(fn: SampledFunction, opts: ClassifyOptions):
-    """((ok, inconclusive), N_table): C_N = sup |f(x)| (1+x^2)^N for
-    N = 0..n_max, below-floor samples excluded (polynomial weights amplify
-    round-off garbage at the rim).  The table is computed once per
-    function, n_max and floor."""
+    """((ok, inconclusive), N*): each C_N = sup |f| (1+x^2)^N, N <= n_max,
+    must be interior-attained.  N* is computed once per function and floor
+    (below it polynomial weights amplify round-off garbage at the rim)."""
     def make():
-        a, loga, peak = _magnitudes(fn)
-        mask = a >= opts.floor_rel * peak if peak > 0 else None
-        with np.errstate(over="ignore"):  # x^2 = inf is its limit
-            logw1 = np.log1p(fn.x**2)
-        return _sup_table(loga, logw1, range(opts.n_max + 1), mask)
+        with np.errstate(over="ignore", divide="ignore"):
+            w = np.log1p(fn.x ** 2)
+            if np.isinf(w).any():  # x^2 overflows: log(1+x^2) = 2 log|x|
+                w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
+        return _critical(fn, w, opts.floor_rel)
 
-    table = fn._memoised(("N", opts.n_max, opts.floor_rel), make)
-    ok = all(f.interior_attained and not f.masked_edge for f in table.values())
-    inconclusive = any(f.masked_edge for f in table.values())
-    return (ok, inconclusive), table
+    crit = fn._memoised(("N*", opts.floor_rel), make)
+    ok = opts.n_max <= crit.value
+    return (ok, not ok and crit.masked_edge), crit
 
 
 def _decay_side(fn: SampledFunction, s: float, opts: ClassifyOptions,
                 beurling: bool, masked: bool):
-    """((ok, inconclusive), r_fit, rate_table) for the decay side.
+    """((ok, inconclusive), r*) for the decay side: Roumieu needs the
+    smallest trial rate at most r*, Beurling the largest.  ``masked``
+    marks transform-computed samples, whose sub-floor values are noise;
+    direct samples are trusted all the way down, so a boundary-attained
+    sup is conclusive.  r* is computed once per function, s and floor."""
+    if s <= 0:
+        raise GstfError("s must be positive")
+    floor = opts.floor_rel if masked else None
 
-    One table of envelope sups over the trial rates decides both
-    regularities.  A rate is good when its sup is interior-attained and
-    not at a masked edge; Beurling needs every rate good, Roumieu one.
-    ``masked`` marks transform-computed samples, whose sub-floor values
-    are noise and get excluded; direct samples are trusted all the way
-    down, so a boundary-attained sup is conclusive.  r_fit is reported,
-    not judged.  r_fit and the table are computed once per function, s,
-    trial list, floor and masking."""
+    def make():  # |x|^(1/s) in units of its maximum, which may overflow
+        ax = np.abs(fn.x)
+        top = max(ax[0], ax[-1])  # |x| falls then rises along the grid
+        with np.errstate(over="ignore"):
+            w, unit = (ax / top) ** (1.0 / s), top ** (1.0 / s)
+        return _critical(fn, w, floor, unit)
+
+    crit = fn._memoised(("r*", s, floor), make)
     rs = opts.trial_rs()
-
-    def make():
-        a, loga, peak = _magnitudes(fn)
-        xw = _decay_weight(fn, s)
-        mask = a >= opts.floor_rel * peak if masked else None
-        return _fit_rate(fn, xw), _sup_table(loga, xw, rs, mask)
-
-    r_fit, table = fn._memoised(("rates", s, rs, opts.floor_rel, masked), make)
-    good = [f.interior_attained and not f.masked_edge for f in table.values()]
-    ok = all(good) if beurling else any(good)
-    # A masked edge is still rising where the samples turn to noise.
-    inconclusive = not ok and any(f.masked_edge for f in table.values())
-    return (ok, inconclusive), r_fit, table
+    ok = (max(rs) if beurling else min(rs)) <= crit.value
+    return (ok, not ok and crit.masked_edge), crit
 
 
 def _aggregate(*sides) -> str:
@@ -261,7 +256,8 @@ def _aggregate(*sides) -> str:
 
 
 def _zero_report() -> EnvelopeReport:
-    return EnvelopeReport(C_peak=0.0, r_fit=math.inf, verdict=MEMBER,
+    return EnvelopeReport(C_peak=0.0, r_star=CriticalScale(INF),
+                          N_star=CriticalScale(INF), verdict=MEMBER,
                           diagnostics={"zero_function": True})
 
 
@@ -270,13 +266,11 @@ def _verdict(decay_fn: SampledFunction, s: float, poly_fn: SampledFunction,
              masked: bool) -> EnvelopeReport:
     """One decay side against one polynomial side: the test shared by the
     direct and the STFT characterisation of a one-parameter class."""
-    decay, r_fit, rate_table = _decay_side(
-        decay_fn, s, opts, idx.regularity == "beurling", masked)
-    poly, n_table = _poly_side(poly_fn, opts)
-    # the tables are the memo's: each report gets its own dicts
-    return EnvelopeReport(
-        C_peak=c_peak, r_fit=r_fit, N_table=dict(n_table),
-        rate_table=dict(rate_table), verdict=_aggregate(decay, poly))
+    decay, r_star = _decay_side(decay_fn, s, opts,
+                                idx.regularity == "beurling", masked)
+    poly, n_star = _poly_side(poly_fn, opts)
+    return EnvelopeReport(C_peak=c_peak, r_star=r_star, N_star=n_star,
+                          verdict=_aggregate(decay, poly))
 
 
 def classify_function(f: SampledFunction, idx: GSIndex,
@@ -299,7 +293,10 @@ def _window_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
                  tfgrid: TFGrid, opts: ClassifyOptions, check_window: bool,
                  precomputed: TFR | None) -> TFR:
     if check_window:
-        wr = classify_function(window, idx, opts)
+        # a fresh carrier of the same read-only samples: its memo goes
+        # before the STFT runs
+        wr = classify_function(SampledFunction(window.grid, window.values),
+                               idx, opts)
         if wr.verdict != MEMBER:
             raise GstfError(
                 f"window is {wr.verdict} for the requested class; "
@@ -392,7 +389,8 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
         member = all(n0 is not None for n0 in n0_by_r.values())
     else:
         member = any(n0 is not None for n0 in n0_by_r.values())
-    return EnvelopeReport(C_peak=c_peak, r_fit=math.nan, rate_table=table,
+    return EnvelopeReport(C_peak=c_peak,
                           verdict=MEMBER if member else NOT_MEMBER,
-                          diagnostics={"N0_by_r": n0_by_r})
+                          diagnostics={"N0_by_r": n0_by_r,
+                                       "fit_by_r": table})
 

@@ -34,7 +34,7 @@ from .witnesses import make_witness
 
 __all__ = ["main", "run_command"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------- reports
@@ -221,14 +221,6 @@ def _cmd_stft(args) -> tuple:
     }, ("x", "xi", "value-real", "value-imag"), rows, 0
 
 
-_FIT_FIELDS = ("C", "attained_at", "interior_attained", "masked_edge")
-
-
-def _fit_table(items) -> dict:
-    return {key: {k: getattr(fit, k) for k in _FIT_FIELDS}
-            for key, fit in items}
-
-
 def _cmd_classify(args) -> tuple:
     f, desc = _input_function(args)
     idx = _space_index(args)
@@ -238,9 +230,7 @@ def _cmd_classify(args) -> tuple:
         rep = classify_stft(f, window, idx, classify_tfgrid(f.grid), opts)
     else:
         wdesc, rep = None, classify_function(f, idx, opts)
-    ntab = _fit_table((str(n), fit) for n, fit in sorted(rep.N_table.items()))
-    rtab = _fit_table((_cfloat(r), fit)
-                      for r, fit in sorted(rep.rate_table.items()))
+    scales = {"r_star": asdict(rep.r_star), "N_star": asdict(rep.N_star)}
     params = {"input": desc, "window": wdesc,
               "s": None if math.isinf(idx.s) else idx.s,
               "sigma": None if math.isinf(idx.sigma) else idx.sigma,
@@ -250,27 +240,24 @@ def _cmd_classify(args) -> tuple:
               "floor": opts.floor_rel}
     body = {
         "verdict": rep.verdict,
-        "fitted": {"C_peak": rep.C_peak, "r_fit": rep.r_fit,
-                   "N_table": ntab, "rate_table": rtab},
+        "fitted": {"C_peak": rep.C_peak, **scales},
         "diagnostics": {
             "attainment": {
-                "poly_all_interior": all(
-                    t["interior_attained"] and not t["masked_edge"]
-                    for t in ntab.values()),
+                "poly_all_interior": opts.n_max <= rep.N_star.value,
             },
             "floor": opts.floor_rel,
             "guard_band": GUARD,
         },
     }
     rows = [("meta", "verdict", rep.verdict, "", "", ""),
-            ("meta", "C_peak", _cfloat(rep.C_peak), "", "", ""),
-            ("meta", "r_fit", _cfloat(rep.r_fit), "", "", "")]
-    rows += [(kind, key, _cfloat(t["C"]), t["attained_at"],
-              t["interior_attained"], t["masked_edge"])
-             for kind, table in (("poly", ntab), ("rate", rtab))
-             for key, t in table.items()]
+            ("meta", "C_peak", _cfloat(rep.C_peak), "", "", "")]
+    rows += [("critical", name, *("" if v is None else _cfloat(v)
+                                  for v in (c["value"], c["attained_at"],
+                                            c["bound_at"])), c["masked_edge"])
+             for name, c in scales.items()]
     code = 1 if args.assert_member and rep.verdict != MEMBER else 0
-    return params, body, ("kind", "key", "value", *_FIT_FIELDS[1:]), rows, code
+    return params, body, ("kind", "key", "value", "attained_at", "bound_at",
+                          "masked_edge"), rows, code
 
 
 def _cmd_witness(args) -> tuple:
@@ -365,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="classify through the STFT with this "
                                     "window instead of directly")
     p.add_argument("--n-max", type=int)
-    p.add_argument("--r-list", help="comma-separated trial rates")
+    p.add_argument("--r-list", help="comma-separated trial rates: Roumieu "
+                                    "reads the smallest, Beurling the largest")
     p.add_argument("--floor", type=float, help="relative noise floor")
     p.add_argument("--assert-member", action="store_true")
     p.set_defaults(func=_cmd_classify)

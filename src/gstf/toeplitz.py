@@ -79,8 +79,8 @@ def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
 
 @dataclass(frozen=True)
 class ContinuityEntry:
-    r_fit_in: float
-    r_fit_out: float
+    r_star_in: float
+    r_star_out: float
     verdict_in: str
     verdict_out: str
 
@@ -109,7 +109,7 @@ def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
         out = apply_toeplitz(a, phi1, phi2, f)
         rep_out = classify_function(out, idx, opts)
         entries.append(ContinuityEntry(
-            r_fit_in=rep_in.r_fit, r_fit_out=rep_out.r_fit,
+            r_star_in=rep_in.r_star.value, r_star_out=rep_out.r_star.value,
             verdict_in=rep_in.verdict, verdict_out=rep_out.verdict))
     entries = tuple(entries)
     return ContinuityReport(

@@ -8,14 +8,12 @@ trivial boundary we demonstrate failure on a candidate family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import Gaussian, Hermite, catalog_eval
-from .classify import (ClassifyOptions, GSIndex, _decay_weight, _magnitudes,
-                       _sup_table)
+from .classify import ClassifyOptions, CriticalScale, GSIndex, _decay_side
 from .errors import TrivialSpace, UnsupportedRegion
 from .grids import Grid1D, SampledFunction, build_grid
 from .transforms import dft
@@ -92,8 +90,8 @@ class BoundaryCandidate:
     name: str
     failed: bool
     failing_side: str  # "function", "fourier", or "" if it passed
-    first_failing_r: float  # nan if it passed
-    attained_at: int
+    r_star_x: CriticalScale
+    r_star_xi: CriticalScale | None  # None when f fails on its own
 
 
 @dataclass(frozen=True)
@@ -104,24 +102,15 @@ class BoundaryReport:
     all_failed: bool
 
 
-def _first_boundary_failure(fn: SampledFunction, s: float):
-    """Smallest default trial r whose envelope sup is boundary-attained;
-    None if every trial passes.  Direct samples carry no noise floor."""
-    rates = sorted(ClassifyOptions().trial_rs())
-    table = _sup_table(_magnitudes(fn)[1], _decay_weight(fn, s), rates)
-    for r, fit in table.items():
-        if not fit.interior_attained:
-            return r, fit.attained_at
-    return None
-
-
 def boundary_triviality_demo(s: float) -> BoundaryReport:
     """Evidence for triviality on the Beurling boundary line s + sigma = 1.
 
-    Runs the two-sided trial-list test at (s, 1-s) over a candidate
-    family of Gaussians and Hermite functions on the default witness grid
-    and records each first failure.  all_failed = True is the expected
-    outcome for every 0 < s < 1.
+    Runs the Beurling test with the default trial rates at (s, 1-s) over a
+    candidate family of Gaussians and Hermite functions on the default
+    witness grid: a side fails when its critical rate r* (r*_x of f, r*_xi
+    of its transform, both on direct samples) is below the largest rate.
+    The transform is read only when f passes.  all_failed = True is the
+    expected outcome for every 0 < s < 1.
     """
     if not (0.0 < s < 1.0):
         raise TrivialSpace("boundary demo needs 0 < s < 1")
@@ -129,20 +118,17 @@ def boundary_triviality_demo(s: float) -> BoundaryReport:
     grid = default_witness_grid()
     candidates = [Gaussian(a) for a in (0.5, 1.0, 2.0)]
     candidates += [Hermite(k) for k in range(4)]
+    opts = ClassifyOptions()
 
     rows = []
     for spec in candidates:
         f = catalog_eval(spec, grid)
-        hit = _first_boundary_failure(f, s)
-        side = "function"
-        if hit is None:
-            hit = _first_boundary_failure(dft(f), sigma)
-            side = "fourier"
-        if hit is None:
-            rows.append(BoundaryCandidate(str(spec), False, "", math.nan, -1))
-        else:
-            r, at = hit
-            rows.append(BoundaryCandidate(str(spec), True, side, r, at))
+        (ok, _), r_x = _decay_side(f, s, opts, True, False)
+        r_xi, side = None, "function"
+        if ok:  # the transform is needed only when f passes
+            (ok, _), r_xi = _decay_side(dft(f), sigma, opts, True, False)
+            side = "" if ok else "fourier"
+        rows.append(BoundaryCandidate(str(spec), not ok, side, r_x, r_xi))
     rows = tuple(rows)
     return BoundaryReport(s=s, sigma=sigma, candidates=rows,
                           all_failed=all(c.failed for c in rows))

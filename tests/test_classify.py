@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
-                  GSIndex, Gaussian, Grid1D, GstfError, Hermite, Modulate,
-                  Poly, Product, SampledFunction, SubExp, Sum, TFGrid, TFR,
-                  Translate, build_grid, catalog_eval, classify_function,
-                  classify_stft, dft, dual_growth_report, fit_decay_rate,
+                  CriticalScale, GSIndex, Gaussian, Grid1D, GstfError,
+                  Hermite, Modulate, Poly, Product, SampledFunction, SubExp,
+                  Sum, TFGrid, TFR, Translate, build_grid, catalog_eval,
+                  classify_function, classify_stft, dft, dual_growth_report,
                   stft, transforms)
-from gstf.classify import (GUARD, EnvelopeFit, EnvelopeReport, _decay_side,
-                           _poly_side)
+from gstf.classify import (GUARD, EnvelopeFit, EnvelopeReport, _critical,
+                           _decay_side, _poly_side)
 from gstf.checks import CATALOG_SPACES, CATALOG_SPECS, classify_tfgrid
 
 from conftest import beurling, roumieu
@@ -82,159 +82,228 @@ class TestClassifyOptions:
         assert ClassifyOptions(n_max=16).n_max == 16
 
 
-def _rate_fit(f, r, s, masked=False):
-    """The one-rate table of the decay side: the envelope sup of
-    |f(x)| exp(r |x|^(1/s))."""
-    _, _, table = _decay_side(f, s, ClassifyOptions(r_list=(r,)),
-                              beurling=True, masked=masked)
-    return table[r]
+def _r_star(f, s, masked=False):
+    """The decay side's critical rate r* at index s."""
+    return _decay_side(f, s, ClassifyOptions(), beurling=True,
+                       masked=masked)[1]
+
+
+def _sup_reference(fn, base, scales, mask=None):
+    """{k: (interior, masked_edge)} for the sup of |fn| exp(k * base), one
+    argmax per scale (the first of equal maxima) as the trial-rate and
+    C_N tables found it; k = 0 is the weight 1 exactly."""
+    n = fn.grid.count
+    with np.errstate(divide="ignore"):
+        loga = np.log(np.abs(fn.values))
+    if mask is not None:
+        loga = np.where(mask, loga, -np.inf)
+    out = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in scales:
+            logv = loga + (k * base if k else 0.0)
+            logv[np.isnan(logv)] = -np.inf
+            i = int(np.argmax(logv))
+            if logv[i] == -np.inf:  # no admissible nonzero sample
+                out[k] = (True, False)
+                continue
+            interior = GUARD <= i <= n - 1 - GUARD
+            edge = mask is not None and interior and (
+                (i > 0 and not mask[i - 1]) or (i < n - 1 and not mask[i + 1]))
+            out[k] = (interior, bool(edge))
+    return out
+
+
+def _flags_reference(fn, base, scales, mask, every):
+    """(ok, inconclusive) of one side from its reference table: ``every``
+    scale good (Beurling, polynomial) or one (Roumieu)."""
+    table = _sup_reference(fn, base, scales, mask)
+    good = [inside and not edge for inside, edge in table.values()]
+    ok = all(good) if every else any(good)
+    return ok, not ok and any(edge for _, edge in table.values())
+
+
+def _floor(fn, opts):
+    a = np.abs(fn.values)
+    return a >= opts.floor_rel * a.max()
 
 
 class TestSupEnvelopeConstant:
-    """The sup C of one rate's envelope, read from the decay side."""
+    """The sup of one rate's envelope |f| exp(r |x|^(1/s)) is attained in
+    the interior exactly for the rates up to the critical rate r*."""
 
     def test_matches_brute_force(self):
-        # Independent oracle: direct max over weighted samples.
+        # Independent oracle: the argmax of the weighted samples, just
+        # below and just above r*
         f = catalog_eval(Gaussian(1.0), ODD_GRID)
-        for r, s in [(0.1, 0.5), (0.25, 1.0), (0.5, 2.0)]:
-            fit = _rate_fit(f, r, s)
-            brute = np.max(np.abs(f.values)
-                           * np.exp(r * np.abs(f.x) ** (1.0 / s)))
-            assert fit.C == pytest.approx(brute, rel=1e-12)
+        for s in (0.5, 1.0, 2.0):
+            r = _r_star(f, s).value
+            w = np.abs(f.x) ** (1.0 / s)
+            table = _sup_reference(f, w, (r * (1 - 1e-6), r * (1 + 1e-6)))
+            assert list(table.values()) == [(True, False), (False, False)]
 
     def test_interior_attainment_flag(self):
         f = catalog_eval(Gaussian(1.0), ODD_GRID)
         # Weight weaker than the decay: sup sits at the origin, interior.
-        assert _rate_fit(f, 0.1, 1.0).interior_attained
+        assert 0.1 <= _r_star(f, 1.0).value
         # Weight overwhelming the decay: exp(x^2) beats exp(-x^2/2), the
         # sup climbs to the truncation rim.
-        fit = _rate_fit(f, 1.0, 0.5)
-        assert not fit.interior_attained
-        assert fit.attained_at in (0, ODD_GRID.count - 1)
+        crit = _r_star(f, 0.5)
+        assert crit.value < 1.0
+        assert abs(crit.bound_at) >= abs(ODD_GRID.coords[GUARD - 1])
+        assert not crit.masked_edge
 
-    def test_overflow_reports_inf_constant(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_weight_gives_zero_rate(self):
+        # |x|^(1/s) = 12^4000 overflows: every positive rate lets the rim
+        # win, and r* is the limit 0
         f = catalog_eval(Gaussian(1.0), ODD_GRID)
-        fit = _rate_fit(f, 200.0, 0.25)
-        assert math.isinf(fit.C)
+        assert _r_star(f, 0.00025).value == 0.0
 
     def test_floor_masks_noise_tail(self):
         # A synthetic noise floor under an unbounded weight would fake a
         # boundary sup; masking it keeps the argmax where the signal is.
         vals = np.exp(-0.5 * ODD_GRID.coords**2) + 1e-16
         f = SampledFunction(ODD_GRID, vals)
-        unmasked = _rate_fit(f, 1.0, 0.5)
-        masked = _rate_fit(f, 1.0, 0.5, masked=True)
-        assert not unmasked.interior_attained
-        assert masked.interior_attained
+        unmasked = _r_star(f, 0.5)
+        masked = _r_star(f, 0.5, masked=True)
+        assert unmasked.value < 0.5 and not unmasked.masked_edge
+        assert masked.value == pytest.approx(0.5, abs=1e-4)
         assert masked.masked_edge  # still rising when the data runs out
+        assert abs(masked.bound_at) < abs(ODD_GRID.coords[GUARD])
 
     def test_rejects_bad_s(self):
         f = catalog_eval(Gaussian(1.0), ODD_GRID)
         with pytest.raises(GstfError):
-            _rate_fit(f, 1.0, 0.0)
+            _r_star(f, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_sample_under_infinite_weight_is_not_the_sup(self):
-        # x^2 overflows at the rim, where 0 * exp(inf) is 0, not nan
+        # x^2 overflows at the rim, where 0 * exp(inf) is 0, not nan: the
+        # guard sample next to it bounds r*, at the limit 0
         f = SampledFunction(Grid1D(0.0, 1e154, 5), [0.0, 1.0, 1.0, 1.0, 0.0])
-        fit = _rate_fit(f, 1e-306, 0.5)
-        assert fit.attained_at == 1
-        assert fit.C == pytest.approx(math.exp(100.0), rel=1e-12)
+        crit = _r_star(f, 0.5)
+        assert (crit.value, crit.attained_at, crit.bound_at) == (
+            0.0, 0.0, -1e154)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFitDecayRate:
+    """The decay rate read off the samples is the critical rate r*: on an
+    even grid, where no sample sits at the origin, it is still the closed
+    form.  The limit cases raise no numpy warning."""
+
     def test_gaussian_oracle(self):
-        # exp(-x^2/2) = exp(-0.5 |x|^(1/s)) at s = 1/2, so r = 0.5 exactly.
-        f = catalog_eval(Gaussian(1.0), ODD_GRID)
-        assert fit_decay_rate(f, 0.5) == pytest.approx(0.5, abs=1e-9)
+        # exp(-a x^2/2) = exp(-(a/2) |x|^(1/s)) at s = 1/2
+        for a, exponent in itertools.product((0.5, 1.0, 2.4), (10, 11)):
+            f = catalog_eval(Gaussian(a), build_grid(12.0, exponent))
+            assert _r_star(f, 0.5).value == pytest.approx(a / 2, abs=1e-9)
 
     def test_subexp_oracle(self):
-        f = catalog_eval(SubExp(1.0, 2.0), ODD_GRID)
-        assert fit_decay_rate(f, 1.0) == pytest.approx(2.0, abs=1e-9)
+        for c, exponent in itertools.product((0.5, 2.0), (10, 11)):
+            f = catalog_eval(SubExp(1.0, c), build_grid(12.0, exponent))
+            assert _r_star(f, 1.0).value == pytest.approx(c, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", [Hermite(2), Translate(Gaussian(1.0), 2.0)])
+    def test_rate_rises_to_one_half_with_the_half_width(self, spec):
+        # the polynomial factor and the shift cost rate at the rim only
+        # (at half-width 48 the tail underflows to 0 and r* is inf)
+        rates = [_r_star(catalog_eval(spec, build_grid(x, 11)), 0.5).value
+                 for x in (12.0, 16.0, 24.0)]
+        assert 0.4 < rates[0] < rates[1] < rates[2] < 0.5
 
     def test_wrong_exponent_underestimates(self):
-        # Reading a gaussian at s = 1 fits the envelope at the grid edge.
-        f = catalog_eval(Gaussian(1.0), ODD_GRID)
-        r = fit_decay_rate(f, 1.0)
-        assert 0.0 < r < 0.5
+        # exp(-2|x|) read at s = 1/2 against the rim X: r* = 2/(X + h/2)
+        g = build_grid(12.0, 11)
+        f = catalog_eval(SubExp(1.0, 2.0), g)
+        assert _r_star(f, 0.5).value == pytest.approx(
+            2.0 / (12.0 + g.step / 2), rel=1e-9)
 
     def test_no_qualifying_sample_gives_inf(self):
-        # All mass within one step of the origin: nothing to fit against.
+        # All mass at one interior sample: no rate moves the sup.
         vals = np.zeros(ODD_GRID.count)
         vals[512] = 1.0
-        r = fit_decay_rate(SampledFunction(ODD_GRID, vals), 1.0)
-        assert math.isinf(r)
-
-    def test_noise_floor_is_1e_13_of_the_peak(self):
-        # 9e-14 at |x| = 2 lies under the floor and would bound r by
-        # -log(9e-14)/2; 2e-13 at |x| = 1 lies over it and decides
-        f = SampledFunction(Grid1D(0.0, 1.0, 5), [0.0, 2e-13, 1.0, 0.0, 9e-14])
-        assert fit_decay_rate(f, 1.0) == pytest.approx(-math.log(2e-13),
-                                                       rel=1e-12)
+        crit = _r_star(SampledFunction(ODD_GRID, vals), 1.0)
+        assert crit == CriticalScale(math.inf)
 
     def test_zero_function_gives_inf(self):
         f = SampledFunction(ODD_GRID, np.zeros(ODD_GRID.count))
-        assert math.isinf(fit_decay_rate(f, 1.0))
+        assert _r_star(f, 1.0) == CriticalScale(math.inf)
+        assert classify_function(f, roumieu(s=1.0)).r_star.value == math.inf
 
     def test_peak_with_underflowing_weight_bounds_rate_by_zero(self):
-        # |x|^(1/s) underflows to 0 at the peak, one step from the origin:
-        # its true weight is positive, so the ratio 0/0 has the limit 0
-        f = SampledFunction(Grid1D(0.0, 1e-78, 5), [0.5, 1.0, 0.9, 0.5, 0.25])
-        assert fit_decay_rate(f, 1e-2) == 0.0
+        # (|x|/4)^1000 underflows to 0 at the peak x = 1, and 4^1000
+        # overflows: every positive rate lets the rim win, so r* = 0
+        g = Grid1D(0.0, 1.0, 9)
+        f = SampledFunction(g, np.exp(-0.5 * (g.coords - 1.0) ** 2))
+        crit = _r_star(f, 1e-3)
+        assert (crit.value, crit.attained_at, crit.bound_at) == (0.0, 1.0, 4.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_peak_in_the_guard_band_gives_no_rate(self):
+        # the largest sample lies within GUARD samples of the edge, and a
+        # weight underflowing at the centre does not hide it
+        f = SampledFunction(Grid1D(0.0, 1e-78, 5), [0.5, 1.0, 0.9, 0.5, 0.25])
+        crit = _r_star(f, 1e-2)
+        assert (crit.value, crit.bound_at) == (-math.inf, -1e-78)
+
     def test_subnormal_weight_gives_inf_rate(self):
-        # |x|^(1/s) = 1e-3^104 is subnormal: log 2 over it overflows to
-        # inf, the limit of the ratio, without a numpy warning
-        f = SampledFunction(Grid1D(0.0, 1e-3, 3), [0.5, 1.0, 0.5])
-        assert math.isinf(fit_decay_rate(f, 1.0 / 104))
+        # a compact bump whose masked edges weigh 0.25^520, subnormal: the
+        # crossing log 2 / 0.25^520 overflows to inf, its limit
+        vals = np.zeros(9)
+        vals[3:6] = [0.5, 1.0, 0.5]
+        f = SampledFunction(Grid1D(0.0, 1e-3, 9), vals)
+        assert _r_star(f, 1.0 / 520, masked=True).value == math.inf
 
     def test_monotone_nondecreasing_in_s_on_outer_samples(self):
-        # For samples with |x| >= 1 the weight |x|^(1/s) shrinks as s grows,
-        # so the fitted rate cannot drop when its argmin stays outside |x| < 1.
-        # Restricted to s <= 2 so the argmin of |x|^(1/2 - 1/s) stays at
-        # the far end of the grid rather than migrating inside |x| < 1.
+        # For |x| >= 1 the weight |x|^(1/s) shrinks as s grows, so the
+        # critical rate of exp(-|x|^(1/2)) cannot drop up to s = 2.
         f = catalog_eval(SubExp(2.0, 1.0), ODD_GRID)
-        rates = [fit_decay_rate(f, s) for s in (0.5, 1.0, 1.5, 2.0)]
+        rates = [_r_star(f, s).value for s in (0.5, 1.0, 1.5, 2.0)]
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+        assert rates[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestFitPolyTable:
-    """The C_N table of the polynomial side."""
+    """The critical power N* of the polynomial side."""
 
     def test_matches_brute_force(self):
         f = dft(catalog_eval(Gaussian(1.0), build_grid(12.0, 10)))
-        _, table = _poly_side(f, ClassifyOptions(n_max=3, floor_rel=1e-13))
-        a = np.abs(f.values)
-        mask = a >= 1e-13 * a.max()
-        for n in range(4):
-            brute = np.max(a[mask] * (1.0 + f.x[mask] ** 2) ** n)
-            assert table[n].C == pytest.approx(brute, rel=1e-12)
+        opts = ClassifyOptions(n_max=3, floor_rel=1e-13)
+        _, crit = _poly_side(f, opts)
+        n = math.floor(crit.value)
+        table = _sup_reference(f, np.log1p(f.x**2), (n, n + 1),
+                               _floor(f, opts))
+        assert table == {n: (True, False), n + 1: (True, True)}
+        assert crit.masked_edge
 
     def test_slow_decay_fails_interior_attainment(self):
         # 1/(1+x^2) loses to (1+x^2)^2: the product grows to the rim.
         vals = 1.0 / (1.0 + ODD_GRID.coords**2)
-        side, table = _poly_side(SampledFunction(ODD_GRID, vals),
-                                 ClassifyOptions(n_max=2))
-        assert table[0].interior_attained
-        assert not table[2].interior_attained
+        side, crit = _poly_side(SampledFunction(ODD_GRID, vals),
+                                ClassifyOptions(n_max=2))
+        assert crit.value == pytest.approx(1.0, abs=1e-9)
         assert side == (False, False)
 
     def test_rejects_large_n_max(self):
-        # the table stops at N = 16: 16 builds 17 finite rows, 17 is refused
+        # the polynomial side reads up to N = 16; 17 is refused
         f = catalog_eval(Gaussian(1.0), ODD_GRID)
-        _, table = _poly_side(f, ClassifyOptions(n_max=16))
-        assert list(table) == list(range(17))
-        assert all(math.isfinite(fit.C) for fit in table.values())
+        side, crit = _poly_side(f, ClassifyOptions(n_max=16))
+        assert side == (True, False) and crit.value > 16
         with pytest.raises(GstfError):
             _poly_side(f, ClassifyOptions(n_max=17))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_limits_where_x_squared_overflows(self):
-        # the N = 0 weight stays 1, so C_0 is the sample maximum; N >= 1
-        # weights are infinite at every sample, so C_N is too
-        f = SampledFunction(Grid1D(0.0, 1e300, 4), [0.25, 1.0, 0.5, 0.125])
-        _, table = _poly_side(f, ClassifyOptions(n_max=1))
-        assert (table[0].C, table[0].attained_at) == (1.0, 1)
-        assert math.isinf(table[1].C)
+        # log(1+x^2) is 2 log|x| once x^2 overflows: halving per doubling
+        # of |x| is N* = 1/2; a grid with no interior has no N at all
+        side, crit = _poly_side(
+            SampledFunction(Grid1D(0.0, 1e300, 7),
+                            [0.125, 0.25, 0.5, 1.0, 0.5, 0.25, 0.125]),
+            ClassifyOptions(n_max=0))
+        assert crit.value == pytest.approx(0.5, rel=1e-9) and side[0]
+        _, crit = _poly_side(
+            SampledFunction(Grid1D(0.0, 1e300, 4), [0.25, 1.0, 0.5, 0.125]),
+            ClassifyOptions(n_max=0))
+        assert crit.value == -math.inf
 
 
 class TestDecaySide:
@@ -250,14 +319,128 @@ class TestDecaySide:
     ])
     def test_one_rate_table_decides_both_regularities(
             self, r_list, masked, roumieu_side, beurling_side):
+        # one critical rate, whatever the regularity or the trial list
         fn = SampledFunction(ODD_GRID, np.exp(-0.5 * ODD_GRID.coords**2)
                              + 1e-16)
         opts = ClassifyOptions(r_list=r_list)
         for beurling, want in ((False, roumieu_side), (True, beurling_side)):
-            side, r_fit, table = _decay_side(fn, 0.5, opts, beurling, masked)
+            side, crit = _decay_side(fn, 0.5, opts, beurling, masked)
             assert side == want
-            assert list(table) == list(r_list)
-            assert r_fit == fit_decay_rate(fn, 0.5)
+            assert crit is _r_star(fn, 0.5, masked)
+
+
+class TestReferenceTables:
+    """The critical scales give the (ok, inconclusive) flags of one argmax
+    per trial rate and per N, direct and through the STFT."""
+
+    @pytest.mark.parametrize("through_stft", [False, True])
+    def test_flags_match_the_per_scale_argmax(self, grid11, tf_classify,
+                                              gauss_window, through_stft):
+        for spec in CATALOG_SPECS:
+            f = catalog_eval(spec, grid11)
+            if through_stft:
+                px, pxi = stft(f, gauss_window, tf_classify).max_profiles()
+            for idx in CATALOG_SPACES:
+                on_x = math.isinf(idx.sigma)
+                s = idx.s if on_x else idx.sigma
+                if through_stft:
+                    decay, poly = (px, pxi) if on_x else (pxi, px)
+                    masked = True
+                else:
+                    decay, poly = (f, dft(f)) if on_x else (dft(f), f)
+                    masked = not on_x
+                r = _r_star(decay, s, masked).value
+                straddle = (r / 2, 2 * r) if 0 < r < math.inf else (0.25, 4.0)
+                for opts in (ClassifyOptions(),
+                             ClassifyOptions(n_max=4, r_scale=0.5),
+                             ClassifyOptions(n_max=4, r_list=straddle)):
+                    beurling = idx.regularity == "beurling"
+                    mask = _floor(decay, opts) if masked else None
+                    with np.errstate(over="ignore"):
+                        w = np.abs(decay.x) ** (1.0 / s)
+                    want = _flags_reference(decay, w, opts.trial_rs(), mask,
+                                            beurling)
+                    got, _ = _decay_side(decay, s, opts, beurling, masked)
+                    assert got == want, (spec, idx, opts)
+                    want = _flags_reference(poly, np.log1p(poly.x**2),
+                                            range(opts.n_max + 1),
+                                            _floor(poly, opts), True)
+                    got, _ = _poly_side(poly, opts)
+                    assert got == want, (spec, idx, opts)
+
+
+def _leads(fn, w, floor, k):
+    """(a good sample attains the max of log|fn| + k w, the first bad
+    argmax, whether it is a masked edge), by brute force."""
+    a = np.abs(fn.values)
+    n = a.size
+    ok = a > 0
+    edge = np.zeros(n, dtype=bool)
+    if floor is not None:
+        mask = a >= floor * a.max()
+        ok &= mask
+        edge[1:] |= ~mask[:-1]
+        edge[:-1] |= ~mask[1:]
+        edge[:GUARD] = edge[n - GUARD:] = False
+    bad = np.zeros(n, dtype=bool)
+    bad[:GUARD] = bad[n - GUARD:] = True
+    bad = (bad | edge) & ok
+    with np.errstate(divide="ignore"):
+        v = np.log(a) + k * w
+    top_good = v[ok & ~bad].max(initial=-np.inf)
+    if not bad.any():
+        return True, None, False
+    i = np.flatnonzero(bad)[np.argmax(v[bad])]
+    return top_good >= v[i], i, bool(edge[i])
+
+
+class TestCriticalScale:
+    def test_first_scale_where_a_bad_sample_leads(self):
+        # Independent oracle on random samples, zeros, ties, off-centre
+        # grids, masks and both weights: a good sample leads at every
+        # scale from 0 up to k*, and the bound sample just above it
+        rng = np.random.default_rng(20261018)
+        for _ in range(600):
+            n = int(rng.integers(3, 30))
+            g = Grid1D(float(rng.choice([0.0, rng.normal()])),
+                       float(rng.uniform(0.1, 2.0)), n)
+            vals = np.exp(rng.normal(0.0, 3.0, n)) * (rng.random(n) > 0.15)
+            if rng.random() < 0.3:
+                vals = np.round(vals, 1)  # equal samples
+            fn = SampledFunction(g, vals)
+            w = (np.abs(g.coords) ** rng.choice([0.5, 1.0, 2.0, 3.0])
+                 if rng.random() < 0.7 else np.log1p(g.coords**2))
+            floor = (None if rng.random() < 0.4
+                     else float(rng.choice([0.0, 1e-3, 0.1, 0.5])))
+            crit = _critical(fn, w, floor)
+            k = crit.value
+            if k == math.inf:
+                assert all(_leads(fn, w, floor, t)[0]
+                           for t in (0.0, 0.5, 3.0, 50.0, 1e4)), crit
+            elif k < 0:
+                assert not _leads(fn, w, floor, 0.0)[0], crit
+            else:
+                d = 1e-7 * max(1.0, k)
+                assert all(_leads(fn, w, floor, t)[0]
+                           for t in np.linspace(0.0, max(k - d, 0.0), 40))
+                good, i, edge = _leads(fn, w, floor, k + d)
+                assert not good, crit
+                assert (crit.bound_at, crit.masked_edge) == (g.coords[i],
+                                                             edge), crit
+
+    def test_a_tie_goes_to_the_interior(self):
+        # |f| = 1 everywhere: the N = 0 sup is attained inside as well as
+        # at the rim, so N* = 0 and n_max = 0 passes, n_max = 1 does not
+        f = SampledFunction(Grid1D(0.0, 1.0, 9), np.ones(9))
+        side, crit = _poly_side(f, ClassifyOptions(n_max=0))
+        assert (side, crit.value) == ((True, False), 0.0)
+        assert _poly_side(f, ClassifyOptions(n_max=1))[0] == (False, False)
+        # a trial rate equal to r* passes too
+        g = catalog_eval(Gaussian(1.0), ODD_GRID)
+        opts = ClassifyOptions(r_list=(_r_star(g, 0.5).value,))
+        for beurling in (False, True):
+            assert _decay_side(g, 0.5, opts, beurling, False)[0] == (
+                True, False)
 
 
 @pytest.fixture(scope="module")
@@ -349,13 +532,15 @@ class TestClassifyFunction:
         f = catalog_eval(SubExp(1.0, 1.0), grid10)
         assert classify_function(f, roumieu(s=1.0)).verdict == NOT_MEMBER
 
-    def test_report_carries_tables(self, grid, opts):
+    def test_report_carries_critical_scales(self, grid, opts):
         f = catalog_eval(Gaussian(1.0), grid)
         rep = classify_function(f, beurling(s=1.0), opts)
-        assert set(rep.N_table) == set(range(5))
-        assert len(rep.rate_table) == len(opts.trial_rs())
+        # exp(-x^2/2) against exp(r|x|) holds to about the rim's |x|
+        assert rep.r_star.value > 11.0
+        assert abs(rep.r_star.bound_at) >= abs(grid.coords[GUARD - 1])
+        # its transform, polynomially, until the samples reach the floor
+        assert rep.N_star.value > opts.n_max and rep.N_star.masked_edge
         assert rep.C_peak == pytest.approx(1.0, abs=1e-4)
-
 
 class TestClassifyStft:
     def test_agrees_with_direct_on_core_functions(self, grid11, tf_classify,
@@ -457,16 +642,15 @@ class TestSharedWork:
         assert calls == ["dft"]
         assert dft(f) is dft(f)
 
-    def test_report_tables_are_independent(self, grid10):
+    def test_reports_share_only_frozen_records(self, grid10):
         f = catalog_eval(Gaussian(1.0), grid10)
         first = classify_function(f, roumieu(s=1.0))
         second = classify_function(f, beurling(s=1.0))
-        want = (dict(second.rate_table), dict(second.N_table))
-        first.rate_table.clear()
-        first.N_table[0] = None
-        assert (second.rate_table, second.N_table) == want
-        again = classify_function(f, roumieu(s=1.0))
-        assert (again.rate_table, again.N_table) == want
+        assert (first.r_star, first.N_star) == (second.r_star, second.N_star)
+        with pytest.raises(AttributeError):
+            first.r_star.value = 0.0
+        first.diagnostics["x"] = 1
+        assert second.diagnostics == {}
 
 
 def _dual_growth_reference(v, idx, opts):
@@ -510,10 +694,10 @@ def _dual_growth_reference(v, idx, opts):
         member = all(n0 is not None for n0 in n0_by_r.values())
     else:
         member = any(n0 is not None for n0 in n0_by_r.values())
-    return EnvelopeReport(C_peak=float(a.max()), r_fit=math.nan,
-                          rate_table=table,
+    return EnvelopeReport(C_peak=float(a.max()),
                           verdict=MEMBER if member else NOT_MEMBER,
-                          diagnostics={"N0_by_r": n0_by_r})
+                          diagnostics={"N0_by_r": n0_by_r,
+                                       "fit_by_r": table})
 
 
 DUAL_FUNCTIONS = (Gaussian(1.0), Hermite(3), Product(Poly(2), Gaussian(1.0)),
@@ -573,7 +757,7 @@ class TestDualGrowth:
         assert rep.verdict == MEMBER
         assert all(n0 == 0 for n0 in rep.diagnostics["N0_by_r"].values())
         assert all(fit.C == 0.0 and fit.attained_at == v.values.size // 2
-                   for fit in rep.rate_table.values())
+                   for fit in rep.diagnostics["fit_by_r"].values())
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 3: |V| of the truncated exp(x^2) peaks just inside "

@@ -10,12 +10,10 @@ import sys
 import warnings
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstf import SubExp, build_grid, catalog_eval, dft
 from gstf.cli import run_command
 
 
@@ -75,7 +73,7 @@ SUBCOMMANDS = {
              ["x", "xi", "value-real", "value-imag"]),
     "classify": (["classify", "--expr", "gaussian(1)", "--space", "S",
                   "--s", "0.5", "--points", "256", "--n-max", "2"],
-                 ["kind", "key", "value", "attained_at", "interior_attained",
+                 ["kind", "key", "value", "attained_at", "bound_at",
                   "masked_edge"]),
     "witness": (["witness", "--s", "0.75", "--sigma", "0.75", "--type",
                  "beurling", "--points", "64"], SAMPLES_HEADER),
@@ -119,14 +117,36 @@ class TestClassifyCommand:
                       "--n-max", "4")
         assert out.returncode == 0
         rep = json.loads(out.stdout)
-        assert rep["schema_version"] == 2
+        assert rep["schema_version"] == 3
         assert rep["command"] == "classify"
         assert rep["verdict"] == "Member"
-        assert set(rep["fitted"]) == {"C_peak", "r_fit", "N_table",
-                                      "rate_table"}
+        assert list(rep["fitted"]) == ["C_peak", "r_star", "N_star"]
+        r_star = rep["fitted"]["r_star"]
+        assert list(r_star) == ["value", "attained_at", "bound_at",
+                                "masked_edge"]
+        # exp(-x^2/2) at s = 1/2: the rate 1/2, on a grid without x = 0
+        assert r_star["value"] == pytest.approx(0.5, abs=1e-9)
         assert rep["diagnostics"]["floor"] == 1e-13
         assert rep["diagnostics"]["guard_band"] == 2
         assert rep["timings"] is None
+
+    def test_shifted_peak_reports_a_positive_rate(self, capsys):
+        # the rim of the grid bounds r* a little below 1/2, not at 0
+        out = run_cli(capsys, "classify", "--expr", "translate(gaussian(1), 2)",
+                      "--space", "S", "--s", "0.5")
+        r_star = json.loads(out.stdout)["fitted"]["r_star"]
+        assert 0.4 < r_star["value"] < 0.5
+        assert r_star["bound_at"] == pytest.approx(12.0 - 24.0 / 2047)
+
+    def test_csv_has_one_row_per_critical_scale(self, capsys):
+        out = run_cli(capsys, "classify", "--expr", "gaussian(1)",
+                      "--space", "S", "--sigma", "0.5", "--points", "1024",
+                      "--window", "gaussian(1)", "--format", "csv")
+        rows = list(csv.reader(out.stdout.splitlines()))
+        assert [row[:2] for row in rows[1:]] == [
+            ["meta", "verdict"], ["meta", "C_peak"], ["critical", "r_star"],
+            ["critical", "N_star"]]
+        assert rows[4][-1] == "True"  # |V| meets the floor before the rim
 
     def test_assert_member_failure_exits_1(self, capsys):
         out = run_cli(capsys, "classify", "--expr", "gaussian(0.001)",
@@ -299,26 +319,26 @@ class TestInProcessContract:
         assert json.loads(out)["verdict"] in ("Member", "NotMember",
                                               "Inconclusive")
 
-    def test_rate_fit_at_underflowing_weights_is_zero(self, capsys):
-        # |x|^(1/s) underflows at the peak sample: r_fit is the limit 0
+    def test_rate_at_underflowing_weights_is_minus_inf(self, capsys):
+        # |x|^(1/s) underflows, and |x|^3 is largest at the rim already at
+        # rate 0: no rate is interior-attained
         out = run_cli(capsys, "classify", "--expr", "poly(3) * gaussian(2)",
                       "--half-width=1.0119745965501096e-78", "--space", "S",
                       "--s=1.0119745965501096e-78")
         rep = json.loads(out.stdout)
         assert (out.returncode, out.stderr) == (0, "")
-        assert rep["fitted"]["r_fit"] == 0
+        assert rep["fitted"]["r_star"]["value"] == "-inf"
         assert rep["verdict"] == "NotMember"
 
-    def test_n0_constant_is_the_transform_maximum(self, capsys):
-        # x^2 overflows on the dual grid, but the N = 0 weight stays 1
+    def test_n_star_where_x_squared_overflows(self, capsys):
+        # x^2 overflows on the dual grid, where log(1+x^2) is 2 log|x|
         out = run_cli(capsys, "classify", "--expr", "subexp(1, 1)",
-                      "--points=2", "--half-width=1e-300", "--space", "Sigma",
+                      "--points=8", "--half-width=1e-300", "--space", "Sigma",
                       "--s=1e-30", "--n-max=0")
         rep = json.loads(out.stdout)
-        fhat = dft(catalog_eval(SubExp(1.0, 1.0), build_grid(1e-300, 1)))
         assert (out.returncode, out.stderr) == (0, "")
-        assert rep["fitted"]["N_table"]["0"]["C"] == pytest.approx(
-            np.abs(fhat.values).max(), rel=1e-12, abs=0)
+        assert 0 < rep["fitted"]["N_star"]["value"] < 1
+        assert abs(rep["fitted"]["N_star"]["bound_at"]) > 1e300
 
     @pytest.mark.parametrize("text", [
         "(" * 400 + "bump()" + ")" * 400,

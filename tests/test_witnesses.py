@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gstf import (MEMBER, Bump, GSIndex, TrivialSpace, UnsupportedRegion,
-                  boundary_triviality_demo, catalog_eval,
+from gstf import (MEMBER, Bump, Gaussian, GSIndex, TrivialSpace,
+                  UnsupportedRegion, boundary_triviality_demo, catalog_eval,
                   classify_function, default_witness_grid, dft, make_witness,
                   parse_function_expr)
 from gstf.classify import ClassifyOptions
@@ -118,6 +118,9 @@ class TestWitnessesVerify:
         assert classify_function(w, ft_side, opts).verdict == MEMBER
 
 
+RATES = (0.25, 0.5, 1.0, 2.0, 4.0)  # the default trial rates
+
+
 class TestBoundaryDemo:
     @pytest.mark.parametrize("s", [0.25, 0.5, 0.99])
     def test_every_candidate_fails_on_the_line(self, s):
@@ -128,14 +131,16 @@ class TestBoundaryDemo:
         for cand in rep.candidates:
             assert cand.failed
             assert cand.failing_side in ("function", "fourier")
-            assert cand.first_failing_r > 0
+            crit = (cand.r_star_x if cand.failing_side == "function"
+                    else cand.r_star_xi)
+            assert crit.value < max(RATES)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.75])
     def test_first_failure_matches_brute_force(self, s):
         # Independent oracle: per candidate and side, the smallest default
-        # rate whose weighted log-samples peak within 2 samples of the rim
+        # rate whose weighted log-samples peak within 2 samples of the rim.
+        # It is the smallest default rate above r* on the failing side.
         grid = default_witness_grid()
-        rates = (0.25, 0.5, 1.0, 2.0, 4.0)
         rep = boundary_triviality_demo(s)
         for cand in rep.candidates:
             f = catalog_eval(parse_function_expr(cand.name), grid)
@@ -145,15 +150,27 @@ class TestBoundaryDemo:
                 with np.errstate(divide="ignore", over="ignore"):
                     loga = np.log(np.abs(fn.values))
                     xw = np.abs(fn.x) ** (1.0 / t)
-                for r in rates:
+                for r in RATES:
                     i = int(np.argmax(loga + r * xw))
                     if not 2 <= i <= grid.count - 3:
-                        want = (side, r, i)
+                        want = (side, r)
                         break
                 if want:
                     break
-            assert want == (cand.failing_side, cand.first_failing_r,
-                            cand.attained_at), cand.name
+            crit = (cand.r_star_x if cand.failing_side == "function"
+                    else cand.r_star_xi)
+            first = min(r for r in RATES if r > crit.value)
+            assert want == (cand.failing_side, first), cand.name
+            if cand.failing_side == "function":
+                assert cand.r_star_xi is None  # f failed on its own
+
+    def test_gaussian_rates_at_one_half(self):
+        # exp(-a x^2/2) has r*_x = a/2 at s = 1/2, below the largest rate
+        rep = boundary_triviality_demo(0.5)
+        for cand, a in zip(rep.candidates, (0.5, 1.0, 2.0)):
+            assert cand.name == str(Gaussian(a))
+            assert cand.r_star_x.value == pytest.approx(a / 2, abs=1e-9)
+            assert cand.failing_side == "function"
 
     def test_rejects_s_outside_open_interval(self):
         with pytest.raises(TrivialSpace):
