@@ -16,12 +16,13 @@ with w = log(1+x^2) up to a critical power N*.  Each is computed once per
 function, in one pass, and kept in its memo.  Roumieu classes need the
 smallest trial rate at most r*, Beurling classes the largest, and the
 polynomial side n_max <= N*.  A side that fails at a masked edge leaves
-the verdict Inconclusive."""
+the verdict Inconclusive.  The dual of a class is tested on the same
+critical scales, unfloored, with the scales it needs negated."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .grids import SampledFunction, TFGrid, TFR
 from .transforms import dft, stft
 
 __all__ = [
-    "INF", "GSIndex", "ClassifyOptions", "EnvelopeFit", "CriticalScale",
+    "INF", "GSIndex", "ClassifyOptions", "CriticalScale",
     "EnvelopeReport", "MEMBER", "NOT_MEMBER", "INCONCLUSIVE",
     "classify_function", "classify_stft", "dual_growth_report",
 ]
@@ -40,8 +41,6 @@ INF = math.inf
 MEMBER = "Member"
 NOT_MEMBER = "NotMember"
 INCONCLUSIVE = "Inconclusive"
-
-_LOG_MAX = math.log(np.finfo(float).max)
 
 # A sup attained within GUARD samples of the grid edge counts as
 # boundary-attained.
@@ -99,13 +98,6 @@ class ClassifyOptions:
 
 
 @dataclass(frozen=True)
-class EnvelopeFit:  # one envelope sup of the dual-space probe
-    C: float  # may be +inf when the weighted product overflows
-    attained_at: int
-    interior_attained: bool
-
-
-@dataclass(frozen=True)
 class CriticalScale:
     """The critical scale of one side: the largest k whose sup of
     |f| exp(k w) is attained at a trusted interior sample.  Above it the
@@ -124,10 +116,9 @@ class CriticalScale:
 @dataclass(frozen=True)
 class EnvelopeReport:
     C_peak: float
-    r_star: CriticalScale | None = None  # decay side; None for a dual probe
-    N_star: CriticalScale | None = None  # polynomial side
-    verdict: str = INCONCLUSIVE
-    diagnostics: dict = field(default_factory=dict)
+    r_star: CriticalScale  # decay side
+    N_star: CriticalScale  # polynomial side
+    verdict: str
 
 
 def _magnitudes(f: SampledFunction) -> tuple:
@@ -152,9 +143,14 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
     its last crossing with a lighter good sample, u_b its first with a
     heavier one, and an equal-weight good one at least as high shuts it
     out.  The critical scale is the least t_b below u_b, a tie going to
-    the good sample.  A bad sample that another bad one outweighs in both
-    log|f| and w, or that a good one as far out is as high as, never leads
-    at a scale >= 0 (u_b <= 0): it is dropped before any pass."""
+    the good sample, exact at every scale.  A bad sample that another bad
+    one of equal weight is as high as is dropped before any pass.  Under
+    a floor, so is one that another bad one outweighs in both log|f| and
+    w, or that a good one as far out is as high as: it never leads at a
+    scale >= 0 (u_b <= 0), so a scale below 0 is then only an upper
+    bound.  When the unit overflows, a bad sample whose weight
+    underflowed to that of good samples nearer 0 outweighs them beyond
+    float range, and crosses them at -0."""
     a, loga, peak = _magnitudes(fn)
     n = loga.size
     lg = loga.copy()  # log|f| on the good samples, -inf elsewhere
@@ -171,10 +167,13 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
     b = b[lg[b] > -INF]
     lg[b] = -INF
     b = b[np.lexsort((-loga[b], -w[b]))]  # heaviest first, then highest
-    lb = loga[b]
-    b = b[lb > np.maximum.accumulate(np.concatenate(([-INF], lb[:-1])))]
     x, w_good = fn.x, w[lg > -INF].max(initial=-INF)
-    if (w[b] <= w_good).any():
+    lb, wb = loga[b], w[b]
+    if floor is None:  # only an equal weight as high shuts b out at every k
+        b = b[wb < np.concatenate(([INF], wb[:-1]))]
+    else:
+        b = b[lb > np.maximum.accumulate(np.concatenate(([-INF], lb[:-1])))]
+    if floor is not None and (w[b] <= w_good).any():
         lo = np.searchsorted(x, -np.abs(x[b]), "right")  # x <= -|x_b| below
         hi = np.searchsorted(x, np.abs(x[b]))  # x >= |x_b| from here
         left = np.maximum.accumulate(lg)[lo - 1]
@@ -197,6 +196,11 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
             if c[i] < min(u, best[0]):
                 best = c[i], i if c[i] > -INF else None, j
     k, i, j = float(best[0]), best[1], best[2]
+    if k == -INF and j is not None and unit == INF:
+        near = np.flatnonzero((lg > -INF) & (w == w[j])
+                              & (np.abs(x) < abs(x[j])))
+        if near.size:
+            k, i = -0.0, int(near[lg[near].argmax()])
     if k and math.isfinite(k):  # the unit may overflow or underflow
         with np.errstate(over="ignore", divide="ignore"):
             k = float(np.float64(k) / unit)
@@ -205,29 +209,40 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
                          j is not None and bool(edge[j]))
 
 
-def _poly_side(fn: SampledFunction, opts: ClassifyOptions):
+def _side(need: float, crit: CriticalScale) -> tuple:
+    """((ok, inconclusive), crit): a side passes when the scale it needs is
+    at most its critical scale, and fails open at a masked edge."""
+    ok = need <= crit.value
+    return (ok, not ok and crit.masked_edge), crit
+
+
+def _poly_side(fn: SampledFunction, opts: ClassifyOptions,
+               dual: bool = False):
     """((ok, inconclusive), N*): each C_N = sup |f| (1+x^2)^N, N <= n_max,
-    must be interior-attained.  N* is computed once per function and floor
-    (below it polynomial weights amplify round-off garbage at the rim)."""
+    must be interior-attained; a dual side needs N = -n_max.  N* is
+    computed once per function and floor (below it polynomial weights
+    amplify round-off garbage at the rim); a dual side reads no floor."""
+    floor = None if dual else opts.floor_rel
+
     def make():
         with np.errstate(over="ignore", divide="ignore"):
             w = np.log1p(fn.x ** 2)
             if np.isinf(w).any():  # x^2 overflows: log(1+x^2) = 2 log|x|
                 w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
-        return _critical(fn, w, opts.floor_rel)
+        return _critical(fn, w, floor)
 
-    crit = fn._memoised(("N*", opts.floor_rel), make)
-    ok = opts.n_max <= crit.value
-    return (ok, not ok and crit.masked_edge), crit
+    return _side(-opts.n_max if dual else opts.n_max,
+                 fn._memoised(("N*", floor), make))
 
 
 def _decay_side(fn: SampledFunction, s: float, opts: ClassifyOptions,
-                beurling: bool, masked: bool):
+                beurling: bool, masked: bool, dual: bool = False):
     """((ok, inconclusive), r*) for the decay side: Roumieu needs the
-    smallest trial rate at most r*, Beurling the largest.  ``masked``
-    marks transform-computed samples, whose sub-floor values are noise;
-    direct samples are trusted all the way down, so a boundary-attained
-    sup is conclusive.  r* is computed once per function, s and floor."""
+    smallest trial rate at most r*, Beurling the largest; a dual side needs
+    the rate negated.  ``masked`` marks transform-computed samples, whose
+    sub-floor values are noise; direct samples are trusted all the way
+    down, so a boundary-attained sup is conclusive.  r* is computed once
+    per function, s and floor."""
     if s <= 0:
         raise GstfError("s must be positive")
     floor = opts.floor_rel if masked else None
@@ -239,10 +254,10 @@ def _decay_side(fn: SampledFunction, s: float, opts: ClassifyOptions,
             w, unit = (ax / top) ** (1.0 / s), top ** (1.0 / s)
         return _critical(fn, w, floor, unit)
 
-    crit = fn._memoised(("r*", s, floor), make)
     rs = opts.trial_rs()
-    ok = (max(rs) if beurling else min(rs)) <= crit.value
-    return (ok, not ok and crit.masked_edge), crit
+    rate = max(rs) if beurling else min(rs)
+    return _side(-rate if dual else rate,
+                 fn._memoised(("r*", s, floor), make))
 
 
 def _aggregate(*sides) -> str:
@@ -256,21 +271,19 @@ def _aggregate(*sides) -> str:
 
 
 def _zero_report() -> EnvelopeReport:
-    return EnvelopeReport(C_peak=0.0, r_star=CriticalScale(INF),
-                          N_star=CriticalScale(INF), verdict=MEMBER,
-                          diagnostics={"zero_function": True})
+    return EnvelopeReport(0.0, CriticalScale(INF), CriticalScale(INF), MEMBER)
 
 
 def _verdict(decay_fn: SampledFunction, s: float, poly_fn: SampledFunction,
              idx: GSIndex, opts: ClassifyOptions, c_peak: float,
-             masked: bool) -> EnvelopeReport:
+             masked: bool, dual: bool = False) -> EnvelopeReport:
     """One decay side against one polynomial side: the test shared by the
-    direct and the STFT characterisation of a one-parameter class."""
+    direct and the STFT characterisation of a one-parameter class and, on
+    unfloored samples with the scales negated, by that of its dual."""
     decay, r_star = _decay_side(decay_fn, s, opts,
-                                idx.regularity == "beurling", masked)
-    poly, n_star = _poly_side(poly_fn, opts)
-    return EnvelopeReport(C_peak=c_peak, r_star=r_star, N_star=n_star,
-                          verdict=_aggregate(decay, poly))
+                                idx.regularity == "beurling", masked, dual)
+    poly, n_star = _poly_side(poly_fn, opts, dual)
+    return EnvelopeReport(c_peak, r_star, n_star, _aggregate(decay, poly))
 
 
 def classify_function(f: SampledFunction, idx: GSIndex,
@@ -289,9 +302,11 @@ def classify_function(f: SampledFunction, idx: GSIndex,
     return _verdict(dft(f), idx.sigma, f, idx, opts, c_peak, masked=True)
 
 
-def _window_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
-                 tfgrid: TFGrid, opts: ClassifyOptions, check_window: bool,
-                 precomputed: TFR | None) -> TFR:
+def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
+                 tfgrid: TFGrid, opts: ClassifyOptions | None,
+                 check_window: bool, precomputed: TFR | None,
+                 dual: bool) -> EnvelopeReport:
+    opts = opts or ClassifyOptions()
     if check_window:
         # a fresh carrier of the same read-only samples: its memo goes
         # before the STFT runs
@@ -301,7 +316,19 @@ def _window_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
             raise GstfError(
                 f"window is {wr.verdict} for the requested class; "
                 "pick a window inside the class")
-    return precomputed if precomputed is not None else stft(f, window, tfgrid)
+    v = precomputed if precomputed is not None else stft(f, window, tfgrid)
+    # For a finite s the decay variable is position, for a finite sigma
+    # frequency.  STFT samples are quadrature outputs: sub-floor values
+    # are noise to a class test.
+    decay_on_x = math.isinf(idx.sigma)
+    x_profile, xi_profile = v.max_profiles()
+    decay_fn, poly_fn = ((x_profile, xi_profile) if decay_on_x
+                         else (xi_profile, x_profile))
+    c_peak = _magnitudes(decay_fn)[2]  # the max of |V|
+    if c_peak == 0.0:
+        return _zero_report()
+    return _verdict(decay_fn, idx.s if decay_on_x else idx.sigma, poly_fn,
+                    idx, opts, c_peak, masked=not dual, dual=dual)
 
 
 def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
@@ -314,21 +341,9 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     var|^(1/s)) is checked through its marginals: the max-profile along
     each axis is fed to the same fitters as classify_function.  Pass
     ``precomputed = stft(f, window, tfgrid)`` to reuse one transform, its
-    profiles and their tables across several classes."""
-    opts = opts or ClassifyOptions()
-    v = _window_stft(f, window, idx, tfgrid, opts, check_window, precomputed)
-    # For a finite s the decay variable is position, for a finite sigma
-    # frequency.  STFT samples are quadrature outputs: sub-floor values
-    # are noise.
-    decay_on_x = math.isinf(idx.sigma)
-    x_profile, xi_profile = v.max_profiles()
-    decay_fn, poly_fn = ((x_profile, xi_profile) if decay_on_x
-                         else (xi_profile, x_profile))
-    c_peak = _magnitudes(decay_fn)[2]  # the max of |V|
-    if c_peak == 0.0:
-        return _zero_report()
-    return _verdict(decay_fn, idx.s if decay_on_x else idx.sigma, poly_fn,
-                    idx, opts, c_peak, masked=True)
+    profiles and their critical scales across several classes."""
+    return _stft_report(f, window, idx, tfgrid, opts, check_window,
+                        precomputed, dual=False)
 
 
 def dual_growth_report(f: SampledFunction, window: SampledFunction,
@@ -339,58 +354,8 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
     """Dual-space probe: |V| must stay under (1+|freq var|^2)^N0 *
     exp(r |decay var|^(1/s)) for some N0 <= n_max.
 
-    Roumieu duals need an N0 for every trial r; Beurling duals need a
-    single working r0."""
-    opts = opts or ClassifyOptions()
-    v = _window_stft(f, window, idx, tfgrid, opts, check_window, precomputed)
-    a = np.abs(v.values)
-    c_peak = float(a.max())
-    if math.isinf(idx.sigma):  # d: the axis of the decay variable
-        d, decay_x = 0, np.abs(tfgrid.xgrid.coords)[:, None]
-        logpoly = np.log1p(tfgrid.xigrid.coords**2)[None, :]
-    else:
-        d, decay_x = 1, np.abs(tfgrid.xigrid.coords)[None, :]
-        logpoly = np.log1p(tfgrid.xgrid.coords**2)[:, None]
-    # an overflow to inf is the weight's limit; log 0 = -inf
-    with np.errstate(over="ignore", divide="ignore"):
-        decay_x = decay_x ** (1.0 / (idx.s if d == 0 else idx.sigma))
-        rd_list = [(r, r * decay_x) for r in opts.trial_rs()]
-        loga = np.log(a)
-
-    # logv = loga - n0*logpoly - r*decay_x.  Subtracting the per-line
-    # constant r*decay_x is monotone in floating point, so the line maxima
-    # of logv are those of loga - n0*logpoly, reduced once per n0, minus it.
-    line_max, n0_by_r, table = {}, {}, {}
-    i = a.size // 2  # reported until some logv is finite
-    for r, rd in rd_list:
-        found = None
-        for n0 in range(opts.n_max + 1):
-            if n0 not in line_max:
-                line_max[n0] = (loga - n0 * logpoly).max(1 - d, keepdims=True)
-            lines = line_max[n0] - rd
-            top = lines.max()
-            if top == -INF:  # no finite logv (|V| is finite)
-                found = n0  # zero TFR: trivially bounded
-                break
-            # the first argmax of logv in C order lies on a line at the top
-            hit = np.flatnonzero(lines == top)
-            logv = np.take(loga, hit, d) - n0 * logpoly - np.take(rd, hit, d)
-            pos = list(np.unravel_index(np.argmax(logv), logv.shape))
-            pos[d] = hit[pos[d]]
-            i = int(np.ravel_multi_index(pos, a.shape))
-            if all(GUARD <= p < n - GUARD for p, n in zip(pos, a.shape)):
-                found = n0
-                break
-        n0_by_r[r] = found
-        table[r] = EnvelopeFit(
-            C=math.inf if top > _LOG_MAX else float(math.exp(top)),
-            attained_at=i, interior_attained=found is not None)
-    if idx.regularity == "roumieu":
-        member = all(n0 is not None for n0 in n0_by_r.values())
-    else:
-        member = any(n0 is not None for n0 in n0_by_r.values())
-    return EnvelopeReport(C_peak=c_peak,
-                          verdict=MEMBER if member else NOT_MEMBER,
-                          diagnostics={"N0_by_r": n0_by_r,
-                                       "fit_by_r": table})
-
+    The test of classify_stft on the same profiles, unfloored, with the
+    scales negated: Roumieu duals need every trial r, -min(rates) <= r*;
+    Beurling duals one, -max(rates) <= r*; and -n_max <= N*."""
+    return _stft_report(f, window, idx, tfgrid, opts, check_window,
+                        precomputed, dual=True)
