@@ -31,8 +31,9 @@ BOUNDARY_FLOOR = 1e-10
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # Largest work buffer of one row block in stft and adjoint_stft.  With it,
-# the engine's memory is bounded at any grid size.
-_BLOCK_BYTES = 8 << 20
+# the engine's memory is bounded at any grid size, and a block stays in the
+# L2 cache from its fill through both FFTs to its unpacking.
+_BLOCK_BYTES = 1 << 20
 
 # 2*pi to long-double precision, for reducing the chirp phases
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
@@ -228,7 +229,7 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
             np.multiply(rows[starts[c]], half_f, out=blk.real[r])
             np.multiply(rows[starts[c + 1]] if c + 1 < count else 0.0,
                         half_f, out=blk.imag[r])
-        blk *= b
+            blk[r] *= b  # while the row is in cache
 
     for sl, conv in _chirp_rows((count + 1) // 2, n, fwd, fill_pairs):
         z = conv[:, :a.size]
@@ -240,7 +241,16 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
         np.subtract(q, q[:, ::-1], out=even.imag)
         np.add(q[:k], q[:k, ::-1], out=odd.real)
         np.subtract(p[:k, ::-1], p[:k], out=odd.imag)
-    return TFR(tfgrid, vals)
+    v = TFR(tfgrid, vals)
+    v._memo["hermitian"] = True  # exactly, by the unpacking
+    return v
+
+
+def _is_hermitian(F: TFR) -> bool:
+    """_hermitian of F, tested once per TFR; stft's real path marks its
+    output Hermitian when it builds it."""
+    return F._memoised("hermitian",
+                       lambda: _hermitian(F.values, F.tfgrid.xigrid))
 
 
 def _hermitian(values: np.ndarray, xigrid: Grid1D) -> bool:
@@ -263,9 +273,9 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     Satisfies adjoint_stft(stft(f, w), w) ~ ||w||^2 f on well-covered grids.
     """
     a, b, _, adj, starts = _stft_plan(window.grid, F.tfgrid)
-    count, n, ca = starts.size, b.size, np.conj(a)
+    count, n, ca, cb = starts.size, b.size, np.conj(a), np.conj(b)
     w = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / _SQRT_2PI
-    if window.values.imag.any() or not _hermitian(F.values, F.tfgrid.xigrid):
+    if window.values.imag.any() or not _is_hermitian(F):
         rows, out = _window_rows(window.values), np.zeros(n, dtype=complex)
         for sl, conv in _chirp_rows(
                 count, a.size, adj,
@@ -277,7 +287,7 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
             # up in one order whatever the block size
             terms[0] += out
             np.sum(terms, axis=0, out=out)
-        return SampledFunction(window.grid, np.conj(b) * w * out)
+        return SampledFunction(window.grid, cb * w * out)
 
     # Hermitian F: each row's xi sum G_c is real, so one chirp row carries
     # (F_c + i F_c+1) conj(a) and, times conj(b), gives G_c + i G_c+1; even
@@ -285,16 +295,19 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     rows, out = _window_rows(window.values.real), np.zeros(2 * n)
 
     def fill_pairs(sl, blk):
-        pair = F.values[2 * sl.start:2 * sl.stop]
-        blk[:] = pair[::2]
-        blk.real[:len(pair) // 2] -= pair[1::2].imag
-        blk.imag[:len(pair) // 2] += pair[1::2].real
+        even = F.values[2 * sl.start:2 * sl.stop:2]
+        odd = F.values[2 * sl.start + 1:2 * sl.stop:2]
+        k = len(odd)
+        np.subtract(even.real[:k], odd.imag, out=blk.real[:k])
+        np.add(even.imag[:k], odd.real, out=blk.imag[:k])
+        blk[k:] = even[k:]
         blk *= ca
 
     for sl, conv in _chirp_rows((count + 1) // 2, a.size, adj, fill_pairs):
         z = conv[:, :n]
-        terms = np.multiply(z, np.conj(b), out=z).view(float)  # re, im, ...
+        terms = z.view(float)  # re, im, ...
         for r, c in enumerate(range(2 * sl.start, 2 * sl.stop, 2)):
+            z[r] *= cb  # while the row is in cache
             terms[r, ::2] *= rows[starts[c]]
             terms[r, 1::2] *= rows[starts[c + 1]] if c + 1 < count else 0.0
         terms[0] += out
@@ -319,10 +332,10 @@ def _require_odd_centered(grid: Grid1D, what: str):
                         "so coordinate differences stay on the grid")
 
 
-def _twisted_sum(v1f: np.ndarray, v23: np.ndarray,
-                 tfgrid: TFGrid) -> np.ndarray:
+def _twisted_sum(v1f: TFR, v23: TFR) -> np.ndarray:
     """(2*pi)^(-1/2) * iint v1f(x-y, xi-eta) v23(y, eta) exp(-i (x-y) eta)
-    dy deta as a Riemann sum on the odd, centred tfgrid."""
+    dy deta as a Riemann sum on the odd, centred grid both share."""
+    tfgrid = v1f.tfgrid
     nx, nxi = tfgrid.xgrid.count, tfgrid.xigrid.count
     mx, mxi = (nx - 1) // 2, (nxi - 1) // 2
     u, eta = tfgrid.xgrid.coords, tfgrid.xigrid.coords
@@ -333,14 +346,13 @@ def _twisted_sum(v1f: np.ndarray, v23: np.ndarray,
     # in one work buffer, summed in (xi, x) rows.
     L = 1 << (nx + mx - 1).bit_length()
     turn = np.exp(1j * np.outer(eta, u))  # exp(i y eta), one row per eta
-    a_hat = np.fft.fft(v1f.T, L, axis=-1)  # (xi, x) rows
-    b_hat = np.fft.fft(v23.T * turn, L, axis=-1)
+    a_hat = np.fft.fft(v1f.values.T, L, axis=-1)  # (xi, x) rows
+    b_hat = np.fft.fft(v23.values.T * turn, L, axis=-1)
     np.conj(turn, out=turn)  # now exp(-i x eta), the post-modulation
     acc = np.zeros((nxi, nx), dtype=complex)
     work = np.empty((nxi, L), dtype=complex)
     # Hermitian operands give a Hermitian sum (eta -> -eta): fill xi >= 0.
-    half = mxi if (_hermitian(v1f, tfgrid.xigrid)
-                   and _hermitian(v23, tfgrid.xigrid)) else 0
+    half = mxi if _is_hermitian(v1f) and _is_hermitian(v23) else 0
     for jeta in range(nxi):
         # xi - eta maps xi index jxi to v1f column jxi - jeta + mxi
         lo = max(half, jeta - mxi)
@@ -389,7 +401,7 @@ def twisted_convolution_defect(
     inner = phi1.grid.step * np.sum(phi3.values * np.conj(phi1.values))
     lhs = inner * v2f.values
 
-    rhs = _twisted_sum(v1f.values, v23.values, tfgrid)
+    rhs = _twisted_sum(v1f, v23)
     scale = np.max(np.abs(lhs))
     if scale == 0.0:
         return float(np.max(np.abs(rhs)))

@@ -207,6 +207,20 @@ def _case_grids(request, name):
     }[name]
 
 
+# Block sizes the bit tests sweep: the module constant (None), one chirp-z
+# row per block (1), seven rows, so that one-shift blocks end at odd shift
+# counts and most cases end on a short block, and the former 8 MiB.
+BLOCK_SWEEP = [None, 1, "seven-rows", 8 << 20]
+
+
+def _set_block_bytes(monkeypatch, block_bytes, grid, tf):
+    """Set transforms._BLOCK_BYTES to an entry of BLOCK_SWEEP."""
+    if block_bytes == "seven-rows":
+        block_bytes = 7 * 16 * transforms._stft_plan(grid, tf)[2].size
+    if block_bytes is not None:
+        monkeypatch.setattr(transforms, "_BLOCK_BYTES", block_bytes)
+
+
 def _one_shift_stft(f, w, tf):
     """stft with one window shift per chirp-z row, the rows gathered by
     fancy indexing and the shifts found one x at a time: the engine as it
@@ -276,9 +290,11 @@ class TestStftChirpZ:
         f, w, tf = case
         v = stft(f, w, tf)
         g = adjoint_stft(v, w)
-        monkeypatch.setattr(transforms, "_BLOCK_BYTES", 1)  # one row a block
-        assert np.array_equal(stft(f, w, tf).values, v.values)
-        assert np.array_equal(adjoint_stft(v, w).values, g.values)
+        for block_bytes in BLOCK_SWEEP[1:]:
+            with monkeypatch.context() as m:
+                _set_block_bytes(m, block_bytes, f.grid, tf)
+                assert np.array_equal(stft(f, w, tf).values, v.values)
+                assert np.array_equal(adjoint_stft(v, w).values, g.values)
 
     def test_cached_plan_is_read_only(self, case):
         f, w, tf = case
@@ -322,13 +338,13 @@ class TestStftRealPath:
         (Modulate(Gaussian(1.0), 1.0), Gaussian(1.0), "129x129"),
         (Hermite(2), Modulate(Gaussian(1.0), 2.0), "513x1001"),
         (Hermite(2), Gaussian(1.0), "odd-t"),
+        (Modulate(Hermite(1), 0.5), Gaussian(2.0), "128x128"),
     ])
-    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("block_bytes", BLOCK_SWEEP)
     def test_other_inputs_keep_their_bits(self, request, monkeypatch, f_spec,
                                           w_spec, name, block_bytes):
-        if block_bytes is not None:
-            monkeypatch.setattr(transforms, "_BLOCK_BYTES", block_bytes)
         grid, tf = _case_grids(request, name)
+        _set_block_bytes(monkeypatch, block_bytes, grid, tf)
         f, w = catalog_eval(f_spec, grid), catalog_eval(w_spec, grid)
         assert np.array_equal(stft(f, w, tf).values, _one_shift_stft(f, w, tf))
 
@@ -388,15 +404,14 @@ class TestAdjointPacked:
 
     @pytest.mark.parametrize("name", ["random-symbol", "modulated-f",
                                       "odd-t", "complex-window"])
-    @pytest.mark.parametrize("block_bytes", [None, 1])
+    @pytest.mark.parametrize("block_bytes", BLOCK_SWEEP)
     def test_other_inputs_keep_their_bits(self, request, monkeypatch, name,
                                           block_bytes):
-        if block_bytes is not None:
-            monkeypatch.setattr(transforms, "_BLOCK_BYTES", block_bytes)
         grid, tf = _case_grids(request, {"random-symbol": "129x129",
                                          "modulated-f": "513x1001",
                                          "odd-t": "odd-t",
                                          "complex-window": "128x128"}[name])
+        _set_block_bytes(monkeypatch, block_bytes, grid, tf)
         f = catalog_eval(Modulate(Gaussian(1.0), 1.0) if name == "modulated-f"
                          else Hermite(2), grid)
         w = catalog_eval(Gaussian(1.0), grid)
@@ -421,6 +436,100 @@ class TestAdjointPacked:
             bent = v.copy()
             bent.imag[3, k] = np.nextafter(bent.imag[3, k], np.inf)
             assert not transforms._hermitian(bent, tf_small.xigrid)
+
+
+class TestHermitianMark:
+    """stft's real path marks its output exactly Hermitian in the TFR's
+    memo; adjoint_stft and the twisted sum read the mark and run the exact
+    test only on a TFR without one."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        """Record the arguments of each call to transforms.<name>."""
+        calls, real = [], getattr(transforms, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(transforms, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("name", ["129x129", "128x128", "513x1001"])
+    @pytest.mark.parametrize("f_spec, w_spec", [
+        (Hermite(2), Gaussian(1.0)),
+        (Translate(Hermite(1), 1.5), Gaussian(2.0)),
+        ("random", Gaussian(0.5)),
+    ])
+    def test_real_path_output_is_marked(self, request, name, f_spec, w_spec):
+        grid, tf = _case_grids(request, name)
+        f = (SampledFunction(grid, np.random.default_rng(9).standard_normal(
+                 grid.count)) if f_spec == "random"
+             else catalog_eval(f_spec, grid))
+        v = stft(f, catalog_eval(w_spec, grid), tf)
+        assert v._memo["hermitian"] is True
+        assert transforms._hermitian(v.values, tf.xigrid)
+
+    @pytest.mark.parametrize("f_spec, w_spec, name", [
+        (Modulate(Gaussian(1.0), 1.0), Gaussian(1.0), "129x129"),
+        (Hermite(2), Modulate(Gaussian(1.0), 2.0), "513x1001"),
+        (Hermite(2), Gaussian(1.0), "odd-t"),
+    ])
+    def test_other_outputs_are_unmarked(self, request, f_spec, w_spec, name):
+        grid, tf = _case_grids(request, name)
+        v = stft(catalog_eval(f_spec, grid), catalog_eval(w_spec, grid), tf)
+        assert "hermitian" not in v._memo
+
+    def test_marked_input_is_not_retested(self, monkeypatch, grid10,
+                                          tf_small):
+        calls = self.spy(monkeypatch, "_hermitian")
+        rows = self.spy(monkeypatch, "_chirp_rows")
+        w = catalog_eval(Gaussian(1.0), grid10)
+        v = stft(catalog_eval(Hermite(2), grid10), w, tf_small)
+        adjoint_stft(v, w)
+        assert calls == []
+        assert [r[0] for r in rows] == [65, 65]  # packed: 129 x rows in 65
+
+    def test_derived_tfr_is_tested_and_keeps_its_bits(self, monkeypatch,
+                                                      grid10, tf_small):
+        # the product with a complex symbol, as in apply_toeplitz
+        w = catalog_eval(Gaussian(1.0), grid10)
+        v = stft(catalog_eval(Hermite(2), grid10), w, tf_small)
+        rng = np.random.default_rng(5)
+        sym = (rng.standard_normal(v.values.shape)
+               + 1j * rng.standard_normal(v.values.shape))
+        F = TFR(tf_small, sym * v.values)
+        assert "hermitian" not in F._memo
+        calls = self.spy(monkeypatch, "_hermitian")
+        got = adjoint_stft(F, w).values
+        assert np.array_equal(got, _one_row_adjoint(F, w))
+        assert F._memo["hermitian"] is False and len(calls) == 1
+        adjoint_stft(F, w)
+        assert len(calls) == 1  # the answer is kept in F's memo
+
+    @pytest.mark.parametrize("name", ["129x129", "513x1001"])
+    def test_unmarked_hermitian_tfr_takes_the_packed_path(
+            self, request, monkeypatch, name):
+        grid, tf = _case_grids(request, name)
+        w = catalog_eval(Gaussian(2.0), grid)
+        rng = np.random.default_rng(13)
+        shape = (tf.xgrid.count, tf.xigrid.count)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        F = TFR(tf, (z + np.conj(z[:, ::-1])) / 2)
+        assert "hermitian" not in F._memo
+        rows = self.spy(monkeypatch, "_chirp_rows")
+        got = adjoint_stft(F, w).values
+        assert F._memo["hermitian"] is True
+        assert [r[0] for r in rows] == [(shape[0] + 1) // 2]
+        ref = _reference_adjoint(F, w)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_twisted_sum_reads_the_marks(self, monkeypatch, grid10, tf_small):
+        calls = self.spy(monkeypatch, "_hermitian")
+        phis = [catalog_eval(Gaussian(a), grid10) for a in (1.0, 2.0, 0.5)]
+        d = twisted_convolution_defect(catalog_eval(Hermite(2), grid10),
+                                       *phis, tf_small)
+        assert d < 1e-10 and calls == []
 
 
 class TestDft2:
@@ -515,10 +624,9 @@ class TestTwistedConvolution:
                                              windows):
         f = catalog_eval(spec, grid10)
         phi1, phi2, phi3 = (catalog_eval(Gaussian(a), grid10) for a in windows)
-        v1f = stft(f, phi1, tf_small).values
-        v23 = stft(phi3, phi2, tf_small).values
-        got = transforms._twisted_sum(v1f, v23, tf_small)
-        want = self.fresh_array_loop(v1f, v23, tf_small)
+        v1f, v23 = stft(f, phi1, tf_small), stft(phi3, phi2, tf_small)
+        got = transforms._twisted_sum(v1f, v23)
+        want = self.fresh_array_loop(v1f.values, v23.values, tf_small)
         if f.values.imag.any():  # V_phi1 f is not Hermitian: every bit kept
             assert np.array_equal(got, want)
             return
