@@ -11,8 +11,8 @@ import numpy as np
 
 from .catalog import (Bump, Gaussian, Hermite, Modulate, Poly, Product,
                       SubExp, Sum, Translate, catalog_eval)
-from .classify import (ClassifyOptions, GSIndex, _decay_side,
-                       classify_function, classify_stft)
+from .classify import (ClassifyOptions, GSIndex, _side, classify_function,
+                       classify_stft)
 from .grids import Grid1D, TFGrid, TFR, build_grid
 from .toeplitz import (apply_toeplitz, continuity_probe,
                        stft_product_transform_defect)
@@ -113,8 +113,7 @@ def _classification():
     godd = Grid1D(0.0, 24.0 / 1024, 1025)
     for name, spec, s, rate in (("gaussian", Gaussian(1.0), 0.5, 0.5),
                                 ("subexp", SubExp(1.0, 2.0), 1.0, 2.0)):
-        _, r_star = _decay_side(catalog_eval(spec, godd), s,
-                                ClassifyOptions(), False, False)
+        _, r_star = _side(catalog_eval(spec, godd), s, rate, False)
         yield f"rate_recovery_{name}", abs(r_star.value - rate)
 
     g = build_grid(12.0, 11)

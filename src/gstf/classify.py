@@ -9,7 +9,7 @@ same way.  The other side is polynomial: C_N (1+|.|^2)^(-N), N <= n_max.
 Finiteness of a sup on an unbounded domain is proxied by interior
 attainment on the truncated grid: the sup of |f| exp(k w) must not sit
 within GUARD samples of the grid edge, nor, for transform-computed
-samples, next to one below the relative noise floor (a masked edge).
+samples, next to one below FLOOR times the peak (a masked edge).
 With w = |x|^(1/s) the passing scales k run up to a critical rate r*, a
 discrete Legendre transform of log|f| (Komatsu's associated function);
 with w = log(1+x^2) up to a critical power N*.  Each is computed once per
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GstfError
+from .errors import GridError, GstfError
 from .grids import SampledFunction, TFGrid, TFR
 from .transforms import dft, stft
 
@@ -43,8 +43,10 @@ NOT_MEMBER = "NotMember"
 INCONCLUSIVE = "Inconclusive"
 
 # A sup attained within GUARD samples of the grid edge counts as
-# boundary-attained.
+# boundary-attained; a transform-computed sample below FLOOR times the
+# peak is noise.
 GUARD = 2
+FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class ClassifyOptions:
     r_scale: float = 1.0
     r_list: tuple = ()  # empty = default geometric list times r_scale
     n_max: int = 8
-    floor_rel: float = 1e-13
 
     def __post_init__(self):
         # Out-of-range values would make a side of the test vacuous: a
@@ -88,9 +89,6 @@ class ClassifyOptions:
                         *(("r_list entry", r) for r in self.r_list)):
             if not 0 < r < INF:
                 raise GstfError(f"{name} must be finite and > 0, got {r!r}")
-        if not 0 <= self.floor_rel < 1:
-            raise GstfError(
-                f"floor_rel must be in [0, 1), got {self.floor_rel!r}")
 
     def trial_rs(self) -> tuple:
         base = self.r_list if self.r_list else (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -209,55 +207,35 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
                          j is not None and bool(edge[j]))
 
 
-def _side(need: float, crit: CriticalScale) -> tuple:
-    """((ok, inconclusive), crit): a side passes when the scale it needs is
-    at most its critical scale, and fails open at a masked edge."""
-    ok = need <= crit.value
-    return (ok, not ok and crit.masked_edge), crit
-
-
-def _poly_side(fn: SampledFunction, opts: ClassifyOptions,
-               dual: bool = False):
-    """((ok, inconclusive), N*): each C_N = sup |f| (1+x^2)^N, N <= n_max,
-    must be interior-attained; a dual side needs N = -n_max.  N* is
-    computed once per function and floor (below it polynomial weights
-    amplify round-off garbage at the rim); a dual side reads no floor."""
-    floor = None if dual else opts.floor_rel
+def _side(fn: SampledFunction, s: float | None, need: float,
+          floored: bool) -> tuple:
+    """((ok, inconclusive), crit) for one side of fn: it passes when the
+    scale it needs is at most its critical scale, and fails open at a
+    masked edge.  s = None weighs by log(1+x^2), for the critical power
+    N*; any other s by |x|^(1/s) in units of its maximum, for the critical
+    rate r*.  ``floored`` masks samples below FLOOR times the peak:
+    transform-computed samples are noise there, and polynomial weights
+    amplify round-off garbage at the rim.  crit is computed once per
+    function, s and floor."""
+    if s is not None and s <= 0:
+        raise GstfError("s must be positive")
+    floor = FLOOR if floored else None
 
     def make():
-        with np.errstate(over="ignore", divide="ignore"):
-            w = np.log1p(fn.x ** 2)
-            if np.isinf(w).any():  # x^2 overflows: log(1+x^2) = 2 log|x|
-                w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
-        return _critical(fn, w, floor)
-
-    return _side(-opts.n_max if dual else opts.n_max,
-                 fn._memoised(("N*", floor), make))
-
-
-def _decay_side(fn: SampledFunction, s: float, opts: ClassifyOptions,
-                beurling: bool, masked: bool, dual: bool = False):
-    """((ok, inconclusive), r*) for the decay side: Roumieu needs the
-    smallest trial rate at most r*, Beurling the largest; a dual side needs
-    the rate negated.  ``masked`` marks transform-computed samples, whose
-    sub-floor values are noise; direct samples are trusted all the way
-    down, so a boundary-attained sup is conclusive.  r* is computed once
-    per function, s and floor."""
-    if s <= 0:
-        raise GstfError("s must be positive")
-    floor = opts.floor_rel if masked else None
-
-    def make():  # |x|^(1/s) in units of its maximum, which may overflow
         ax = np.abs(fn.x)
-        top = max(ax[0], ax[-1])  # |x| falls then rises along the grid
-        with np.errstate(over="ignore"):
-            w, unit = (ax / top) ** (1.0 / s), top ** (1.0 / s)
+        with np.errstate(over="ignore", divide="ignore"):
+            if s is None:  # log(1+x^2) = 2 log|x| where x^2 overflows
+                w, unit = np.log1p(ax ** 2), 1.0
+                if np.isinf(w).any():
+                    w = np.where(np.isinf(w), 2.0 * np.log(ax), w)
+            else:  # the maximum of |x|^(1/s) may overflow
+                top = max(ax[0], ax[-1])  # |x| falls then rises along the grid
+                w, unit = (ax / top) ** (1.0 / s), top ** (1.0 / s)
         return _critical(fn, w, floor, unit)
 
-    rs = opts.trial_rs()
-    rate = max(rs) if beurling else min(rs)
-    return _side(-rate if dual else rate,
-                 fn._memoised(("r*", s, floor), make))
+    crit = fn._memoised((s, floor), make)
+    ok = need <= crit.value
+    return (ok, not ok and crit.masked_edge), crit
 
 
 def _aggregate(*sides) -> str:
@@ -270,42 +248,48 @@ def _aggregate(*sides) -> str:
     return INCONCLUSIVE
 
 
-def _zero_report() -> EnvelopeReport:
-    return EnvelopeReport(0.0, CriticalScale(INF), CriticalScale(INF), MEMBER)
-
-
-def _verdict(decay_fn: SampledFunction, s: float, poly_fn: SampledFunction,
-             idx: GSIndex, opts: ClassifyOptions, c_peak: float,
-             masked: bool, dual: bool = False) -> EnvelopeReport:
-    """One decay side against one polynomial side: the test shared by the
-    direct and the STFT characterisation of a one-parameter class and, on
-    unfloored samples with the scales negated, by that of its dual."""
-    decay, r_star = _decay_side(decay_fn, s, opts,
-                                idx.regularity == "beurling", masked, dual)
-    poly, n_star = _poly_side(poly_fn, opts, dual)
+def _verdict(x_fn: SampledFunction, xi_fn: SampledFunction, idx: GSIndex,
+             opts: ClassifyOptions, c_peak: float, direct: bool = False,
+             dual: bool = False) -> EnvelopeReport:
+    """One decay side against one polynomial side, from samples over x
+    and over xi: the test shared by the direct and the STFT
+    characterisation of a one-parameter class and, unfloored with the
+    scales negated, by that of its dual.  A finite s puts the decay side
+    on x, a finite sigma on xi.  Roumieu needs the smallest trial rate at
+    most r*, Beurling the largest.  Only ``direct`` samples over x are
+    trusted all the way down, so a boundary-attained sup there is
+    conclusive; transform-computed ones are floored."""
+    on_x = math.isinf(idx.sigma)
+    decay_fn, poly_fn = (x_fn, xi_fn) if on_x else (xi_fn, x_fn)
+    rs = opts.trial_rs()
+    rate = max(rs) if idx.regularity == "beurling" else min(rs)
+    sign = -1 if dual else 1
+    decay, r_star = _side(decay_fn, idx.s if on_x else idx.sigma,
+                          sign * rate, not (dual or (direct and on_x)))
+    poly, n_star = _side(poly_fn, None, sign * opts.n_max, not dual)
     return EnvelopeReport(c_peak, r_star, n_star, _aggregate(decay, poly))
 
 
 def classify_function(f: SampledFunction, idx: GSIndex,
                       opts: ClassifyOptions | None = None) -> EnvelopeReport:
     """Membership verdict for f against a one-parameter class."""
-    opts = opts or ClassifyOptions()
     c_peak = _magnitudes(f)[2]
     if c_peak == 0.0:
-        return _zero_report()
+        return EnvelopeReport(0.0, CriticalScale(INF), CriticalScale(INF),
+                              MEMBER)
     if not idx.one_parameter:
         raise GstfError("classify_function handles one-parameter spaces; "
                         "classify each side separately")
-    if math.isinf(idx.sigma):  # S_s / Sigma_s: decay on f, poly table on f^
-        return _verdict(f, idx.s, dft(f), idx, opts, c_peak, masked=False)
-    # S^sigma / Sigma^sigma: mirrored, the decay samples come out of the FFT
-    return _verdict(dft(f), idx.sigma, f, idx, opts, c_peak, masked=True)
+    return _verdict(f, dft(f), idx, opts or ClassifyOptions(), c_peak,
+                    direct=True)
 
 
 def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
                  tfgrid: TFGrid, opts: ClassifyOptions | None,
                  check_window: bool, precomputed: TFR | None,
                  dual: bool) -> EnvelopeReport:
+    if precomputed is not None and precomputed.tfgrid != tfgrid:
+        raise GridError("the precomputed STFT lies on another tfgrid")
     opts = opts or ClassifyOptions()
     if check_window:
         # a fresh carrier of the same read-only samples: its memo goes
@@ -317,18 +301,10 @@ def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
                 f"window is {wr.verdict} for the requested class; "
                 "pick a window inside the class")
     v = precomputed if precomputed is not None else stft(f, window, tfgrid)
-    # For a finite s the decay variable is position, for a finite sigma
-    # frequency.  STFT samples are quadrature outputs: sub-floor values
-    # are noise to a class test.
-    decay_on_x = math.isinf(idx.sigma)
     x_profile, xi_profile = v.max_profiles()
-    decay_fn, poly_fn = ((x_profile, xi_profile) if decay_on_x
-                         else (xi_profile, x_profile))
-    c_peak = _magnitudes(decay_fn)[2]  # the max of |V|
-    if c_peak == 0.0:
-        return _zero_report()
-    return _verdict(decay_fn, idx.s if decay_on_x else idx.sigma, poly_fn,
-                    idx, opts, c_peak, masked=not dual, dual=dual)
+    # the max of |V|, on either profile
+    return _verdict(x_profile, xi_profile, idx, opts,
+                    _magnitudes(x_profile)[2], dual=dual)
 
 
 def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,

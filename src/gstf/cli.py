@@ -23,7 +23,7 @@ import numpy as np
 from .catalog import catalog_eval
 from .checks import (SUITES, classify_tfgrid, gaussian_symbol,
                      phase_space_grid, run_suite)
-from .classify import (GUARD, ClassifyOptions, GSIndex, MEMBER,
+from .classify import (FLOOR, GUARD, ClassifyOptions, GSIndex, MEMBER,
                        classify_function, classify_stft)
 from .errors import GridError, GstfError
 from .grids import Grid1D, SampledFunction, TFR, build_grid
@@ -166,8 +166,6 @@ def _options(args) -> ClassifyOptions:
         except ValueError:
             raise GstfError(f"--r-list {args.r_list!r} is not "
                             "comma-separated numbers") from None
-    if args.floor is not None:
-        kw["floor_rel"] = args.floor
     return ClassifyOptions(**kw)
 
 
@@ -237,7 +235,7 @@ def _cmd_classify(args) -> tuple:
               "regularity": idx.regularity,
               "half_width": args.half_width, "points": args.points,
               "n_max": opts.n_max, "r_list": list(opts.trial_rs()),
-              "floor": opts.floor_rel}
+              "floor": FLOOR}
     body = {
         "verdict": rep.verdict,
         "fitted": {"C_peak": rep.C_peak, **scales},
@@ -245,7 +243,7 @@ def _cmd_classify(args) -> tuple:
             "attainment": {
                 "poly_all_interior": opts.n_max <= rep.N_star.value,
             },
-            "floor": opts.floor_rel,
+            "floor": FLOOR,
             "guard_band": GUARD,
         },
     }
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int)
     p.add_argument("--r-list", help="comma-separated trial rates: Roumieu "
                                     "reads the smallest, Beurling the largest")
-    p.add_argument("--floor", type=float, help="relative noise floor")
     p.add_argument("--assert-member", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Gaussian, Hermite, catalog_eval
-from .classify import ClassifyOptions, CriticalScale, GSIndex, _decay_side
+from .classify import ClassifyOptions, CriticalScale, GSIndex, _side
 from .errors import TrivialSpace, UnsupportedRegion
 from .grids import Grid1D, SampledFunction, build_grid
 from .transforms import dft
@@ -118,15 +118,15 @@ def boundary_triviality_demo(s: float) -> BoundaryReport:
     grid = default_witness_grid()
     candidates = [Gaussian(a) for a in (0.5, 1.0, 2.0)]
     candidates += [Hermite(k) for k in range(4)]
-    opts = ClassifyOptions()
+    rate = max(ClassifyOptions().trial_rs())
 
     rows = []
     for spec in candidates:
         f = catalog_eval(spec, grid)
-        (ok, _), r_x = _decay_side(f, s, opts, True, False)
+        (ok, _), r_x = _side(f, s, rate, False)
         r_xi, side = None, "function"
         if ok:  # the transform is needed only when f passes
-            (ok, _), r_xi = _decay_side(dft(f), sigma, opts, True, False)
+            (ok, _), r_xi = _side(dft(f), sigma, rate, False)
             side = "" if ok else "fourier"
         rows.append(BoundaryCandidate(str(spec), not ok, side, r_x, r_xi))
     rows = tuple(rows)

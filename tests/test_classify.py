@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
-                  CriticalScale, GSIndex, Gaussian, Grid1D, GstfError,
-                  Hermite, Modulate, Poly, Product, SampledFunction, SubExp,
-                  Sum, TFGrid, TFR, Translate, build_grid, catalog_eval,
-                  classify_function, classify_stft, dft, dual_growth_report,
-                  stft, transforms)
-from gstf.classify import GUARD, _critical, _decay_side, _poly_side
+                  CriticalScale, GSIndex, Gaussian, Grid1D, GridError,
+                  GstfError, Hermite, Modulate, Poly, Product,
+                  SampledFunction, SubExp, Sum, TFGrid, TFR, Translate,
+                  build_grid, catalog_eval, classify_function, classify_stft,
+                  dft, dual_growth_report, stft, transforms)
+from gstf.classify import FLOOR, GUARD, _critical, _side
 from gstf.checks import CATALOG_SPACES, CATALOG_SPECS, classify_tfgrid
 
 from conftest import beurling, roumieu
@@ -69,7 +69,6 @@ class TestClassifyOptions:
     @pytest.mark.parametrize("kw", [
         {"n_max": -1}, {"n_max": 2.5}, {"r_scale": -0.5}, {"r_scale": math.inf},
         {"r_list": (1.0, math.nan)}, {"r_list": (0.0,)},
-        {"floor_rel": math.nan}, {"floor_rel": -1e-13}, {"floor_rel": 1.0},
         {"n_max": 17},  # the polynomial weights' bound
     ])
     def test_rejects_values_that_make_a_side_vacuous(self, kw):
@@ -77,15 +76,20 @@ class TestClassifyOptions:
             ClassifyOptions(**kw)
 
     def test_accepts_range_endpoints(self):
-        opts = ClassifyOptions(n_max=0, floor_rel=0.0, r_list=(1e-300,))
+        opts = ClassifyOptions(n_max=0, r_list=(1e-300,))
         assert opts.trial_rs() == (1e-300,)
         assert ClassifyOptions(n_max=16).n_max == 16
 
 
 def _r_star(f, s, masked=False):
     """The decay side's critical rate r* at index s."""
-    return _decay_side(f, s, ClassifyOptions(), beurling=True,
-                       masked=masked)[1]
+    return _side(f, s, 0.0, masked)[1]
+
+
+def _rate(opts, beurling):
+    """The trial rate a decay side needs: Beurling the largest, Roumieu
+    the smallest."""
+    return (max if beurling else min)(opts.trial_rs())
 
 
 def _sup_reference(fn, base, scales, mask=None):
@@ -122,9 +126,9 @@ def _flags_reference(fn, base, scales, mask, every):
     return ok, not ok and any(edge for _, edge in table.values())
 
 
-def _floor(fn, opts):
+def _floor(fn):
     a = np.abs(fn.values)
-    return a >= opts.floor_rel * a.max()
+    return a >= FLOOR * a.max()
 
 
 class TestSupEnvelopeConstant:
@@ -267,42 +271,39 @@ class TestFitPolyTable:
 
     def test_matches_brute_force(self):
         f = dft(catalog_eval(Gaussian(1.0), build_grid(12.0, 10)))
-        opts = ClassifyOptions(n_max=3, floor_rel=1e-13)
-        _, crit = _poly_side(f, opts)
+        _, crit = _side(f, None, 3, True)
         n = math.floor(crit.value)
-        table = _sup_reference(f, np.log1p(f.x**2), (n, n + 1),
-                               _floor(f, opts))
+        table = _sup_reference(f, np.log1p(f.x**2), (n, n + 1), _floor(f))
         assert table == {n: (True, False), n + 1: (True, True)}
         assert crit.masked_edge
 
     def test_slow_decay_fails_interior_attainment(self):
         # 1/(1+x^2) loses to (1+x^2)^2: the product grows to the rim.
         vals = 1.0 / (1.0 + ODD_GRID.coords**2)
-        side, crit = _poly_side(SampledFunction(ODD_GRID, vals),
-                                ClassifyOptions(n_max=2))
+        side, crit = _side(SampledFunction(ODD_GRID, vals), None, 2, True)
         assert crit.value == pytest.approx(1.0, abs=1e-9)
         assert side == (False, False)
 
     def test_rejects_large_n_max(self):
         # the polynomial side reads up to N = 16; 17 is refused
         f = catalog_eval(Gaussian(1.0), ODD_GRID)
-        side, crit = _poly_side(f, ClassifyOptions(n_max=16))
+        side, crit = _side(f, None, ClassifyOptions(n_max=16).n_max, True)
         assert side == (True, False) and crit.value > 16
         with pytest.raises(GstfError):
-            _poly_side(f, ClassifyOptions(n_max=17))
+            _side(f, None, ClassifyOptions(n_max=17).n_max, True)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_limits_where_x_squared_overflows(self):
         # log(1+x^2) is 2 log|x| once x^2 overflows: halving per doubling
         # of |x| is N* = 1/2; a grid with no interior has no N at all
-        side, crit = _poly_side(
+        side, crit = _side(
             SampledFunction(Grid1D(0.0, 1e300, 7),
                             [0.125, 0.25, 0.5, 1.0, 0.5, 0.25, 0.125]),
-            ClassifyOptions(n_max=0))
+            None, 0, True)
         assert crit.value == pytest.approx(0.5, rel=1e-9) and side[0]
-        _, crit = _poly_side(
+        _, crit = _side(
             SampledFunction(Grid1D(0.0, 1e300, 4), [0.25, 1.0, 0.5, 0.125]),
-            ClassifyOptions(n_max=0))
+            None, 0, True)
         assert crit.value == -math.inf
 
 
@@ -324,7 +325,7 @@ class TestDecaySide:
                              + 1e-16)
         opts = ClassifyOptions(r_list=r_list)
         for beurling, want in ((False, roumieu_side), (True, beurling_side)):
-            side, crit = _decay_side(fn, 0.5, opts, beurling, masked)
+            side, crit = _side(fn, 0.5, _rate(opts, beurling), masked)
             assert side == want
             assert crit is _r_star(fn, 0.5, masked)
 
@@ -355,17 +356,17 @@ class TestReferenceTables:
                              ClassifyOptions(n_max=4, r_scale=0.5),
                              ClassifyOptions(n_max=4, r_list=straddle)):
                     beurling = idx.regularity == "beurling"
-                    mask = _floor(decay, opts) if masked else None
+                    mask = _floor(decay) if masked else None
                     with np.errstate(over="ignore"):
                         w = np.abs(decay.x) ** (1.0 / s)
                     want = _flags_reference(decay, w, opts.trial_rs(), mask,
                                             beurling)
-                    got, _ = _decay_side(decay, s, opts, beurling, masked)
+                    got, _ = _side(decay, s, _rate(opts, beurling), masked)
                     assert got == want, (spec, idx, opts)
                     want = _flags_reference(poly, np.log1p(poly.x**2),
                                             range(opts.n_max + 1),
-                                            _floor(poly, opts), True)
-                    got, _ = _poly_side(poly, opts)
+                                            _floor(poly), True)
+                    got, _ = _side(poly, None, opts.n_max, True)
                     assert got == want, (spec, idx, opts)
 
 
@@ -437,14 +438,14 @@ class TestCriticalScale:
         # |f| = 1 everywhere: the N = 0 sup is attained inside as well as
         # at the rim, so N* = 0 and n_max = 0 passes, n_max = 1 does not
         f = SampledFunction(Grid1D(0.0, 1.0, 9), np.ones(9))
-        side, crit = _poly_side(f, ClassifyOptions(n_max=0))
+        side, crit = _side(f, None, 0, True)
         assert (side, crit.value) == ((True, False), 0.0)
-        assert _poly_side(f, ClassifyOptions(n_max=1))[0] == (False, False)
+        assert _side(f, None, 1, True)[0] == (False, False)
         # a trial rate equal to r* passes too
         g = catalog_eval(Gaussian(1.0), ODD_GRID)
         opts = ClassifyOptions(r_list=(_r_star(g, 0.5).value,))
         for beurling in (False, True):
-            assert _decay_side(g, 0.5, opts, beurling, False)[0] == (
+            assert _side(g, 0.5, _rate(opts, beurling), False)[0] == (
                 True, False)
 
 
@@ -600,6 +601,29 @@ class TestClassifyStft:
                 b = classify_stft(f, w2, idx, tf, opts, check_window=False,
                                   precomputed=v2).verdict
                 assert a == b, (spec, idx)
+
+    @pytest.mark.parametrize("report", [classify_stft, dual_growth_report])
+    def test_zero_function_is_member(self, grid10, tf_small, report):
+        # |V| = 0: no sample ever takes a sup, on either side
+        f = SampledFunction(grid10, np.zeros(grid10.count))
+        w = catalog_eval(Gaussian(1.0), grid10)
+        for idx in (roumieu(s=0.5), beurling(sigma=1.0)):
+            rep = report(f, w, idx, tf_small)
+            assert (rep.verdict, rep.C_peak) == (MEMBER, 0.0)
+            assert rep.r_star.value == rep.N_star.value == math.inf
+
+    @pytest.mark.parametrize("report", [classify_stft, dual_growth_report])
+    def test_rejects_precomputed_stft_on_another_grid(self, grid10, tf_small,
+                                                      report):
+        f = catalog_eval(Gaussian(1.0), grid10)
+        other = TFGrid(tf_small.xgrid, Grid1D(0.0, 0.5, 129))
+        v = stft(f, f, other)
+        with pytest.raises(GridError):
+            report(f, f, roumieu(s=0.5), tf_small, check_window=False,
+                   precomputed=v)
+        # on its own grid it is read
+        assert report(f, f, roumieu(s=0.5), other, check_window=False,
+                      precomputed=v).verdict == MEMBER
 
 
 class TestSharedWork:

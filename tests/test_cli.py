@@ -298,9 +298,6 @@ class TestInProcessContract:
         ("--r-list", "nan"),    # every Beurling sup vacuous
         ("--r-list", "1,inf"),
         ("--r-list", "0,1"),
-        ("--floor", "nan"),
-        ("--floor", "-1"),
-        ("--floor", "1"),
         ("--n-max", "17"),      # past the polynomial weights' bound
         ("--n-max", "17", "--window", "gaussian(1)"),
     ])
@@ -424,8 +421,6 @@ def _cli_args(draw):
         args += ["--space", draw(st.sampled_from(["S", "Sigma"]))]
         args += draw(_flag("s", st.one_of(st.floats(0.1, 4.0), _ANY_FLOAT)))
         args += draw(_flag("sigma", _ANY_FLOAT))
-        args += draw(_flag("floor", st.one_of(st.floats(0.0, 1e-3),
-                                              _ANY_FLOAT)))
         args += draw(_flag("n-max", st.integers(-3, 12)))
         args += draw(_flag("r-list", st.one_of(
             st.lists(_ANY_FLOAT, min_size=1, max_size=3).map(

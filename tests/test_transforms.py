@@ -24,7 +24,7 @@ class TestDft:
     @pytest.mark.parametrize("log2n", [10, 11, 13])
     def test_noise_floor_does_not_grow_with_points(self, log2n):
         # the phases are reduced exactly, so the error stays at rounding
-        # level at every n, far under the classifier's floor_rel of 1e-13
+        # level at every n, far under the classifier's FLOOR of 1e-13
         F = dft(catalog_eval(Gaussian(1.0), build_grid(12.0, log2n)))
         assert rel_max_err(F.values, np.exp(-0.5 * F.x**2)) < 2e-15
 
