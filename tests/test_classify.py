@@ -69,6 +69,7 @@ class TestClassifyOptions:
     @pytest.mark.parametrize("kw", [
         {"n_max": -1}, {"n_max": 2.5}, {"r_scale": -0.5}, {"r_scale": math.inf},
         {"r_list": (1.0, math.nan)}, {"r_list": (0.0,)},
+        {"r_scale": math.nan}, {"r_scale": 0.0}, {"r_list": (-1.0,)},
         {"n_max": 17},  # the polynomial weights' bound
     ])
     def test_rejects_values_that_make_a_side_vacuous(self, kw):

@@ -298,6 +298,9 @@ class TestInProcessContract:
         ("--r-list", "nan"),    # every Beurling sup vacuous
         ("--r-list", "1,inf"),
         ("--r-list", "0,1"),
+        ("--r-list", "-1"),     # a negative rate
+        ("--r-list", "1,-inf"),
+        ("--r-list", "1,nan"),
         ("--n-max", "17"),      # past the polynomial weights' bound
         ("--n-max", "17", "--window", "gaussian(1)"),
     ])
