@@ -13,7 +13,8 @@ Conventions (frozen):
 
 from __future__ import annotations
 
-from functools import lru_cache
+import os
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -169,24 +170,52 @@ def _window_rows(window: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, n)
 
 
-def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill):
+def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill, use):
     """``count`` rows of length ``width``, zero-padded and convolved with
     the chirp whose FFT is ``spectrum``, in blocks of at most _BLOCK_BYTES.
-    fill(sl, blk) writes the rows sl into the (rows, width) view ``blk``.
-    Yields (sl, conv) for the rows sl; every block reuses one buffer, so
-    use ``conv`` before taking the next."""
+    fill(sl, blk) writes the rows sl into the (rows, width) view ``blk``;
+    use(sl, conv) reads their convolutions, and its results come in block
+    order.  With workers = min(CPUs, blocks // 2) >= 2, at most workers + 1
+    blocks run on the thread pool at a time, each in its own buffer until
+    its result is taken; otherwise all run inline in one buffer."""
     size = spectrum.size
     rows = max(1, _BLOCK_BYTES // (16 * size))
-    buf = np.empty((min(rows, count), size), dtype=complex)
-    for lo in range(0, count, rows):
-        sl = slice(lo, min(count, lo + rows))
-        blk = buf[:sl.stop - lo]
+    blocks = [slice(lo, min(count, lo + rows)) for lo in range(0, count, rows)]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else 1)
+    workers = min(cpus, len(blocks) // 2)
+    bufs = [np.empty((min(rows, count), size), dtype=complex)
+            for _ in range(workers + 1 if workers > 1 else 1)]
+
+    def run(k):
+        sl = blocks[k]
+        blk = bufs[k % len(bufs)][:sl.stop - sl.start]
         fill(sl, blk[:, :width])
         blk[:, width:] = 0.0
         np.fft.fft(blk, axis=-1, out=blk)
         blk *= spectrum
         np.fft.ifft(blk, axis=-1, out=blk)
-        yield sl, blk
+        return use(sl, blk)
+
+    if len(bufs) == 1:
+        yield from map(run, range(len(blocks)))
+        return
+    # numpy's error state is per thread: the workers' is set here
+    submit = partial(_pool(os.getpid(), cpus).submit, _QUIET(run))
+    futures = [submit(k) for k in range(len(bufs))]
+    for k in range(len(blocks)):
+        yield futures[k].result()
+        if k + len(bufs) < len(blocks):  # into block k's buffer
+            futures.append(submit(k + len(bufs)))
+
+
+@lru_cache(maxsize=1)
+def _pool(pid: int, cpus: int):
+    """A thread pool of ``cpus`` threads for process ``pid``: a forked child,
+    which has none of its parent's threads, makes its own.  A pool that is
+    replaced lets its threads go once no call uses it."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(cpus)
 
 
 @_QUIET
@@ -213,8 +242,9 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
             for r, c in enumerate(range(sl.start, sl.stop)):
                 np.multiply(rows[starts[c]], fb, out=blk[r])
 
-        for sl, conv in _chirp_rows(count, n, fwd, fill):
-            np.multiply(conv[:, :a.size], a, out=vals[sl])
+        for _ in _chirp_rows(count, n, fwd, fill, lambda sl, conv: np.multiply(
+                conv[:, :a.size], a, out=vals[sl])):
+            pass
         return TFR(tfgrid, vals)
 
     # Real rows: one chirp row carries the shifts c = 2p and c' = 2p + 1 as
@@ -231,7 +261,7 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
                         half_f, out=blk.imag[r])
             blk[r] *= b  # while the row is in cache
 
-    for sl, conv in _chirp_rows((count + 1) // 2, n, fwd, fill_pairs):
+    def unpack(sl, conv):  # into the rows of vals that sl holds
         z = conv[:, :a.size]
         z *= a
         even = vals[2 * sl.start:2 * sl.stop:2]
@@ -241,6 +271,9 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
         np.subtract(q, q[:, ::-1], out=even.imag)
         np.add(q[:k], q[:k, ::-1], out=odd.real)
         np.subtract(p[:k, ::-1], p[:k], out=odd.imag)
+
+    for _ in _chirp_rows((count + 1) // 2, n, fwd, fill_pairs, unpack):
+        pass
     v = TFR(tfgrid, vals)
     v._memo["hermitian"] = True  # exactly, by the unpacking
     return v
@@ -277,14 +310,18 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     w = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / _SQRT_2PI
     if window.values.imag.any() or not _is_hermitian(F):
         rows, out = _window_rows(window.values), np.zeros(n, dtype=complex)
-        for sl, conv in _chirp_rows(
-                count, a.size, adj,
-                lambda sl, blk: np.multiply(F.values[sl], ca, out=blk)):
+
+        def weigh(sl, conv):
             terms = conv[:, :n]
             for r, c in enumerate(range(sl.start, sl.stop)):
                 terms[r] *= rows[starts[c]]
+            return terms
+
+        for terms in _chirp_rows(
+                count, a.size, adj,
+                lambda sl, blk: np.multiply(F.values[sl], ca, out=blk), weigh):
             # carry the running sum in the first row, so that the rows add
-            # up in one order whatever the block size
+            # up in one order whatever the block size or the worker count
             terms[0] += out
             np.sum(terms, axis=0, out=out)
         return SampledFunction(window.grid, cb * w * out)
@@ -303,13 +340,17 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
         blk[k:] = even[k:]
         blk *= ca
 
-    for sl, conv in _chirp_rows((count + 1) // 2, a.size, adj, fill_pairs):
+    def weigh_pairs(sl, conv):
         z = conv[:, :n]
         terms = z.view(float)  # re, im, ...
         for r, c in enumerate(range(2 * sl.start, 2 * sl.stop, 2)):
             z[r] *= cb  # while the row is in cache
             terms[r, ::2] *= rows[starts[c]]
             terms[r, 1::2] *= rows[starts[c + 1]] if c + 1 < count else 0.0
+        return terms
+
+    for terms in _chirp_rows((count + 1) // 2, a.size, adj, fill_pairs,
+                             weigh_pairs):
         terms[0] += out
         np.sum(terms, axis=0, out=out)
     return SampledFunction(window.grid, w * (out[0::2] + out[1::2]))

@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from gstf.cli import run_command
 
 
-def run_cli_process(*args, env_extra=None):
+def run_cli_process(*args, env_extra=None, flags=(), preexec_fn=None):
+    """The CLI in a fresh interpreter, run with the interpreter ``flags``."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "gstf.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *flags, "-m", "gstf.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=preexec_fn)
 
 
 def run_cli(capsys, *args):
@@ -46,6 +48,23 @@ class TestGoldenReports:
         blobs = [(tmp_path / n).read_bytes() for n in
                  ("a.json", "b.json", "c.json")]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_stft_report_byte_identical_on_one_cpu(self, tmp_path):
+        # 513 x 1001 and 16384 points: the STFT engine shares its blocks
+        # with a thread pool unless the process is pinned to one CPU
+        args = ("classify", "--expr", "gaussian(1)", "--window",
+                "gaussian(1)", "--space", "S", "--s", "0.5", "--points",
+                "16384")
+        one = run_cli_process(*args, "--out", str(tmp_path / "one.json"),
+                              preexec_fn=lambda: os.sched_setaffinity(0, {
+                                  min(os.sched_getaffinity(0))}))
+        every = run_cli_process(*args, "--out", str(tmp_path / "all.json"))
+        assert one.returncode == every.returncode == 0
+        assert ((tmp_path / "one.json").read_bytes()
+                == (tmp_path / "all.json").read_bytes())
 
     def test_transform_csv_byte_identical(self, tmp_path, capsys):
         args = ("transform", "--expr", "hermite(2)", "--points", "512",
@@ -389,6 +408,19 @@ class TestInProcessContract:
             self.assert_error_exit([*argv, "--expr", "1e308 * gaussian(1)",
                                     "--points", "64"], capsys)
         assert [str(w.message) for w in caught] == []
+
+    def test_overflow_on_the_shared_engine_exits_2(self):
+        # 16384 points run the STFT engine's blocks on its thread pool,
+        # where numpy's error state must be set again: an overflow warning
+        # there would be an exception under -W error
+        out = run_cli_process("classify", "--expr", "1e308 * gaussian(1)",
+                              "--window", "gaussian(1)", "--space", "S",
+                              "--s", "0.5", "--points", "16384",
+                              flags=("-W", "error::RuntimeWarning"))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:")
+        assert out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr
 
     def test_control_characters_in_strings_stay_valid_json(self, tmp_path,
                                                             capsys):

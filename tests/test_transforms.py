@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -436,6 +440,118 @@ class TestAdjointPacked:
             bent = v.copy()
             bent.imag[3, k] = np.nextafter(bent.imag[3, k], np.inf)
             assert not transforms._hermitian(bent, tf_small.xigrid)
+
+
+def _set_cpus(monkeypatch, cpus):
+    """Let the STFT engine see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+
+
+def _engine_outputs(grid, tf):
+    """Both stft paths and both adjoints on one grid pair: the real stft
+    (paired rows on a xi grid centred at 0) and its packed adjoint, the
+    complex stft, and the one-row adjoint of a random-symbol product."""
+    w = catalog_eval(Gaussian(1.0), grid)
+    real = stft(catalog_eval(Hermite(2), grid), w, tf)
+    cplx = stft(catalog_eval(Modulate(Gaussian(1.0), 1.0), grid), w, tf)
+    rng = np.random.default_rng(3)
+    shape = real.values.shape
+    F = TFR(tf, real.values * (rng.standard_normal(shape)
+                               + 1j * rng.standard_normal(shape)))
+    return [real.values, cplx.values, adjoint_stft(real, w).values,
+            adjoint_stft(F, w).values]
+
+
+class TestWorkerCounts:
+    """With two blocks or more per worker the engine's blocks run on a
+    thread pool; every output keeps the bits of the inline run."""
+
+    @pytest.mark.parametrize("name", ["129x129", "128x128", "513x1001",
+                                      "odd-t"])
+    @pytest.mark.parametrize("block_bytes", BLOCK_SWEEP)
+    def test_same_bits_at_every_cpu_count(self, request, monkeypatch, name,
+                                          block_bytes):
+        grid, tf = _case_grids(request, name)
+        _set_block_bytes(monkeypatch, block_bytes, grid, tf)
+        _set_cpus(monkeypatch, 1)
+        inline = _engine_outputs(grid, tf)
+        for cpus in (2, 3, 8):
+            _set_cpus(monkeypatch, cpus)
+            for got, want in zip(_engine_outputs(grid, tf), inline):
+                assert np.array_equal(got, want)
+
+    def test_eight_workers_one_row_per_block(self, request, monkeypatch):
+        # more workers than cores, and the GIL handed over every microsecond
+        grid, tf = _case_grids(request, "513x1001")
+        _set_block_bytes(monkeypatch, 1, grid, tf)
+        _set_cpus(monkeypatch, 1)
+        inline = _engine_outputs(grid, tf)
+        _set_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = _engine_outputs(grid, tf)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(shared, inline):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name, cpus, shared", [
+        ("129x129", 8, False),   # 2 or 3 blocks per call
+        ("128x128", 8, False),
+        ("513x1001", 1, False),
+        ("513x1001", 2, True),   # 13 blocks of paired rows, 25 of one row
+        ("513x1001", 8, True),
+    ])
+    def test_pool_only_for_two_blocks_per_worker(self, request, monkeypatch,
+                                                 name, cpus, shared):
+        grid, tf = _case_grids(request, name)
+        _set_cpus(monkeypatch, cpus)
+        calls, real = [], transforms._pool
+
+        def spy(pid, cpus):
+            calls.append(cpus)
+            return real(pid, cpus)
+
+        monkeypatch.setattr(transforms, "_pool", spy)
+        _engine_outputs(grid, tf)
+        assert calls == ([cpus] * 4 if shared else [])
+
+    def test_import_starts_no_thread(self):
+        code = ("import sys, threading, gstf.cli; "
+                "print(threading.active_count(), "
+                "'concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             timeout=60).stdout
+        assert out == "1 False\n"
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_makes_its_own_pool(self, request, monkeypatch):
+        grid, tf = _case_grids(request, "513x1001")
+        _set_cpus(monkeypatch, 2)
+        f = catalog_eval(Hermite(2), grid)
+        w = catalog_eval(Gaussian(1.0), grid)
+        want = stft(f, w, tf).values.tobytes()
+        assert transforms._pool.cache_info().currsize == 1  # the pool exists
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(
+            target=lambda: send.send_bytes(stft(f, w, tf).values.tobytes()))
+        with recv, send:
+            child.start()
+            try:
+                assert recv.poll(60), "the forked child's stft did not return"
+                assert recv.recv_bytes() == want
+                child.join(60)
+                assert not child.is_alive()
+            finally:
+                if child.is_alive():
+                    child.kill()
+                    child.join()
+        assert child.exitcode == 0
 
 
 class TestHermitianMark:
