@@ -11,12 +11,10 @@ by its fields' types, one kind per argument (float, int or FunctionSpec);
 an infix node its operator ``op``, its precedence ``prec`` and its ufunc.
 """
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .errors import GstfError
-from .grids import Grid1D, SampledFunction
+from .grids import Grid1D, Record, SampledFunction
 
 __all__ = [
     "FunctionSpec", "Const", "Gaussian", "Hermite", "Bump", "SubExp", "Poly",
@@ -25,7 +23,7 @@ __all__ = [
 ]
 
 
-class FunctionSpec:
+class FunctionSpec(Record):
     """Base node.  Subclasses implement ``_eval``; a call node sets
     ``call``, its name in the expression language, and types each field
     float, int or FunctionSpec, in argument order."""
@@ -39,7 +37,8 @@ class FunctionSpec:
         return self._eval(np.asarray(x, dtype=float))
 
     def _args(self):
-        return [(getattr(self, f.name), f.type) for f in fields(self)]
+        d = self.__dict__
+        return [(d[name], kind) for name, kind in self._fields.items()]
 
     def __post_init__(self):
         for v, kind in self._args():
@@ -53,7 +52,6 @@ class FunctionSpec:
         return f"{self.call}({', '.join(args)})"
 
 
-@dataclass(frozen=True)
 class Const(FunctionSpec):
     value: float
 
@@ -64,7 +62,6 @@ class Const(FunctionSpec):
         return repr(float(self.value))
 
 
-@dataclass(frozen=True)
 class Gaussian(FunctionSpec):
     """exp(-a x^2 / 2); a = 1 is the fixed point of the unitary Fourier transform."""
 
@@ -93,7 +90,6 @@ def hermite_poly(k: int, x: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
 class Hermite(FunctionSpec):
     """H_k(x) exp(-x^2/2), physicists' normalization (no L2 rescale)."""
 
@@ -108,7 +104,6 @@ class Hermite(FunctionSpec):
         return (hermite_poly(self.k, x) * np.exp(-0.5 * x * x)).astype(complex)
 
 
-@dataclass(frozen=True)
 class Bump(FunctionSpec):
     """exp(-1/(1-x^2)) on |x| < 1, exactly 0 elsewhere."""
 
@@ -122,7 +117,6 @@ class Bump(FunctionSpec):
         return out
 
 
-@dataclass(frozen=True)
 class SubExp(FunctionSpec):
     """exp(-r |x|^(1/s))."""
 
@@ -139,7 +133,6 @@ class SubExp(FunctionSpec):
         return np.exp(-self.r * np.abs(x) ** (1.0 / self.s)).astype(complex)
 
 
-@dataclass(frozen=True)
 class Poly(FunctionSpec):
     """x^k."""
 
@@ -154,7 +147,6 @@ class Poly(FunctionSpec):
         return (x ** self.k).astype(complex)
 
 
-@dataclass(frozen=True)
 class Translate(FunctionSpec):
     call = "translate"
     inner: FunctionSpec
@@ -164,7 +156,6 @@ class Translate(FunctionSpec):
         return self.inner._eval(x - self.x0)
 
 
-@dataclass(frozen=True)
 class Modulate(FunctionSpec):
     call = "modulate"
     inner: FunctionSpec
@@ -174,7 +165,6 @@ class Modulate(FunctionSpec):
         return np.exp(1j * self.xi0 * x) * self.inner._eval(x)
 
 
-@dataclass(frozen=True)
 class Scale(FunctionSpec):
     """Scalar multiple c * f."""
 
@@ -186,7 +176,6 @@ class Scale(FunctionSpec):
         return self.c * self.inner._eval(x)
 
 
-@dataclass(frozen=True)
 class Infix(FunctionSpec):
     """``left op right``, left-associative; a higher ``prec`` binds
     tighter.  Subclasses declare ``op``, ``prec`` and ``ufunc``."""

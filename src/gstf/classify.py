@@ -22,12 +22,11 @@ critical scales, unfloored, with the scales it needs negated."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, GstfError
-from .grids import SampledFunction, TFGrid, TFR
+from .grids import Record, SampledFunction, TFGrid, TFR
 from .transforms import dft, stft
 
 __all__ = [
@@ -49,8 +48,7 @@ GUARD = 2
 FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class GSIndex:
+class GSIndex(Record):
     """(s, sigma, regularity) naming a decay class; INF marks the
     unconstrained side of a one-parameter space."""
 
@@ -72,8 +70,7 @@ class GSIndex:
         return math.isinf(self.s) or math.isinf(self.sigma)
 
 
-@dataclass(frozen=True)
-class ClassifyOptions:
+class ClassifyOptions(Record):
     r_scale: float = 1.0
     r_list: tuple = ()  # empty = default geometric list times r_scale
     n_max: int = 8
@@ -95,8 +92,7 @@ class ClassifyOptions:
         return tuple(r * self.r_scale for r in base)
 
 
-@dataclass(frozen=True)
-class CriticalScale:
+class CriticalScale(Record):
     """The critical scale of one side: the largest k whose sup of
     |f| exp(k w) is attained at a trusted interior sample.  Above it the
     sample at coordinate ``bound_at`` takes the sup over from the one at
@@ -111,8 +107,7 @@ class CriticalScale:
     masked_edge: bool = False
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(Record):
     C_peak: float
     r_star: CriticalScale  # decay side
     N_star: CriticalScale  # polynomial side

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 
@@ -194,7 +193,7 @@ def _cmd_transform(args) -> tuple:
     out = dft(f)
     params = {"input": desc, "half_width": args.half_width,
               "points": args.points}
-    return _samples(params, {"verdict": None, "grid": asdict(out.grid)}, out)
+    return _samples(params, {"verdict": None, "grid": out.grid._asdict()}, out)
 
 
 def _cmd_stft(args) -> tuple:
@@ -228,7 +227,8 @@ def _cmd_classify(args) -> tuple:
         rep = classify_stft(f, window, idx, classify_tfgrid(f.grid), opts)
     else:
         wdesc, rep = None, classify_function(f, idx, opts)
-    scales = {"r_star": asdict(rep.r_star), "N_star": asdict(rep.N_star)}
+    scales = {"r_star": rep.r_star._asdict(),
+              "N_star": rep.N_star._asdict()}
     params = {"input": desc, "window": wdesc,
               "s": None if math.isinf(idx.s) else idx.s,
               "sigma": None if math.isinf(idx.sigma) else idx.sigma,
@@ -263,7 +263,7 @@ def _cmd_witness(args) -> tuple:
     w = make_witness(idx, _make_grid(args))
     params = {"s": idx.s, "sigma": idx.sigma, "regularity": idx.regularity,
               "half_width": args.half_width, "points": args.points}
-    return _samples(params, {"verdict": "Witness", "grid": asdict(w.grid)},
+    return _samples(params, {"verdict": "Witness", "grid": w.grid._asdict()},
                     w)
 
 

@@ -1,4 +1,5 @@
-"""Uniform sampling lattices and sampled-function carriers.
+"""Immutable records, uniform sampling lattices and sampled-function
+carriers.
 
 All grids are arithmetic progressions symmetric about their center:
 sample ``j`` sits at ``center + (j - (count-1)/2) * step``.  For even
@@ -10,8 +11,8 @@ is computed once per object and kept on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,8 +21,88 @@ from .errors import GridError
 __all__ = ["Grid1D", "TFGrid", "SampledFunction", "TFR", "build_grid"]
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass's annotated class attributes are its fields, after those of
+    the record it extends; a value assigned to one is its default.  The
+    fields are the constructor's parameters, positional or by keyword, and
+    after they are set ``__post_init__`` runs.  No attribute can be
+    assigned or deleted; == holds between records of one class with
+    equal fields, and hash agrees with it.  The repr lists the fields
+    except those a class names in ``_unshown``.  ``_fields`` maps each
+    field's name to its annotation, in order.
+    """
+
+    _fields = _defaults = {}
+    _unshown = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__  # this class's own, not its bases'
+        cls._fields = {**cls._fields, **own}
+        cls._defaults = {**cls._defaults,
+                         **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        cls._shown = tuple(n for n in cls._fields if n not in cls._unshown)
+        # the key of == and hash: the value of a single field, else a tuple
+        cls._key = (itemgetter(*cls._fields) if cls._fields
+                    else staticmethod(lambda d: ()))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            self.__dict__.update(self._bind(args, kwargs))
+        else:
+            self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def _bind(self, args, kwargs) -> dict:
+        """The fields' values from arguments other than one positional
+        value per field, checked as a function's parameters are."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but "
+                            f"{len(args)} were given")
+        given = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in given:
+                raise TypeError(f"{name}() got an unexpected or repeated "
+                                f"argument {key!r}")
+        bound = {**self._defaults, **given, **kwargs}
+        if len(bound) < len(fields):
+            missing = [n for n in fields if n not in bound]
+            raise TypeError(f"{name}() missing {', '.join(missing)}")
+        return bound
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self.__dict__) == key(other.__dict__)
+
+    def __hash__(self):
+        return hash(self._key(self.__dict__))
+
+    def __repr__(self):
+        d = self.__dict__
+        shown = ", ".join(f"{n}={d[n]!r}" for n in self._shown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order."""
+        d = self.__dict__
+        return {n: d[n] for n in self._fields}
+
+
+class Grid1D(Record):
     center: float
     step: float
     count: int
@@ -31,8 +112,9 @@ class Grid1D:
             raise GridError("grid center must be finite")
         if not (self.step > 0 and np.isfinite(self.step)):
             raise GridError("grid step must be positive and finite")
-        if self.count < 2:
-            raise GridError("grid needs at least two samples")
+        n = self.count
+        if not (isinstance(n, (int, np.integer)) and n >= 2):
+            raise GridError(f"grid count must be an integer >= 2, got {n!r}")
 
     @cached_property
     def coords(self) -> np.ndarray:
@@ -59,15 +141,14 @@ class Grid1D:
         return k.astype(np.intp) if k.ndim else int(k)
 
 
-@dataclass(frozen=True)
-class TFGrid:
+class TFGrid(Record):
     xgrid: Grid1D
     xigrid: Grid1D
 
 
 class _Memo:
     """Read-only ``values`` and a memo of work derived from them; the memo
-    is not a dataclass field, so ==, repr and asdict ignore it."""
+    is not a record field, so ==, repr and _asdict ignore it."""
 
     def _seal(self, vals: np.ndarray):
         if not vals.flags.owndata:  # a view's base may be written through
@@ -83,10 +164,10 @@ class _Memo:
         return self._memo[key]
 
 
-@dataclass(frozen=True)
-class SampledFunction(_Memo):
+class SampledFunction(_Memo, Record):
     grid: Grid1D
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
+    _unshown = ("values",)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -117,10 +198,10 @@ class SampledFunction(_Memo):
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class TFR(_Memo):
+class TFR(_Memo, Record):
     tfgrid: TFGrid
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray
+    _unshown = ("values",)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)

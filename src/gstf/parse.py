@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
 
 from .catalog import Const, FunctionSpec, Infix, Scale
 from .errors import (ArityMismatch, LexicalError, ParseError, UnbalancedParen,
                      UnknownIdentifier)
+from .grids import Record
 
 __all__ = ["Token", "tokenize", "parse_function_expr"]
 
@@ -41,8 +41,7 @@ MAX_EXPR_LEN = 4096
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # "number", "ident", or the symbol itself
     text: str
     offset: int
@@ -85,7 +84,7 @@ def _build_call(name: str, args: list, offset: int) -> FunctionSpec:
     node = _CALLS.get(name)
     if node is None:
         raise UnknownIdentifier(f"unknown function {name!r}", offset=offset)
-    kinds = [f.type for f in fields(node)]
+    kinds = list(node._fields.values())
     if len(args) != len(kinds):
         raise ArityMismatch(f"{name} takes {len(kinds)} argument(s), "
                             f"got {len(args)}", offset=offset)

@@ -8,13 +8,12 @@ check in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import ClassifyOptions, GSIndex, MEMBER, classify_function
 from .errors import BoundaryMassError, GridError, GstfError
-from .grids import SampledFunction, TFGrid, TFR
+from .grids import Record, SampledFunction, TFGrid, TFR
 from .transforms import BOUNDARY_FLOOR, adjoint_stft, dft2, edge_mass, stft
 
 __all__ = [
@@ -77,16 +76,14 @@ def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
     return out
 
 
-@dataclass(frozen=True)
-class ContinuityEntry:
+class ContinuityEntry(Record):
     r_star_in: float
     r_star_out: float
     verdict_in: str
     verdict_out: str
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(Record):
     entries: tuple
     all_member: bool
 

@@ -8,14 +8,13 @@ trivial boundary we demonstrate failure on a candidate family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import Gaussian, Hermite, catalog_eval
 from .classify import ClassifyOptions, CriticalScale, GSIndex, _side
 from .errors import TrivialSpace, UnsupportedRegion
-from .grids import Grid1D, SampledFunction, build_grid
+from .grids import Grid1D, Record, SampledFunction, build_grid
 from .transforms import dft
 
 __all__ = [
@@ -85,8 +84,7 @@ def make_witness(idx: GSIndex, grid: Grid1D | None = None) -> SampledFunction:
         "no elementary witness formula is shipped for this region")
 
 
-@dataclass(frozen=True)
-class BoundaryCandidate:
+class BoundaryCandidate(Record):
     name: str
     failed: bool
     failing_side: str  # "function", "fourier", or "" if it passed
@@ -94,8 +92,7 @@ class BoundaryCandidate:
     r_star_xi: CriticalScale | None  # None when f fails on its own
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(Record):
     s: float
     sigma: float
     candidates: tuple

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -681,7 +680,7 @@ class TestSharedWork:
             first.r_star.value = 0.0
         with pytest.raises(AttributeError):
             first.verdict = NOT_MEMBER
-        assert [type(getattr(first, fl.name)) for fl in fields(first)] == [
+        assert [type(getattr(first, name)) for name in first._fields] == [
             float, CriticalScale, CriticalScale, str]
 
 

@@ -1,5 +1,3 @@
-from dataclasses import asdict, fields
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +72,16 @@ class TestGrid1D:
         with pytest.raises(GridError):
             Grid1D(np.inf, 1.0, 8)
 
+    @pytest.mark.parametrize("count", [4.0, 4.5, "4", None])
+    def test_rejects_a_count_that_is_not_an_integer(self, count):
+        # a float count once built a grid that dft or catalog_eval then
+        # failed on with an unrelated TypeError or GridError
+        with pytest.raises(GridError, match="count must be an integer"):
+            Grid1D(0.0, 1.0, count)
+
+    def test_accepts_a_numpy_integer_count(self):
+        assert Grid1D(0.0, 1.0, np.int64(4)) == Grid1D(0.0, 1.0, 4)
+
     @given(step=st.floats(1e-6, 1e3), count=st.integers(2, 4096),
            center=st.floats(-1e3, 1e3))
     @settings(max_examples=50, deadline=None)
@@ -146,8 +154,8 @@ class TestSampledFunction:
     def test_memo_is_not_a_field(self):
         f = SampledFunction(Grid1D(0.0, 1.0, 4), np.ones(4))
         f._memoised("k", lambda: 1)
-        assert [fl.name for fl in fields(f)] == ["grid", "values"]
-        assert set(asdict(f)) == {"grid", "values"}
+        assert list(f._fields) == ["grid", "values"]
+        assert set(f._asdict()) == {"grid", "values"}
         assert repr(f) == ("SampledFunction(grid=Grid1D(center=0.0, step=1.0, "
                            "count=4))")
 
