@@ -121,12 +121,11 @@ def _classification():
     opts = ClassifyOptions(n_max=4, r_scale=0.5)
     win = catalog_eval(Gaussian(1.0), g)
 
-    def mismatches(spec):  # one STFT alive at a time
+    def mismatches(spec):  # the classes share f's streamed STFT profiles
         f = catalog_eval(spec, g)
-        v = stft(f, win, tf)
         return sum(classify_function(f, idx, opts).verdict
-                   != classify_stft(f, win, idx, tf, opts, check_window=False,
-                                    precomputed=v).verdict
+                   != classify_stft(f, win, idx, tf, opts,
+                                    check_window=False).verdict
                    for idx in CATALOG_SPACES)
     yield "catalog_agreement_mismatches", float(sum(map(mismatches,
                                                         CATALOG_SPECS)))

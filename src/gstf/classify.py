@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import GridError, GstfError
 from .grids import Record, SampledFunction, TFGrid, TFR
-from .transforms import dft, stft
+from .transforms import _stft_profiles, dft
 
 __all__ = [
     "INF", "GSIndex", "ClassifyOptions", "CriticalScale",
@@ -295,8 +295,9 @@ def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
             raise GstfError(
                 f"window is {wr.verdict} for the requested class; "
                 "pick a window inside the class")
-    v = precomputed if precomputed is not None else stft(f, window, tfgrid)
-    x_profile, xi_profile = v.max_profiles()
+    x_profile, xi_profile = (precomputed.max_profiles()
+                             if precomputed is not None
+                             else _stft_profiles(f, window, tfgrid))
     # the max of |V|, on either profile
     return _verdict(x_profile, xi_profile, idx, opts,
                     _magnitudes(x_profile)[2], dual=dual)
@@ -310,9 +311,12 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
 
     The two-variable envelope C_N (1+|freq var|^2)^(-N) exp(-r |decay
     var|^(1/s)) is checked through its marginals: the max-profile along
-    each axis is fed to the same fitters as classify_function.  Pass
-    ``precomputed = stft(f, window, tfgrid)`` to reuse one transform, its
-    profiles and their critical scales across several classes."""
+    each axis is fed to the same fitters as classify_function.  The
+    profiles are reduced from V's row blocks as the engine makes them, so
+    that neither V nor |V| is held, and kept in f's memo per window object
+    and tfgrid with their critical scales: the classes asked of one f and
+    window share one pass.  ``precomputed = stft(f, window, tfgrid)`` reads
+    the profiles of a transform already made instead."""
     return _stft_report(f, window, idx, tfgrid, opts, check_window,
                         precomputed, dual=False)
 

@@ -20,6 +20,9 @@ from .errors import GridError
 
 __all__ = ["Grid1D", "TFGrid", "SampledFunction", "TFR", "build_grid"]
 
+# Largest row chunk of |V| that TFR.max_profiles holds at a time
+_CHUNK_BYTES = 1 << 20
+
 
 class Record:
     """Base of the package's immutable records.
@@ -148,7 +151,16 @@ class TFGrid(Record):
 
 class _Memo:
     """Read-only ``values`` and a memo of work derived from them; the memo
-    is not a record field, so ==, repr and _asdict ignore it."""
+    is not a record field, so ==, repr and _asdict ignore it.  == compares
+    the values by np.array_equal and the other fields by ==; the class
+    has no hash, as its values are an array."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        d, e = self.__dict__, other.__dict__
+        return (all(d[n] == e[n] for n in self._fields if n != "values")
+                and np.array_equal(self.values, other.values))
 
     def _seal(self, vals: np.ndarray):
         if not vals.flags.owndata:  # a view's base may be written through
@@ -214,17 +226,38 @@ class TFR(_Memo, Record):
 
     def max_profiles(self) -> tuple:
         """(max over xi of |V|, max over x of |V|) as functions of x and
-        of xi, computed once per TFR."""
-        def make():
-            a = np.abs(self.values)
-            return (SampledFunction(self.tfgrid.xgrid, a.max(axis=1)),
-                    SampledFunction(self.tfgrid.xigrid, a.max(axis=0)))
-        return self._memoised("max_profiles", make)
+        of xi, computed once per TFR from row chunks of |V|."""
+        vals = self.values
+        rows = max(1, _CHUNK_BYTES // (8 * vals.shape[1]))
+        return self._memoised("max_profiles", lambda: _max_profiles(
+            ((slice(lo, lo + rows), vals[lo:lo + rows])
+             for lo in range(0, len(vals), rows)), self.tfgrid))
 
     def norm2(self) -> float:
         """2-D continuum L2 norm by a Riemann sum."""
         w = self.tfgrid.xgrid.step * self.tfgrid.xigrid.step
         return float(np.sqrt(w * np.sum(np.abs(self.values) ** 2)))
+
+
+def _max_profiles(blocks, tfgrid: TFGrid) -> tuple:
+    """TFR.max_profiles of V from its row blocks (sl, V[sl]), in row order:
+    each row's maximum of |V|, and a running maximum of the blocks' column
+    maxima.  |V| is held one block at a time, and a maximum is exact, so
+    the profiles are those of the whole |V| bit for bit.  GridError for a
+    V that TFR would reject as not finite."""
+    x_prof = np.empty(tfgrid.xgrid.count)
+    xi_prof = np.zeros(tfgrid.xigrid.count)  # |V| >= 0
+    mag = np.empty(0)
+    for sl, rows in blocks:
+        if mag.size < rows.size:
+            mag = np.empty(rows.size)
+        a = np.abs(rows, out=mag[:rows.size].reshape(rows.shape))
+        a.max(axis=1, out=x_prof[sl])
+        np.maximum(xi_prof, a.max(axis=0), out=xi_prof)
+    if not np.isfinite(x_prof).all():
+        raise GridError("TFR values must be finite")
+    return (SampledFunction(tfgrid.xgrid, x_prof),
+            SampledFunction(tfgrid.xigrid, xi_prof))
 
 
 def build_grid(half_width: float, exponent: int) -> Grid1D:

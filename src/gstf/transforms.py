@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import BoundaryMassError, GridError
-from .grids import Grid1D, SampledFunction, TFGrid, TFR
+from .grids import Grid1D, SampledFunction, TFGrid, TFR, _max_profiles
 
 __all__ = [
     "dft", "idft", "dft2", "stft", "adjoint_stft",
@@ -170,32 +170,38 @@ def _window_rows(window: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, n)
 
 
-def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill, use):
+def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill, use,
+                scratch=None):
     """``count`` rows of length ``width``, zero-padded and convolved with
     the chirp whose FFT is ``spectrum``, in blocks of at most _BLOCK_BYTES.
     fill(sl, blk) writes the rows sl into the (rows, width) view ``blk``;
     use(sl, conv) reads their convolutions, and its results come in block
     order.  With workers = min(CPUs, blocks // 2) >= 2, at most workers + 1
     blocks run on the thread pool at a time, each in its own buffer until
-    its result is taken; otherwise all run inline in one buffer."""
+    its result is taken; otherwise all run inline in one buffer.  Given
+    scratch(rows), each buffer gets a second array from it, made here and
+    not on a worker, and use(sl, conv, extra) also gets its block's."""
     size = spectrum.size
     rows = max(1, _BLOCK_BYTES // (16 * size))
     blocks = [slice(lo, min(count, lo + rows)) for lo in range(0, count, rows)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
     workers = min(cpus, len(blocks) // 2)
-    bufs = [np.empty((min(rows, count), size), dtype=complex)
+    rows = min(rows, count)
+    bufs = [(np.empty((rows, size), dtype=complex),
+             *((scratch(rows),) if scratch else ()))
             for _ in range(workers + 1 if workers > 1 else 1)]
 
     def run(k):
         sl = blocks[k]
-        blk = bufs[k % len(bufs)][:sl.stop - sl.start]
+        blk, *extra = bufs[k % len(bufs)]
+        blk = blk[:sl.stop - sl.start]
         fill(sl, blk[:, :width])
         blk[:, width:] = 0.0
         np.fft.fft(blk, axis=-1, out=blk)
         blk *= spectrum
         np.fft.ifft(blk, axis=-1, out=blk)
-        return use(sl, blk)
+        return use(sl, blk, *extra)
 
     if len(bufs) == 1:
         yield from map(run, range(len(blocks)))
@@ -218,34 +224,38 @@ def _pool(pid: int, cpus: int):
     return ThreadPoolExecutor(cpus)
 
 
-@_QUIET
-def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
-    """Short-time Fourier transform V(x, xi) = F[f * conj(w(. - x))](xi).
-
-    Every x in tfgrid.xgrid must be an integer multiple of the sample step
-    so the window translate is exact by index shifting; xi is free (the
-    windowed Riemann sum is evaluated at each xi by a chirp-z transform).
-    For real f and window on a xi grid centred at 0 the output is exactly
-    Hermitian in xi, V(x, -xi) = conj V(x, xi).
-    """
+def _stft_blocks(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid,
+                 vals: np.ndarray | None = None) -> tuple:
+    """(paired, blocks) for V = stft(f, window, tfgrid): blocks yields
+    (sl, rows) in row order, rows holding V[sl], in ``vals`` when it is
+    given and else in a scratch array of the engine's block that the next
+    block taken may overwrite.  ``paired`` says real rows ran two window
+    shifts per chirp-z row, which makes V exactly Hermitian in xi."""
     if f.grid != window.grid:
         raise GridError("stft: f and window must share a grid")
     a, b, fwd, _, starts = _stft_plan(f.grid, tfgrid)
-    count, n = starts.size, b.size
+    count, n, m = starts.size, b.size, a.size
     a = a * (f.grid.step / _SQRT_2PI)
-    vals = np.empty((count, a.size), dtype=complex)
-    if (tfgrid.xigrid.center != 0.0 or f.values.imag.any()
-            or window.values.imag.any()):
+    paired = not (tfgrid.xigrid.center != 0.0 or f.values.imag.any()
+                  or window.values.imag.any())
+    per = 2 if paired else 1  # V's rows per chirp-z row
+    scratch = None if vals is not None else (
+        lambda rows: np.empty((per * rows, m), dtype=complex))
+
+    def dest(sl, extra):  # V's rows sl
+        return vals[sl] if vals is not None else extra[0][:sl.stop - sl.start]
+
+    if not paired:
         rows, fb = _window_rows(np.conj(window.values)), f.values * b
 
         def fill(sl, blk):
             for r, c in enumerate(range(sl.start, sl.stop)):
                 np.multiply(rows[starts[c]], fb, out=blk[r])
 
-        for _ in _chirp_rows(count, n, fwd, fill, lambda sl, conv: np.multiply(
-                conv[:, :a.size], a, out=vals[sl])):
-            pass
-        return TFR(tfgrid, vals)
+        def put(sl, conv, *extra):
+            return sl, np.multiply(conv[:, :m], a, out=dest(sl, extra))
+
+        return False, _chirp_rows(count, n, fwd, fill, put, scratch)
 
     # Real rows: one chirp row carries the shifts c = 2p and c' = 2p + 1 as
     # (w_c + i w_c') f b.  Its output Z = V_c + i V_c' unpacks by
@@ -261,22 +271,52 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
                         half_f, out=blk.imag[r])
             blk[r] *= b  # while the row is in cache
 
-    def unpack(sl, conv):  # into the rows of vals that sl holds
-        z = conv[:, :a.size]
+    def unpack(sl, conv, *extra):  # the pairs sl into V's rows 2 sl
+        z = conv[:, :m]
         z *= a
-        even = vals[2 * sl.start:2 * sl.stop:2]
-        odd = vals[2 * sl.start + 1:2 * sl.stop:2]
+        sl = slice(2 * sl.start, min(2 * sl.stop, count))
+        v = dest(sl, extra)
+        even, odd = v[0::2], v[1::2]
         p, q, k = z.real, z.imag, len(odd)
         np.add(p, p[:, ::-1], out=even.real)
         np.subtract(q, q[:, ::-1], out=even.imag)
         np.add(q[:k], q[:k, ::-1], out=odd.real)
         np.subtract(p[:k, ::-1], p[:k], out=odd.imag)
+        return sl, v
 
-    for _ in _chirp_rows((count + 1) // 2, n, fwd, fill_pairs, unpack):
+    return True, _chirp_rows((count + 1) // 2, n, fwd, fill_pairs, unpack,
+                             scratch)
+
+
+@_QUIET
+def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
+    """Short-time Fourier transform V(x, xi) = F[f * conj(w(. - x))](xi).
+
+    Every x in tfgrid.xgrid must be an integer multiple of the sample step
+    so the window translate is exact by index shifting; xi is free (the
+    windowed Riemann sum is evaluated at each xi by a chirp-z transform).
+    For real f and window on a xi grid centred at 0 the output is exactly
+    Hermitian in xi, V(x, -xi) = conj V(x, xi).
+    """
+    vals = np.empty((tfgrid.xgrid.count, tfgrid.xigrid.count), dtype=complex)
+    paired, blocks = _stft_blocks(f, window, tfgrid, vals)
+    for _ in blocks:
         pass
     v = TFR(tfgrid, vals)
-    v._memo["hermitian"] = True  # exactly, by the unpacking
+    if paired:
+        v._memo["hermitian"] = True  # exactly, by the unpacking
     return v
+
+
+@_QUIET
+def _stft_profiles(f: SampledFunction, window: SampledFunction,
+                   tfgrid: TFGrid) -> tuple:
+    """stft(f, window, tfgrid).max_profiles(), bit for bit, reduced from
+    the engine's row blocks as they come: neither V nor |V| is held.  Kept
+    in f's memo per window object and tfgrid; the entry holds the window,
+    so that its id names no other object while the entry lives."""
+    return f._memoised(("stft_profiles", id(window), tfgrid), lambda: (
+        window, _max_profiles(_stft_blocks(f, window, tfgrid)[1], tfgrid)))[1]
 
 
 def _is_hermitian(F: TFR) -> bool:

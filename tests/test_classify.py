@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -682,6 +684,71 @@ class TestSharedWork:
             first.verdict = NOT_MEMBER
         assert [type(getattr(first, name)) for name in first._fields] == [
             float, CriticalScale, CriticalScale, str]
+
+
+class TestStreamedVerdicts:
+    """Without ``precomputed``, classify_stft and dual_growth_report reduce
+    the max-profiles from the STFT engine's row blocks, and keep them in
+    f's memo per window object and tfgrid: neither V nor |V| is held."""
+
+    @pytest.mark.parametrize("spec", CATALOG_SPECS, ids=repr)
+    def test_reports_equal_those_of_a_precomputed_stft(
+            self, grid11, tf_classify, classify_opts, gauss_window, spec):
+        whole = catalog_eval(spec, grid11)
+        v = stft(whole, gauss_window, tf_classify)
+        streamed = catalog_eval(spec, grid11)
+        for report in (classify_stft, dual_growth_report):
+            for idx in CATALOG_SPACES:
+                args = (gauss_window, idx, tf_classify, classify_opts)
+                assert (report(streamed, *args, check_window=False)
+                        == report(whole, *args, check_window=False,
+                                  precomputed=v)), (report.__name__, idx)
+
+    def test_one_engine_pass_per_window_object(self, grid11, tf_classify,
+                                               gauss_window, monkeypatch):
+        windows, real = [], transforms._stft_blocks
+        monkeypatch.setattr(transforms, "_stft_blocks",
+                            lambda *a: windows.append(a[1]) or real(*a))
+        f = catalog_eval(Hermite(2), grid11)
+        for idx in CATALOG_SPACES:
+            classify_stft(f, gauss_window, idx, tf_classify)
+            dual_growth_report(f, gauss_window, idx, tf_classify)
+        assert len(windows) == 1 and windows[0] is gauss_window
+        twin = SampledFunction(grid11, gauss_window.values)
+        for idx in CATALOG_SPACES:
+            classify_stft(f, twin, idx, tf_classify)
+        assert len(windows) == 2 and windows[1] is twin
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_streamed_verdict_holds_neither_v_nor_its_magnitude(
+            self, grid11, tf_classify, gauss_window, monkeypatch):
+        # The engine keeps a block buffer per worker: one CPU pins the
+        # bound on any host.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        idx = roumieu(s=0.5)
+        classify_stft(catalog_eval(Hermite(1), grid11), gauss_window, idx,
+                      tf_classify)  # the plan is made and cached
+        f = catalog_eval(Hermite(2), grid11)
+        v_bytes = 16 * tf_classify.xgrid.count * tf_classify.xigrid.count
+        peak = self.traced_peak(
+            lambda: classify_stft(f, gauss_window, idx, tf_classify))
+        assert peak < v_bytes / 2
+
+    def test_tfr_max_profiles_does_not_hold_the_magnitude(
+            self, grid11, tf_classify, gauss_window):
+        f = catalog_eval(Hermite(2), grid11)
+        v = stft(f, gauss_window, tf_classify)
+        abs_bytes = 8 * v.values.size
+        assert self.traced_peak(v.max_profiles) < abs_bytes
 
 
 def _dual_growth_reference(v, idx, opts):

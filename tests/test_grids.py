@@ -183,3 +183,34 @@ class TestTFR:
         assert px.values.tolist() == [4, 2, 3]
         assert pxi.values.tolist() == [2, 4, 3]
         assert v.max_profiles()[0] is px
+
+
+class TestArrayRecordEquality:
+    """SampledFunction and TFR compare their values by np.array_equal and
+    their grids by ==, and stay unhashable."""
+
+    @staticmethod
+    def make(cls, grid, vals):
+        return cls(TFGrid(grid, grid) if cls is TFR else grid, vals)
+
+    @pytest.mark.parametrize("cls, shape", [(SampledFunction, (4,)),
+                                            (TFR, (4, 4))])
+    def test_equality_of_distinct_value_arrays(self, cls, shape):
+        g = Grid1D(0.0, 1.0, 4)
+        a = self.make(cls, g, np.ones(shape))
+        assert a == self.make(cls, g, np.ones(shape))
+        assert not a != self.make(cls, g, np.ones(shape))
+        bent = np.ones(shape)
+        bent.flat[-1] = np.nextafter(1.0, 2.0)
+        assert a != self.make(cls, g, bent)
+        assert a != self.make(cls, Grid1D(0.0, 0.5, 4), np.ones(shape))
+        assert a.__eq__(g) is NotImplemented
+        assert a != g and g != a
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_other_class_of_the_same_fields_is_unequal(self):
+        g = Grid1D(0.0, 1.0, 4)
+        twin = type("Twin", (SampledFunction,), {})
+        a, b = SampledFunction(g, np.ones(4)), twin(g, np.ones(4))
+        assert a.__eq__(b) is NotImplemented and a != b

@@ -104,7 +104,7 @@ SAMPLES = {
                        "r_star_xi=None),), all_failed=True)"),
 }
 
-# records holding an ndarray: equal only when they share it, unhashable
+# records holding an ndarray: equal by np.array_equal, unhashable
 ARRAY_RECORDS = {"SampledFunction", "TFR"}
 # the defaults of a record's trailing fields
 DEFAULTS = {

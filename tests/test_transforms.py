@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gstf import transforms
+from gstf import grids, transforms
 from gstf import (Gaussian, Grid1D, GridError, Hermite, Modulate,
                   SampledFunction, TFGrid, Translate, adjoint_stft,
                   build_grid, catalog_eval, dft, dft2, idft, stft,
@@ -552,6 +552,100 @@ class TestWorkerCounts:
                     child.kill()
                     child.join()
         assert child.exitcode == 0
+
+
+def _profile_case(request, name):
+    """(f, window, TFGrid) of a streamed-profile test case."""
+    real = (Translate(Hermite(1), 1.5), Gaussian(2.0))
+    specs, grids = {
+        "real-odd-rows": (real, "513x1001"),
+        "real-even-rows": (real, "128x128"),
+        "complex-f": ((Modulate(Gaussian(1.0), 1.0), Gaussian(1.0)),
+                      "513x1001"),
+        "complex-window": ((Hermite(2), Modulate(Gaussian(1.0), 2.0)),
+                           "129x129"),
+        "off-centre-xi": ((Hermite(2), Gaussian(1.0)), "odd-t"),
+        "wide-x": (real, "129x129"),
+    }[name]
+    grid, tf = _case_grids(request, grids)
+    if name == "wide-x":  # x up to 1536 steps out, on a 1024-point grid
+        tf = TFGrid(Grid1D(0.0, 96 * grid.step, 33), tf.xigrid)
+    return catalog_eval(specs[0], grid), catalog_eval(specs[1], grid), tf
+
+
+class TestStreamedProfiles:
+    """_stft_profiles reduces V's row blocks as the engine makes them, and
+    TFR.max_profiles reduces |V| in row chunks; both give the profiles of
+    the whole |V| bit for bit."""
+
+    @pytest.mark.parametrize("name", ["real-odd-rows", "real-even-rows",
+                                      "complex-f", "complex-window",
+                                      "off-centre-xi", "wide-x"])
+    @pytest.mark.parametrize("block_bytes", BLOCK_SWEEP)
+    def test_same_bits_as_the_whole_reduction(self, request, monkeypatch,
+                                              name, block_bytes):
+        f, w, tf = _profile_case(request, name)
+        _set_block_bytes(monkeypatch, block_bytes, f.grid, tf)
+        _set_cpus(monkeypatch, 1)
+        mag = np.abs(stft(f, w, tf).values)
+        for cpus in (1, 2, 3, 8):
+            _set_cpus(monkeypatch, cpus)
+            fresh = SampledFunction(f.grid, f.values)  # an empty memo
+            x, xi = transforms._stft_profiles(fresh, w, tf)
+            assert x.grid == tf.xgrid and xi.grid == tf.xigrid
+            assert np.array_equal(x.values, mag.max(axis=1))
+            assert np.array_equal(xi.values, mag.max(axis=0))
+
+    def test_eight_workers_one_row_per_block(self, request, monkeypatch):
+        # more workers than cores, and the GIL handed over every microsecond
+        for name in ("real-odd-rows", "complex-f"):
+            f, w, tf = _profile_case(request, name)
+            _set_block_bytes(monkeypatch, 1, f.grid, tf)
+            _set_cpus(monkeypatch, 1)
+            mag = np.abs(stft(f, w, tf).values)
+            _set_cpus(monkeypatch, 8)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                x, xi = transforms._stft_profiles(f, w, tf)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(x.values, mag.max(axis=1))
+            assert np.array_equal(xi.values, mag.max(axis=0))
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+    def test_tfr_max_profiles_in_row_chunks(self, request, monkeypatch,
+                                            chunk_rows):
+        _, tf = _case_grids(request, "513x1001")
+        shape = (tf.xgrid.count, tf.xigrid.count)
+        if chunk_rows is not None:
+            monkeypatch.setattr(grids, "_CHUNK_BYTES",
+                                chunk_rows * 8 * shape[1])
+        rng = np.random.default_rng(23)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x, xi = TFR(tf, vals).max_profiles()
+        assert np.array_equal(x.values, np.abs(vals).max(axis=1))
+        assert np.array_equal(xi.values, np.abs(vals).max(axis=0))
+
+    def test_a_v_that_is_not_finite_is_rejected_as_stft_rejects_it(
+            self, grid10, tf_small):
+        huge = SampledFunction(grid10, np.full(grid10.count, 1e300))
+        for run in (stft, transforms._stft_profiles):
+            with pytest.raises(GridError, match="TFR values must be finite"):
+                run(huge, huge, tf_small)
+        assert not huge._memo
+
+    def test_kept_per_window_object_and_tfgrid(self, grid10, tf_small):
+        f = catalog_eval(Hermite(2), grid10)
+        w = catalog_eval(Gaussian(1.0), grid10)
+        first = transforms._stft_profiles(f, w, tf_small)
+        assert transforms._stft_profiles(f, w, tf_small) is first
+        twin = SampledFunction(grid10, w.values)  # equal, another object
+        other = transforms._stft_profiles(f, twin, tf_small)
+        assert other is not first
+        assert all(a == b for a, b in zip(other, first))
+        wide = TFGrid(tf_small.xgrid, Grid1D(0.0, 0.5, 129))
+        assert transforms._stft_profiles(f, w, wide) is not first
 
 
 class TestHermitianMark:
