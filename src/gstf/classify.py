@@ -71,8 +71,7 @@ class GSIndex(Record):
 
 
 class ClassifyOptions(Record):
-    r_scale: float = 1.0
-    r_list: tuple = ()  # empty = default geometric list times r_scale
+    r_scale: float = 1.0  # the trial rates are (1/4, 1/2, 1, 2, 4) times it
     n_max: int = 8
 
     def __post_init__(self):
@@ -82,14 +81,12 @@ class ClassifyOptions(Record):
         n = self.n_max
         if not (isinstance(n, (int, np.integer)) and 0 <= n <= 16):
             raise GstfError(f"n_max must be an integer in [0, 16], got {n!r}")
-        for name, r in (("r_scale", self.r_scale),
-                        *(("r_list entry", r) for r in self.r_list)):
-            if not 0 < r < INF:
-                raise GstfError(f"{name} must be finite and > 0, got {r!r}")
+        if not 0 < self.r_scale < INF:
+            raise GstfError(f"r_scale must be finite and > 0, "
+                            f"got {self.r_scale!r}")
 
     def trial_rs(self) -> tuple:
-        base = self.r_list if self.r_list else (0.25, 0.5, 1.0, 2.0, 4.0)
-        return tuple(r * self.r_scale for r in base)
+        return tuple(r * self.r_scale for r in (0.25, 0.5, 1.0, 2.0, 4.0))
 
 
 class CriticalScale(Record):
@@ -285,6 +282,9 @@ def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
                  dual: bool) -> EnvelopeReport:
     if precomputed is not None and precomputed.tfgrid != tfgrid:
         raise GridError("the precomputed STFT lies on another tfgrid")
+    if not window.values.any():
+        # V would vanish, and its zero profiles pass every side
+        raise GstfError("the window is zero on the grid")
     opts = opts or ClassifyOptions()
     if check_window:
         # a fresh carrier of the same read-only samples: its memo goes

@@ -155,19 +155,6 @@ def _space_index(args) -> GSIndex:
     return GSIndex(s, sigma, reg)
 
 
-def _options(args) -> ClassifyOptions:
-    kw = {}
-    if args.n_max is not None:
-        kw["n_max"] = args.n_max
-    if args.r_list:
-        try:
-            kw["r_list"] = tuple(float(t) for t in args.r_list.split(","))
-        except ValueError:
-            raise GstfError(f"--r-list {args.r_list!r} is not "
-                            "comma-separated numbers") from None
-    return ClassifyOptions(**kw)
-
-
 def _window(args, grid: Grid1D) -> tuple:
     """(description, samples on ``grid``) of --window."""
     spec = parse_function_expr(args.window)
@@ -221,7 +208,8 @@ def _cmd_stft(args) -> tuple:
 def _cmd_classify(args) -> tuple:
     f, desc = _input_function(args)
     idx = _space_index(args)
-    opts = _options(args)
+    opts = (ClassifyOptions() if args.n_max is None
+            else ClassifyOptions(n_max=args.n_max))
     if args.window is not None:
         wdesc, window = _window(args, f.grid)
         rep = classify_stft(f, window, idx, classify_tfgrid(f.grid), opts)
@@ -270,7 +258,12 @@ def _cmd_witness(args) -> tuple:
 def _cmd_toeplitz(args) -> tuple:
     f, desc = _input_function(args)
     wdesc, window = _window(args, f.grid)
-    window = window * (1.0 / window.norm2())
+    with np.errstate(over="ignore"):  # an overflow is the norm inf
+        norm = window.norm2()
+    if not 0 < norm < math.inf:
+        raise GridError(f"the window's L2 norm is {norm!r}: it must be "
+                        "finite and > 0")
+    window = window * (1.0 / norm)
     tf = phase_space_grid(f.grid)
     unit = args.symbol == "unit"
     sym = (TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count))) if unit
@@ -350,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="classify through the STFT with this "
                                     "window instead of directly")
     p.add_argument("--n-max", type=int)
-    p.add_argument("--r-list", help="comma-separated trial rates: Roumieu "
-                                    "reads the smallest, Beurling the largest")
     p.add_argument("--assert-member", action="store_true")
     p.set_defaults(func=_cmd_classify)
 

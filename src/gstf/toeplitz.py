@@ -97,6 +97,8 @@ def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
     symbol itself."""
     opts = opts or ClassifyOptions()
     for name, w in (("phi1", phi1), ("phi2", phi2)):
+        if not w.values.any():  # 0 lies in every class
+            raise GstfError(f"{name} is zero on the grid")
         r = classify_function(w, idx, opts)
         if r.verdict != MEMBER:
             raise GstfError(f"{name} is {r.verdict} for the probed class")

@@ -151,7 +151,6 @@ def test_criterion_6_triviality_boundary():
     # (a) TrivialSpace exactly on the Beurling region s + sigma <= 1 and
     #     the open Roumieu region s + sigma < 1.
     grid = default_witness_grid()
-    opts = witness_check_options()
     values = (0.2, 0.4, 0.5, 0.6, 0.8, 1.0, 1.5)
     map_ok = True
     for reg in ("beurling", "roumieu"):
@@ -177,6 +176,7 @@ def test_criterion_6_triviality_boundary():
     witness_ok = True
     for idx in WITNESS_CASES:
         w = make_witness(idx, grid)
+        opts = witness_check_options(idx.regularity)
         for side in (GSIndex(idx.s, math.inf, idx.regularity),
                      GSIndex(math.inf, idx.sigma, idx.regularity)):
             if classify_function(w, side, opts).verdict != MEMBER:

@@ -69,8 +69,8 @@ class TestGSIndex:
 class TestClassifyOptions:
     @pytest.mark.parametrize("kw", [
         {"n_max": -1}, {"n_max": 2.5}, {"r_scale": -0.5}, {"r_scale": math.inf},
-        {"r_list": (1.0, math.nan)}, {"r_list": (0.0,)},
-        {"r_scale": math.nan}, {"r_scale": 0.0}, {"r_list": (-1.0,)},
+        {"r_scale": -math.inf}, {"r_scale": -0.0},
+        {"r_scale": math.nan}, {"r_scale": 0.0}, {"n_max": 4.0},
         {"n_max": 17},  # the polynomial weights' bound
     ])
     def test_rejects_values_that_make_a_side_vacuous(self, kw):
@@ -78,8 +78,8 @@ class TestClassifyOptions:
             ClassifyOptions(**kw)
 
     def test_accepts_range_endpoints(self):
-        opts = ClassifyOptions(n_max=0, r_list=(1e-300,))
-        assert opts.trial_rs() == (1e-300,)
+        opts = ClassifyOptions(n_max=0, r_scale=4e-300)
+        assert min(opts.trial_rs()) == 1e-300
         assert ClassifyOptions(n_max=16).n_max == 16
 
 
@@ -314,20 +314,20 @@ class TestDecaySide:
     # interior; the rate 1 sup climbs until the samples turn to noise,
     # where a transform's floor leaves it open (masked edge) and direct
     # samples carry it to the rim.
+    # r_list = (the rate Roumieu needs, the rate Beurling needs)
     @pytest.mark.parametrize("r_list, masked, roumieu_side, beurling_side", [
         ((0.25, 1.0), True, (True, False), (False, True)),
         ((0.25, 1.0), False, (True, False), (False, False)),
-        ((1.0,), True, (False, True), (False, True)),
-        ((1.0,), False, (False, False), (False, False)),
+        ((1.0, 1.0), True, (False, True), (False, True)),
+        ((1.0, 1.0), False, (False, False), (False, False)),
     ])
     def test_one_rate_table_decides_both_regularities(
             self, r_list, masked, roumieu_side, beurling_side):
-        # one critical rate, whatever the regularity or the trial list
+        # one critical rate, whatever the regularity or the rate it needs
         fn = SampledFunction(ODD_GRID, np.exp(-0.5 * ODD_GRID.coords**2)
                              + 1e-16)
-        opts = ClassifyOptions(r_list=r_list)
-        for beurling, want in ((False, roumieu_side), (True, beurling_side)):
-            side, crit = _side(fn, 0.5, _rate(opts, beurling), masked)
+        for rate, want in zip(r_list, (roumieu_side, beurling_side)):
+            side, crit = _side(fn, 0.5, rate, masked)
             assert side == want
             assert crit is _r_star(fn, 0.5, masked)
 
@@ -353,10 +353,12 @@ class TestReferenceTables:
                     decay, poly = (f, dft(f)) if on_x else (dft(f), f)
                     masked = not on_x
                 r = _r_star(decay, s, masked).value
-                straddle = (r / 2, 2 * r) if 0 < r < math.inf else (0.25, 4.0)
+                # Roumieu reads r/2 at r_scale = 2r, Beurling 2r at r/2
+                straddle = (2 * r, r / 2) if 0 < r < math.inf else (1.0,)
                 for opts in (ClassifyOptions(),
                              ClassifyOptions(n_max=4, r_scale=0.5),
-                             ClassifyOptions(n_max=4, r_list=straddle)):
+                             *(ClassifyOptions(n_max=4, r_scale=k)
+                               for k in straddle)):
                     beurling = idx.regularity == "beurling"
                     mask = _floor(decay) if masked else None
                     with np.errstate(over="ignore"):
@@ -443,12 +445,9 @@ class TestCriticalScale:
         side, crit = _side(f, None, 0, True)
         assert (side, crit.value) == ((True, False), 0.0)
         assert _side(f, None, 1, True)[0] == (False, False)
-        # a trial rate equal to r* passes too
+        # a rate equal to r* passes too
         g = catalog_eval(Gaussian(1.0), ODD_GRID)
-        opts = ClassifyOptions(r_list=(_r_star(g, 0.5).value,))
-        for beurling in (False, True):
-            assert _side(g, 0.5, _rate(opts, beurling), False)[0] == (
-                True, False)
+        assert _side(g, 0.5, _r_star(g, 0.5).value, False)[0] == (True, False)
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +579,18 @@ class TestClassifyStft:
         w = catalog_eval(Gaussian(0.001), grid11)  # too wide for the class
         with pytest.raises(GstfError):
             classify_stft(f, w, roumieu(s=0.5), tf_classify, classify_opts)
+
+    def test_rejects_zero_window(self, grid11, tf_classify):
+        # V of a zero window vanishes, and its zero profiles would pass
+        # every side: x^3 is not in S_1/2
+        f = catalog_eval(Poly(3), grid11)
+        zero = SampledFunction(grid11, np.zeros(grid11.count))
+        v = stft(f, zero, tf_classify)
+        for report in (classify_stft, dual_growth_report):
+            for kw in ({}, {"check_window": False},
+                       {"check_window": False, "precomputed": v}):
+                with pytest.raises(GstfError, match="window is zero"):
+                    report(f, zero, roumieu(s=0.5), tf_classify, **kw)
 
     def test_window_choice_does_not_change_verdicts(self):
         # Verdicts are a property of f, not of the analyzing window, except
@@ -793,8 +804,11 @@ DUAL_INDICES = tuple(
     idx for v in (0.5, 1.0, 2.0) for idx in
     (roumieu(s=v), beurling(s=v), roumieu(sigma=v), beurling(sigma=v))) + (
     roumieu(s=1e-300), beurling(sigma=1e-300))
-DUAL_OPTIONS = (ClassifyOptions(), ClassifyOptions(n_max=0),
-                ClassifyOptions(n_max=12, r_list=(0.01, 100.0)))
+# (Roumieu options, Beurling options): the last pair reads the rates 0.01
+# = 0.25 * 0.04 and 100 = 4 * 25.
+DUAL_OPTIONS = ((ClassifyOptions(),) * 2, (ClassifyOptions(n_max=0),) * 2,
+                (ClassifyOptions(n_max=12, r_scale=0.04),
+                 ClassifyOptions(n_max=12, r_scale=25.0)))
 
 
 class TestDualGrowth:
@@ -820,7 +834,8 @@ class TestDualGrowth:
             # (index, options) pair.
             cases = cases[::11]
         stfts = {}
-        for wi, k, idx, opts in cases:
+        for wi, k, idx, pair in cases:
+            opts = pair[idx.regularity == "beurling"]
             f, w = fns[k], windows[wi]
             if (wi, k) not in stfts:
                 stfts[wi, k] = stft(f, w, tf)

@@ -308,18 +308,25 @@ class TestInProcessContract:
                                 "--s", "1"], capsys)
 
     def test_bad_r_list(self, capsys):
-        self.assert_error_exit(["classify", "--expr", "gaussian(1)",
-                                "--space", "S", "--s", "1", "--points", "256",
-                                "--r-list", "1,x"], capsys)
+        # the trial rates are fixed: --r-list is no option, well formed
+        # or not
+        for rates in ("1,x", "1"):
+            code = run_command(["classify", "--expr", "gaussian(1)",
+                                "--space", "S", "--s", "1", "--points",
+                                "256", "--r-list", rates])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert f"error: unrecognized arguments: --r-list {rates}\n" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [
         ("--n-max", "-1"),      # empty polynomial table
-        ("--r-list", "nan"),    # every Beurling sup vacuous
-        ("--r-list", "1,inf"),
-        ("--r-list", "0,1"),
-        ("--r-list", "-1"),     # a negative rate
-        ("--r-list", "1,-inf"),
-        ("--r-list", "1,nan"),
+        ("--s", "0"),           # a class index must be > 0
+        ("--s", "-1"),
+        ("--s", "nan"),
+        ("--s", "inf"),         # no finite index left
+        ("--sigma", "0"),
+        ("--n-max", "-1", "--window", "gaussian(1)"),
         ("--n-max", "17"),      # past the polynomial weights' bound
         ("--n-max", "17", "--window", "gaussian(1)"),
     ])
@@ -327,6 +334,20 @@ class TestInProcessContract:
         self.assert_error_exit(["classify", "--expr", "subexp(1, 1)",
                                 "--space", "Sigma", "--s", "0.5",
                                 "--points", "1024", *flags], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["toeplitz", "--window", "0*gaussian(1)"],       # the L2 norm is 0
+        ["toeplitz", "--window", "1e-200*gaussian(1)"],  # norm^2 underflows
+        ["toeplitz", "--window", "1e300*gaussian(1)"],   # norm^2 overflows
+        # V would vanish, and its zero profiles pass every side
+        ["classify", "--space", "S", "--s", "0.5", "--window",
+         "0*gaussian(1)"],
+    ])
+    def test_degenerate_window_exits_2_without_warnings(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.assert_error_exit([*argv, "--expr", "poly(3)"], capsys)
+        assert [str(w.message) for w in caught] == []
 
     def test_tiny_index_classifies_without_warnings(self, capsys):
         # |x|^(1/s) overflows to inf: the weight's limit, not an error
@@ -443,9 +464,17 @@ _POINTS = st.one_of(st.sampled_from([2**k for k in range(1, 13)]),
                     st.sampled_from([-4, -1, 0, 3, 100, 4097, 2**25]))
 
 
+# Windows of the grammar, and ones whose samples or L2 norm are 0 or whose
+# norm overflows.
+_WINDOW = st.sampled_from(["gaussian(1)", "gaussian(3)", "bump()",
+                           "hermite(1)", "0*gaussian(1)",
+                           "1e-200*gaussian(1)", "1e300*gaussian(1)"])
+
+
 @st.composite
 def _cli_args(draw):
-    command = draw(st.sampled_from(["transform", "stft", "classify"]))
+    command = draw(st.sampled_from(["transform", "stft", "classify",
+                                    "toeplitz"]))
     args = [command, "--expr",
             draw(st.sampled_from(["gaussian(1)", "hermite(2)",
                                   "subexp(1, 1)", "poly(3) * gaussian(2)"]))]
@@ -457,10 +486,10 @@ def _cli_args(draw):
         args += draw(_flag("s", st.one_of(st.floats(0.1, 4.0), _ANY_FLOAT)))
         args += draw(_flag("sigma", _ANY_FLOAT))
         args += draw(_flag("n-max", st.integers(-3, 12)))
-        args += draw(_flag("r-list", st.one_of(
-            st.lists(_ANY_FLOAT, min_size=1, max_size=3).map(
-                lambda rs: ",".join(map(repr, rs))),
-            st.text(max_size=6))))
+    if command != "transform":
+        args += draw(_flag("window", _WINDOW))
+    if command == "toeplitz":
+        args += draw(_flag("symbol", st.sampled_from(["unit", "gaussian"])))
     return args
 
 

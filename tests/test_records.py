@@ -71,9 +71,7 @@ SAMPLES = {
                 f"Product(left={_GAUSS_REPR}, right=Bump())"),
     "GSIndex": ((1.0, math.inf, "roumieu"),
                 "GSIndex(s=1.0, sigma=inf, regularity='roumieu')"),
-    "ClassifyOptions": ((0.5, (1.0, 2.0), 4),
-                        "ClassifyOptions(r_scale=0.5, r_list=(1.0, 2.0), "
-                        "n_max=4)"),
+    "ClassifyOptions": ((0.5, 4), "ClassifyOptions(r_scale=0.5, n_max=4)"),
     "CriticalScale": ((1.5, 2.0, 3.0, True), _CS_REPR),
     "EnvelopeReport": ((1.0, _CS, CriticalScale(math.inf), "Member"),
                        f"EnvelopeReport(C_peak=1.0, r_star={_CS_REPR}, "
@@ -108,7 +106,7 @@ SAMPLES = {
 ARRAY_RECORDS = {"SampledFunction", "TFR"}
 # the defaults of a record's trailing fields
 DEFAULTS = {
-    "ClassifyOptions": (1.0, (), 8),
+    "ClassifyOptions": (1.0, 8),
     "CriticalScale": (None, None, False),
 }
 

@@ -157,3 +157,13 @@ class TestContinuityProbe:
         with pytest.raises(GstfError):
             continuity_probe(unit_symbol(tf), wide, wide, [f], idx,
                              ClassifyOptions(n_max=4, r_scale=0.5))
+
+    def test_rejects_zero_window(self, grid, tf, unit_window):
+        # 0 lies in every class, yet analyses and synthesises nothing
+        zero = unit_window * 0.0
+        f = catalog_eval(Gaussian(1.0), grid)
+        idx = GSIndex(1.0, math.inf, "beurling")
+        for phis, name in (((zero, unit_window), "phi1"),
+                           ((unit_window, zero), "phi2")):
+            with pytest.raises(GstfError, match=f"{name} is zero"):
+                continuity_probe(unit_symbol(tf), *phis, [f], idx)

@@ -15,10 +15,12 @@ def two_param(s, sigma, regularity):
     return GSIndex(s, sigma, regularity)
 
 
-def witness_check_options() -> ClassifyOptions:
+def witness_check_options(regularity: str) -> ClassifyOptions:
     """Trial rates small enough that the envelope/function crossover of
-    every shipped witness stays inside the default grid."""
-    return ClassifyOptions(n_max=4, r_list=(0.0625, 0.125, 0.25, 0.5))
+    every shipped witness stays inside the default grid: Roumieu reads
+    0.0625 = 0.25 * 0.25, Beurling 0.5 = 4 * 0.125."""
+    return ClassifyOptions(n_max=4,
+                           r_scale=0.25 if regularity == "roumieu" else 0.125)
 
 
 class TestTrivialRegion:
@@ -110,7 +112,7 @@ class TestWitnessesVerify:
                              ids=lambda i: f"{i.regularity}-{i.s}-{i.sigma}")
     def test_witness_passes_both_sides(self, idx):
         grid = default_witness_grid()
-        opts = witness_check_options()
+        opts = witness_check_options(idx.regularity)
         w = make_witness(idx, grid)
         fn_side = GSIndex(idx.s, math.inf, idx.regularity)
         ft_side = GSIndex(math.inf, idx.sigma, idx.regularity)
