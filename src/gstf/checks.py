@@ -13,7 +13,8 @@ from .catalog import (Bump, Gaussian, Hermite, Modulate, Poly, Product,
                       SubExp, Sum, Translate, catalog_eval)
 from .classify import (ClassifyOptions, GSIndex, _side, classify_function,
                        classify_stft)
-from .grids import Grid1D, TFGrid, TFR, build_grid
+from .grids import (Grid1D, TFGrid, TFR, build_grid, classify_tfgrid,
+                    gaussian_symbol, phase_space_grid)
 from .toeplitz import (apply_toeplitz, continuity_probe,
                        stft_product_transform_defect)
 from .transforms import adjoint_stft, stft, twisted_convolution_defect
@@ -47,25 +48,6 @@ CATALOG_SPECS = (
 CATALOG_SPACES = (
     GSIndex(0.5, math.inf, "roumieu"), GSIndex(1.0, math.inf, "roumieu"),
     GSIndex(1.0, math.inf, "beurling"), GSIndex(math.inf, 0.5, "roumieu"))
-
-
-def phase_space_grid(grid: Grid1D) -> TFGrid:
-    """The 129^2 time-frequency grid of the identity and operator suites
-    and of ``gstf stft`` and ``gstf toeplitz``."""
-    return TFGrid(Grid1D(0.0, 8 * grid.step, 129), Grid1D(0.0, 0.25, 129))
-
-
-def classify_tfgrid(grid: Grid1D) -> TFGrid:
-    """The 513x1001 grid of STFT verdicts, in the classification suite and
-    ``gstf classify --window``."""
-    return TFGrid(Grid1D(0.0, 4 * grid.step, 513), Grid1D(0.0, 0.5, 1001))
-
-
-def gaussian_symbol(tf: TFGrid) -> TFR:
-    """The positive symbol exp(-(x^2 + xi^2)/2) on ``tf``."""
-    x = tf.xgrid.coords[:, None]
-    xi = tf.xigrid.coords[None, :]
-    return TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
 
 
 def _identities():

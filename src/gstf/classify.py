@@ -49,8 +49,8 @@ FLOOR = 1e-13
 
 
 class GSIndex(Record):
-    """(s, sigma, regularity) naming a decay class; INF marks the
-    unconstrained side of a one-parameter space."""
+    """(s, sigma, regularity) naming a decay class; INF (+inf, never
+    -inf) marks the unconstrained side of a one-parameter space."""
 
     s: float
     sigma: float
@@ -62,7 +62,9 @@ class GSIndex(Record):
         if math.isinf(self.s) and math.isinf(self.sigma):
             raise GstfError("at least one of s, sigma must be finite")
         for v in (self.s, self.sigma):
-            if not math.isinf(v) and not (v > 0 and math.isfinite(v)):
+            if v == -INF:  # only +inf marks the unconstrained side
+                raise GstfError("-inf is not a class index")
+            if not v > 0:  # nan too
                 raise GstfError("finite class indices must be strictly positive")
 
     @property
@@ -79,7 +81,8 @@ class ClassifyOptions(Record):
         # negative n_max passes below any N* >= 0, a nan rate fails every
         # comparison with r*.
         n = self.n_max
-        if not (isinstance(n, (int, np.integer)) and 0 <= n <= 16):
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
+                                       and 0 <= n <= 16):
             raise GstfError(f"n_max must be an integer in [0, 16], got {n!r}")
         if not 0 < self.r_scale < INF:
             raise GstfError(f"r_scale must be finite and > 0, "

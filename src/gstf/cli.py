@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -19,21 +18,20 @@ import time
 
 import numpy as np
 
+# the core; each subcommand imports the other modules that it runs
 from .catalog import catalog_eval
-from .checks import (SUITES, classify_tfgrid, gaussian_symbol,
-                     phase_space_grid, run_suite)
-from .classify import (FLOOR, GUARD, ClassifyOptions, GSIndex, MEMBER,
-                       classify_function, classify_stft)
 from .errors import GridError, GstfError
-from .grids import Grid1D, SampledFunction, TFR, build_grid
+from .grids import (Grid1D, SampledFunction, TFR, build_grid, classify_tfgrid,
+                    gaussian_symbol, phase_space_grid)
 from .parse import parse_function_expr
-from .toeplitz import apply_toeplitz
 from .transforms import dft, stft
-from .witnesses import make_witness
 
 __all__ = ["main", "run_command"]
 
 SCHEMA_VERSION = 3
+
+# checks.SUITES' names: only `verify` imports the check registry
+SUITES = ("identities", "classification", "toeplitz")
 
 
 # ---------------------------------------------------------------- reports
@@ -43,27 +41,27 @@ def _cfloat(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _jfloat(x: float) -> str:
-    return _cfloat(x) if math.isfinite(x) else f'"{_cfloat(x)}"'
-
-
 def _jdump(obj) -> str:
     """Deterministic JSON: insertion order kept, floats at 17 sig digits."""
+    if isinstance(obj, (float, np.floating)):
+        return _cfloat(obj) if math.isfinite(obj) else f'"{_cfloat(obj)}"'
+    if isinstance(obj, (list, tuple)):
+        # one template for a row of floats whose sum is finite
+        if (type(obj) is tuple and all(type(v) is float for v in obj)
+                and math.isfinite(sum(obj))):
+            return "[" + ", ".join(("%.17g",) * len(obj)) % obj + "]"
+        return "[" + ", ".join(map(_jdump, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _jfloat(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         items = ", ".join(f"{_jdump(str(k))}: {_jdump(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_jdump(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -73,6 +71,7 @@ def _emit(args, params: dict, body: dict, header, rows, elapsed: float):
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         if args.format == "csv":
+            import csv
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             w.writerows(rows)
@@ -87,6 +86,7 @@ def _emit(args, params: dict, body: dict, header, rows, elapsed: float):
 # ----------------------------------------------------------------- inputs
 
 def _load_csv_samples(path: str) -> SampledFunction:
+    import csv
     xs, vals = [], []
     try:
         with open(path, newline="") as fh:
@@ -140,7 +140,8 @@ def _make_grid(args) -> Grid1D:
     return build_grid(args.half_width, n.bit_length() - 1)
 
 
-def _space_index(args) -> GSIndex:
+def _space_index(args):
+    from .classify import GSIndex
     reg = None
     if args.space:
         reg = {"S": "roumieu", "Sigma": "beurling"}[args.space]
@@ -206,6 +207,8 @@ def _cmd_stft(args) -> tuple:
 
 
 def _cmd_classify(args) -> tuple:
+    from .classify import (FLOOR, GUARD, ClassifyOptions, MEMBER,
+                           classify_function, classify_stft)
     f, desc = _input_function(args)
     idx = _space_index(args)
     opts = (ClassifyOptions() if args.n_max is None
@@ -247,6 +250,7 @@ def _cmd_classify(args) -> tuple:
 
 
 def _cmd_witness(args) -> tuple:
+    from .witnesses import make_witness
     idx = _space_index(args)
     w = make_witness(idx, _make_grid(args))
     params = {"s": idx.s, "sigma": idx.sigma, "regularity": idx.regularity,
@@ -256,6 +260,7 @@ def _cmd_witness(args) -> tuple:
 
 
 def _cmd_toeplitz(args) -> tuple:
+    from .toeplitz import apply_toeplitz
     f, desc = _input_function(args)
     wdesc, window = _window(args, f.grid)
     with np.errstate(over="ignore"):  # an overflow is the norm inf
@@ -280,6 +285,7 @@ def _cmd_toeplitz(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
+    from .checks import run_suite
     suites = SUITES if args.suite == "all" else (args.suite,)
     checks = [(name, val, tol, "pass" if val <= tol else "fail")
               for suite in suites for name, val, tol in run_suite(suite)]

@@ -269,3 +269,22 @@ def build_grid(half_width: float, exponent: int) -> Grid1D:
     count = 2**exponent
     step = 2.0 * half_width / (count - 1)
     return Grid1D(0.0, step, count)
+
+
+def phase_space_grid(grid: Grid1D) -> TFGrid:
+    """The 129^2 time-frequency grid of the identity and operator suites
+    and of ``gstf stft`` and ``gstf toeplitz``."""
+    return TFGrid(Grid1D(0.0, 8 * grid.step, 129), Grid1D(0.0, 0.25, 129))
+
+
+def classify_tfgrid(grid: Grid1D) -> TFGrid:
+    """The 513x1001 grid of STFT verdicts, in the classification suite and
+    ``gstf classify --window``."""
+    return TFGrid(Grid1D(0.0, 4 * grid.step, 513), Grid1D(0.0, 0.5, 1001))
+
+
+def gaussian_symbol(tf: TFGrid) -> TFR:
+    """The positive symbol exp(-(x^2 + xi^2)/2) on ``tf``."""
+    x = tf.xgrid.coords[:, None]
+    xi = tf.xigrid.coords[None, :]
+    return TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))

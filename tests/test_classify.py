@@ -61,6 +61,12 @@ class TestGSIndex:
         with pytest.raises(GstfError):
             GSIndex(-1.0, math.inf, "beurling")
 
+    @pytest.mark.parametrize("s, sigma", [(-math.inf, 0.5), (0.5, -math.inf)])
+    def test_rejects_negative_infinite_index(self, s, sigma):
+        # only +inf marks the unconstrained side
+        with pytest.raises(GstfError, match="-inf"):
+            GSIndex(s, sigma, "roumieu")
+
     def test_one_parameter_flag(self):
         assert roumieu(s=1.0).one_parameter
         assert not GSIndex(1.0, 1.0, "roumieu").one_parameter
@@ -72,6 +78,7 @@ class TestClassifyOptions:
         {"r_scale": -math.inf}, {"r_scale": -0.0},
         {"r_scale": math.nan}, {"r_scale": 0.0}, {"n_max": 4.0},
         {"n_max": 17},  # the polynomial weights' bound
+        {"n_max": True},  # a bool is no polynomial order
     ])
     def test_rejects_values_that_make_a_side_vacuous(self, kw):
         with pytest.raises(GstfError):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -10,10 +11,12 @@ import sys
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gstf import checks, cli
 from gstf.cli import run_command
 
 
@@ -443,6 +446,13 @@ class TestInProcessContract:
         assert out.stderr.count("\n") == 1
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("flags", [("--s=-inf", "--sigma", "0.5"),
+                                       ("--s", "0.5", "--sigma=-inf")])
+    def test_negative_infinite_index_exits_2(self, capsys, flags):
+        # only +inf marks the unconstrained side
+        self.assert_error_exit(["classify", "--expr", "gaussian(1)",
+                                "--space", "S", *flags], capsys)
+
     def test_control_characters_in_strings_stay_valid_json(self, tmp_path,
                                                             capsys):
         path = tmp_path / "t\tab.csv"
@@ -452,6 +462,42 @@ class TestInProcessContract:
         rep = json.loads(capsys.readouterr().out)
         assert rep["params"]["input"] == f"csv:{path}"
         assert len(rep["samples"]) == 4
+
+
+class TestJsonRows:
+    """A tuple of finite floats is written with one template; the bytes
+    equal those of the per-element path, which a list always takes."""
+
+    @pytest.mark.parametrize("row", [
+        (0.1, -2.5, 3.0), (0.0, -0.0), (5e-324, -2.2250738585072009e-308),
+        (1e308, -1e308), (1e308, 1e308),  # the sum overflows
+        (math.nan, 1.0), (math.inf, -math.inf, 0.5),
+        (np.float64(0.1), 0.2), (np.float64(math.nan),), (),
+        (1, 0.5), (True, 0.5), (False,), (0.5, 2, -0.0),
+    ])
+    def test_float_row_bytes_equal_per_element_bytes(self, row):
+        assert cli._jdump(row) == cli._jdump(list(row))
+
+    def test_float_rows_print_17_digits_and_quote_non_finite(self):
+        assert cli._jdump((0.1, -0.0, 1e308)) == \
+            "[0.10000000000000001, -0, 1e+308]"
+        assert cli._jdump((1.0, math.nan, -math.inf)) == \
+            '[1, "nan", "-inf"]'
+
+    @given(st.lists(st.floats() | st.integers() | st.booleans(),
+                    max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_row(self, row):
+        assert cli._jdump(tuple(row)) == cli._jdump(row)
+
+
+def test_verify_suite_choices_are_the_registry():
+    # the parser names the suites without importing the registry
+    verify = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)
+                  ).choices["verify"]
+    suite = next(a for a in verify._actions if a.dest == "suite")
+    assert suite.choices == tuple(checks.SUITES) + ("all",)
 
 
 def _flag(name, values):
