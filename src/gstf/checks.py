@@ -152,9 +152,11 @@ def _toeplitz():
 
     idx = GSIndex(1.0, math.inf, "beurling")
     opts = ClassifyOptions(n_max=4, r_scale=0.5)
-    testset = [catalog_eval(s, g) for s in
+    # sampled as the probe takes them, so that each function and the STFT
+    # it keeps go before the next is made
+    testset = (catalog_eval(s, g) for s in
                (Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2),
-                Hermite(3))]
+                Hermite(3)))
     rep = continuity_probe(pos_sym, w, w, testset, idx, opts)
     yield "continuity_probe_nonmember_outputs", 0.0 if rep.all_member else 1.0
 

@@ -229,9 +229,14 @@ class TFR(_Memo, Record):
         of xi, computed once per TFR from row chunks of |V|."""
         vals = self.values
         rows = max(1, _CHUNK_BYTES // (8 * vals.shape[1]))
-        return self._memoised("max_profiles", lambda: _max_profiles(
-            ((slice(lo, lo + rows), vals[lo:lo + rows])
-             for lo in range(0, len(vals), rows)), self.tfgrid))
+
+        def chunks():
+            for lo in range(0, len(vals), rows):
+                a = np.abs(vals[lo:lo + rows])
+                yield slice(lo, lo + rows), a.max(axis=1), a.max(axis=0)
+
+        return self._memoised("max_profiles",
+                              lambda: _max_profiles(chunks(), self.tfgrid))
 
     def norm2(self) -> float:
         """2-D continuum L2 norm by a Riemann sum."""
@@ -240,20 +245,16 @@ class TFR(_Memo, Record):
 
 
 def _max_profiles(blocks, tfgrid: TFGrid) -> tuple:
-    """TFR.max_profiles of V from its row blocks (sl, V[sl]), in row order:
-    each row's maximum of |V|, and a running maximum of the blocks' column
-    maxima.  |V| is held one block at a time, and a maximum is exact, so
+    """TFR.max_profiles of V from (sl, row maxima, column maxima) of |V|
+    over its row blocks sl, in row order: the rows' maxima in place, and a
+    running maximum of the blocks' column maxima.  A maximum is exact, so
     the profiles are those of the whole |V| bit for bit.  GridError for a
     V that TFR would reject as not finite."""
     x_prof = np.empty(tfgrid.xgrid.count)
     xi_prof = np.zeros(tfgrid.xigrid.count)  # |V| >= 0
-    mag = np.empty(0)
-    for sl, rows in blocks:
-        if mag.size < rows.size:
-            mag = np.empty(rows.size)
-        a = np.abs(rows, out=mag[:rows.size].reshape(rows.shape))
-        a.max(axis=1, out=x_prof[sl])
-        np.maximum(xi_prof, a.max(axis=0), out=xi_prof)
+    for sl, x_max, xi_max in blocks:
+        x_prof[sl] = x_max
+        np.maximum(xi_prof, xi_max, out=xi_prof)
     if not np.isfinite(x_prof).all():
         raise GridError("TFR values must be finite")
     return (SampledFunction(tfgrid.xgrid, x_prof),

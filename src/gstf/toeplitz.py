@@ -8,6 +8,7 @@ check in the tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -89,12 +90,12 @@ class ContinuityReport(Record):
 
 
 def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
-                     testset: list, idx: GSIndex,
+                     testset: Iterable, idx: GSIndex,
                      opts: ClassifyOptions | None = None) -> ContinuityReport:
     """Desk-scale continuity evidence: apply the operator to each test
-    function and classify the output in the same class.  The probe only
-    measures envelope-in / envelope-out behavior and does not judge the
-    symbol itself."""
+    function, taken once from ``testset`` in turn, and classify the output
+    in the same class.  The probe only measures envelope-in /
+    envelope-out behavior and does not judge the symbol itself."""
     opts = opts or ClassifyOptions()
     for name, w in (("phi1", phi1), ("phi2", phi2)):
         if not w.values.any():  # 0 lies in every class

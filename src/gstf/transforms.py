@@ -31,13 +31,19 @@ BOUNDARY_FLOOR = 1e-10
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# Largest work buffer of one row block in stft and adjoint_stft.  With it,
-# the engine's memory is bounded at any grid size, and a block stays in the
-# L2 cache from its fill through both FFTs to its unpacking.
+# Largest work buffer of one row block in stft and adjoint_stft, and the
+# largest total of the buffers of the blocks in flight at a time.  With
+# them, the engine's memory is bounded at any grid size and CPU count, and a
+# block stays in the L2 cache from its fill through both FFTs to its
+# unpacking.
 _BLOCK_BYTES = 1 << 20
+_ENGINE_BYTES = 3 << 20
 
 # 2*pi to long-double precision, for reducing the chirp phases
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
+
+# Chirp-z rows that the streamed max-profiles unpack at a time
+_SUB_ROWS = 4
 
 # Overflow gives non-finite results, which SampledFunction and TFR reject.
 _QUIET = np.errstate(over="ignore", invalid="ignore")
@@ -170,38 +176,36 @@ def _window_rows(window: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, n)
 
 
-def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill, use,
-                scratch=None):
+def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill, use):
     """``count`` rows of length ``width``, zero-padded and convolved with
     the chirp whose FFT is ``spectrum``, in blocks of at most _BLOCK_BYTES.
     fill(sl, blk) writes the rows sl into the (rows, width) view ``blk``;
     use(sl, conv) reads their convolutions, and its results come in block
     order.  With workers = min(CPUs, blocks // 2) >= 2, at most workers + 1
     blocks run on the thread pool at a time, each in its own buffer until
-    its result is taken; otherwise all run inline in one buffer.  Given
-    scratch(rows), each buffer gets a second array from it, made here and
-    not on a worker, and use(sl, conv, extra) also gets its block's."""
+    its result is taken; otherwise all run inline in one buffer.  The
+    buffers take at most _ENGINE_BYTES together: with more than two
+    workers, the blocks are smaller."""
     size = spectrum.size
     rows = max(1, _BLOCK_BYTES // (16 * size))
-    blocks = [slice(lo, min(count, lo + rows)) for lo in range(0, count, rows)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
-    workers = min(cpus, len(blocks) // 2)
-    rows = min(rows, count)
-    bufs = [(np.empty((rows, size), dtype=complex),
-             *((scratch(rows),) if scratch else ()))
-            for _ in range(workers + 1 if workers > 1 else 1)]
+    workers = min(cpus, -(-count // rows) // 2)  # blocks of _BLOCK_BYTES
+    nbufs = workers + 1 if workers > 1 else 1
+    rows = min(count, max(1, min(_BLOCK_BYTES, _ENGINE_BYTES // nbufs)
+                          // (16 * size)))
+    blocks = [slice(lo, min(count, lo + rows)) for lo in range(0, count, rows)]
+    bufs = [np.empty((rows, size), dtype=complex) for _ in range(nbufs)]
 
     def run(k):
         sl = blocks[k]
-        blk, *extra = bufs[k % len(bufs)]
-        blk = blk[:sl.stop - sl.start]
+        blk = bufs[k % len(bufs)][:sl.stop - sl.start]
         fill(sl, blk[:, :width])
         blk[:, width:] = 0.0
         np.fft.fft(blk, axis=-1, out=blk)
         blk *= spectrum
         np.fft.ifft(blk, axis=-1, out=blk)
-        return use(sl, blk, *extra)
+        return use(sl, blk)
 
     if len(bufs) == 1:
         yield from map(run, range(len(blocks)))
@@ -226,11 +230,14 @@ def _pool(pid: int, cpus: int):
 
 def _stft_blocks(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid,
                  vals: np.ndarray | None = None) -> tuple:
-    """(paired, blocks) for V = stft(f, window, tfgrid): blocks yields
-    (sl, rows) in row order, rows holding V[sl], in ``vals`` when it is
-    given and else in a scratch array of the engine's block that the next
-    block taken may overwrite.  ``paired`` says real rows ran two window
-    shifts per chirp-z row, which makes V exactly Hermitian in xi."""
+    """(paired, blocks) for V = stft(f, window, tfgrid).  With ``vals``,
+    each block taken from blocks writes its rows of V into it.  Without,
+    blocks yields (sl, row maxima, column maxima) of |V[sl]| in row order,
+    for _max_profiles: each block is unpacked and reduced as it is taken,
+    _SUB_ROWS chirp-z rows at a time, with |V| written over the rows read,
+    so that the only scratch is a few rows of V whatever the CPU count.
+    ``paired`` says real rows ran two window shifts per chirp-z row, which
+    makes V exactly Hermitian in xi."""
     if f.grid != window.grid:
         raise GridError("stft: f and window must share a grid")
     a, b, fwd, _, starts = _stft_plan(f.grid, tfgrid)
@@ -239,11 +246,6 @@ def _stft_blocks(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid,
     paired = not (tfgrid.xigrid.center != 0.0 or f.values.imag.any()
                   or window.values.imag.any())
     per = 2 if paired else 1  # V's rows per chirp-z row
-    scratch = None if vals is not None else (
-        lambda rows: np.empty((per * rows, m), dtype=complex))
-
-    def dest(sl, extra):  # V's rows sl
-        return vals[sl] if vals is not None else extra[0][:sl.stop - sl.start]
 
     if not paired:
         rows, fb = _window_rows(np.conj(window.values)), f.values * b
@@ -252,40 +254,60 @@ def _stft_blocks(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid,
             for r, c in enumerate(range(sl.start, sl.stop)):
                 np.multiply(rows[starts[c]], fb, out=blk[r])
 
-        def put(sl, conv, *extra):
-            return sl, np.multiply(conv[:, :m], a, out=dest(sl, extra))
+        def unpack(z, v):  # chirp-z rows z into V's rows v
+            np.multiply(z, a, out=v)
 
-        return False, _chirp_rows(count, n, fwd, fill, put, scratch)
+    else:
+        # Real rows: one chirp row carries the shifts c = 2p and c' = 2p + 1
+        # as (w_c + i w_c') f b.  Its output Z = V_c + i V_c' unpacks by
+        # V(x, -xi) = conj V(x, xi) into V_c = (Z + conj Z[::-1]) / 2 and
+        # V_c' = (Z - conj Z[::-1]) / 2i; f is halved here, so the
+        # unpacking only adds.  An odd last row goes in alone.
+        rows, half_f = _window_rows(window.values.real), f.values.real / 2
 
-    # Real rows: one chirp row carries the shifts c = 2p and c' = 2p + 1 as
-    # (w_c + i w_c') f b.  Its output Z = V_c + i V_c' unpacks by
-    # V(x, -xi) = conj V(x, xi) into V_c = (Z + conj Z[::-1]) / 2 and
-    # V_c' = (Z - conj Z[::-1]) / 2i; f is halved here, so the unpacking
-    # only adds.  An odd last row goes in alone.
-    rows, half_f = _window_rows(window.values.real), f.values.real / 2
+        def fill(sl, blk):
+            for r, c in enumerate(range(2 * sl.start, 2 * sl.stop, 2)):
+                np.multiply(rows[starts[c]], half_f, out=blk.real[r])
+                np.multiply(rows[starts[c + 1]] if c + 1 < count else 0.0,
+                            half_f, out=blk.imag[r])
+                blk[r] *= b  # while the row is in cache
 
-    def fill_pairs(sl, blk):
-        for r, c in enumerate(range(2 * sl.start, 2 * sl.stop, 2)):
-            np.multiply(rows[starts[c]], half_f, out=blk.real[r])
-            np.multiply(rows[starts[c + 1]] if c + 1 < count else 0.0,
-                        half_f, out=blk.imag[r])
-            blk[r] *= b  # while the row is in cache
+        def unpack(z, v):
+            z *= a
+            even, odd = v[0::2], v[1::2]
+            p, q, k = z.real, z.imag, len(odd)
+            np.add(p, p[:, ::-1], out=even.real)
+            np.subtract(q, q[:, ::-1], out=even.imag)
+            np.add(q[:k], q[:k, ::-1], out=odd.real)
+            np.subtract(p[:k, ::-1], p[:k], out=odd.imag)
 
-    def unpack(sl, conv, *extra):  # the pairs sl into V's rows 2 sl
-        z = conv[:, :m]
-        z *= a
-        sl = slice(2 * sl.start, min(2 * sl.stop, count))
-        v = dest(sl, extra)
-        even, odd = v[0::2], v[1::2]
-        p, q, k = z.real, z.imag, len(odd)
-        np.add(p, p[:, ::-1], out=even.real)
-        np.subtract(q, q[:, ::-1], out=even.imag)
-        np.add(q[:k], q[:k, ::-1], out=odd.real)
-        np.subtract(p[:k, ::-1], p[:k], out=odd.imag)
-        return sl, v
+    def rows_of(sl):  # V's rows from the chirp-z rows sl
+        return slice(per * sl.start, min(per * sl.stop, count))
 
-    return True, _chirp_rows((count + 1) // 2, n, fwd, fill_pairs, unpack,
-                             scratch)
+    def write(sl, conv):
+        unpack(conv[:, :m], vals[rows_of(sl)])
+
+    def reduce(blocks):  # each block before the engine reuses its buffer
+        v = np.empty((per * _SUB_ROWS, m), dtype=complex)
+        for sl, conv in blocks:
+            out = rows_of(sl)
+            size = out.stop - out.start  # V's rows in the block
+            # |V| of a chirp-z row's V rows goes over that row, once read
+            mag = conv.view(float)[:, :per * m].reshape(len(conv), per, m)
+            for lo in range(0, len(conv), _SUB_ROWS):
+                z = conv[lo:lo + _SUB_ROWS, :m]
+                k = min(per * (lo + len(z)), size) - per * lo
+                unpack(z, v[:k])
+                v[k:per * len(z)] = 0.0  # an odd last row's missing pair
+                np.abs(v[:per * len(z)].reshape(len(z), per, m),
+                       out=mag[lo:lo + len(z)])
+            yield out, mag.max(axis=2).ravel()[:size], mag.max(axis=(0, 1))
+
+    chirp_rows = (count + per - 1) // per
+    if vals is not None:
+        return paired, _chirp_rows(chirp_rows, n, fwd, fill, write)
+    return paired, reduce(_chirp_rows(chirp_rows, n, fwd, fill,
+                                      lambda sl, conv: (sl, conv)))
 
 
 @_QUIET
@@ -297,15 +319,24 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
     windowed Riemann sum is evaluated at each xi by a chirp-z transform).
     For real f and window on a xi grid centred at 0 the output is exactly
     Hermitian in xi, V(x, -xi) = conj V(x, xi).
+
+    Computed once per f, window object and tfgrid, as dft(f) is: a repeated
+    call returns the same read-only TFR, which lives as long as f.  The
+    memo entry holds the window, so that its id names no other object
+    while the entry lives.
     """
-    vals = np.empty((tfgrid.xgrid.count, tfgrid.xigrid.count), dtype=complex)
-    paired, blocks = _stft_blocks(f, window, tfgrid, vals)
-    for _ in blocks:
-        pass
-    v = TFR(tfgrid, vals)
-    if paired:
-        v._memo["hermitian"] = True  # exactly, by the unpacking
-    return v
+    def make():
+        vals = np.empty((tfgrid.xgrid.count, tfgrid.xigrid.count),
+                        dtype=complex)
+        paired, blocks = _stft_blocks(f, window, tfgrid, vals)
+        for _ in blocks:
+            pass
+        v = TFR(tfgrid, vals)
+        if paired:
+            v._memo["hermitian"] = True  # exactly, by the unpacking
+        return window, v
+
+    return f._memoised(("stft", id(window), tfgrid), make)[1]
 
 
 @_QUIET

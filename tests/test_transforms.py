@@ -1,17 +1,19 @@
+import gc
 import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from gstf import grids, transforms
+from gstf import checks, grids, transforms
 from gstf import (Gaussian, Grid1D, GridError, Hermite, Modulate,
                   SampledFunction, TFGrid, Translate, adjoint_stft,
-                  build_grid, catalog_eval, dft, dft2, idft, stft,
-                  twisted_convolution_defect)
+                  apply_toeplitz, build_grid, catalog_eval, dft, dft2, idft,
+                  stft, twisted_convolution_defect)
 from gstf.grids import TFR
 
 from conftest import rel_max_err
@@ -292,13 +294,16 @@ class TestStftChirpZ:
 
     def test_block_size_does_not_change_bits(self, case, monkeypatch):
         f, w, tf = case
+        passes = _count_passes(monkeypatch)
         v = stft(f, w, tf)
         g = adjoint_stft(v, w)
         for block_bytes in BLOCK_SWEEP[1:]:
             with monkeypatch.context() as m:
                 _set_block_bytes(m, block_bytes, f.grid, tf)
-                assert np.array_equal(stft(f, w, tf).values, v.values)
+                fresh = SampledFunction(f.grid, f.values)  # an empty memo
+                assert np.array_equal(stft(fresh, w, tf).values, v.values)
                 assert np.array_equal(adjoint_stft(v, w).values, g.values)
+        assert len(passes) == len(BLOCK_SWEEP)  # each stft ran the engine
 
     def test_cached_plan_is_read_only(self, case):
         f, w, tf = case
@@ -448,6 +453,16 @@ def _set_cpus(monkeypatch, cpus):
                         lambda pid: set(range(cpus)), raising=False)
 
 
+def _count_passes(monkeypatch, name="_stft_blocks"):
+    """A list that gains the arguments of each call to transforms.<name>:
+    one per STFT engine pass for _stft_blocks, and one per pass of the
+    stft or the adjoint for _chirp_rows."""
+    passes, real = [], getattr(transforms, name)
+    monkeypatch.setattr(transforms, name,
+                        lambda *a: passes.append(a) or real(*a))
+    return passes
+
+
 def _engine_outputs(grid, tf):
     """Both stft paths and both adjoints on one grid pair: the real stft
     (paired rows on a xi grid centred at 0) and its packed adjoint, the
@@ -532,19 +547,24 @@ class TestWorkerCounts:
     def test_forked_child_makes_its_own_pool(self, request, monkeypatch):
         grid, tf = _case_grids(request, "513x1001")
         _set_cpus(monkeypatch, 2)
+        passes = _count_passes(monkeypatch)
         f = catalog_eval(Hermite(2), grid)
         w = catalog_eval(Gaussian(1.0), grid)
         want = stft(f, w, tf).values.tobytes()
         assert transforms._pool.cache_info().currsize == 1  # the pool exists
+
+        def run():  # a fresh carrier of f: the child runs the engine
+            v = stft(SampledFunction(f.grid, f.values), w, tf)
+            send.send((len(passes), v.values.tobytes()))
+
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(
-            target=lambda: send.send_bytes(stft(f, w, tf).values.tobytes()))
+        child = ctx.Process(target=run)
         with recv, send:
             child.start()
             try:
                 assert recv.poll(60), "the forked child's stft did not return"
-                assert recv.recv_bytes() == want
+                assert recv.recv() == (2, want)
                 child.join(60)
                 assert not child.is_alive()
             finally:
@@ -593,6 +613,24 @@ class TestStreamedProfiles:
             fresh = SampledFunction(f.grid, f.values)  # an empty memo
             x, xi = transforms._stft_profiles(fresh, w, tf)
             assert x.grid == tf.xgrid and xi.grid == tf.xigrid
+            assert np.array_equal(x.values, mag.max(axis=1))
+            assert np.array_equal(xi.values, mag.max(axis=0))
+
+    @pytest.mark.parametrize("sub_rows", [1, 3, 64])
+    @pytest.mark.parametrize("name", ["real-odd-rows", "real-even-rows",
+                                      "complex-f"])
+    def test_sub_chunks_keep_the_bits(self, request, monkeypatch, name,
+                                      sub_rows):
+        # seven-row blocks: sub-chunks that split them unevenly, or one
+        # sub-chunk larger than a block
+        f, w, tf = _profile_case(request, name)
+        _set_block_bytes(monkeypatch, "seven-rows", f.grid, tf)
+        monkeypatch.setattr(transforms, "_SUB_ROWS", sub_rows)
+        mag = np.abs(stft(f, w, tf).values)
+        for cpus in (1, 3):
+            _set_cpus(monkeypatch, cpus)
+            fresh = SampledFunction(f.grid, f.values)  # an empty memo
+            x, xi = transforms._stft_profiles(fresh, w, tf)
             assert np.array_equal(x.values, mag.max(axis=1))
             assert np.array_equal(xi.values, mag.max(axis=0))
 
@@ -646,6 +684,84 @@ class TestStreamedProfiles:
         assert all(a == b for a, b in zip(other, first))
         wide = TFGrid(tf_small.xgrid, Grid1D(0.0, 0.5, 129))
         assert transforms._stft_profiles(f, w, wide) is not first
+
+
+class TestStftMemo:
+    """stft keeps its TFR in f's memo per window object and TFGrid, as dft
+    keeps its transform: the checks that transform one function twice run
+    the engine once."""
+
+    @staticmethod
+    def pair(grid):
+        return catalog_eval(Hermite(2), grid), catalog_eval(Gaussian(1.0), grid)
+
+    def test_same_objects_give_the_same_tfr(self, monkeypatch, grid10,
+                                            tf_small):
+        passes = _count_passes(monkeypatch)
+        f, w = self.pair(grid10)
+        v = stft(f, w, tf_small)
+        assert stft(f, w, tf_small) is v and len(passes) == 1
+        assert not v.values.flags.writeable
+
+    def test_each_other_object_costs_one_pass(self, monkeypatch, grid10,
+                                              tf_small):
+        passes = _count_passes(monkeypatch)
+        f, w = self.pair(grid10)
+        v = stft(f, w, tf_small)
+        twin = SampledFunction(grid10, w.values)  # equal, another object
+        wide = TFGrid(tf_small.xgrid, Grid1D(0.0, 0.5, 129))
+        fresh = SampledFunction(grid10, f.values)
+        for k, args in enumerate([(f, twin, tf_small), (f, w, wide),
+                                  (fresh, w, tf_small)], start=2):
+            other = stft(*args)
+            assert other is not v and len(passes) == k
+            assert stft(*args) is other and len(passes) == k
+        assert stft(f, twin, tf_small) == v == stft(fresh, w, tf_small)
+
+    def test_entry_holds_the_window_and_goes_with_f(self, grid10, tf_small):
+        f, w = self.pair(grid10)
+        v = stft(f, w, tf_small)
+        key = ("stft", id(w), tf_small)
+        assert f._memo[key][0] is w and f._memo[key][1] is v
+        window, tfr = weakref.ref(w), weakref.ref(v)
+        del w, v
+        gc.collect()
+        assert window() is f._memo[key][0]  # the id names no other object
+        del f
+        gc.collect()
+        assert window() is None and tfr() is None
+
+    def test_a_v_that_is_not_finite_leaves_no_entry(self, monkeypatch,
+                                                    grid10, tf_small):
+        passes = _count_passes(monkeypatch)
+        huge = SampledFunction(grid10, np.full(grid10.count, 1e300))
+        w = SampledFunction(grid10, huge.values)  # f w overflows
+        for k in (1, 2):  # a second call runs and raises again
+            with pytest.raises(GridError, match="TFR values must be finite"):
+                stft(huge, w, tf_small)
+            assert not huge._memo and len(passes) == k
+
+    def test_toeplitz_then_stft_runs_two_passes(self, monkeypatch, grid10,
+                                                tf_small):
+        # the adjoint-symmetry check: T f, then V f on the same objects
+        passes = _count_passes(monkeypatch, "_chirp_rows")
+        f, w = self.pair(grid10)
+        rng = np.random.default_rng(7)
+        shape = (tf_small.xgrid.count, tf_small.xigrid.count)
+        sym = TFR(tf_small, rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape))
+        apply_toeplitz(sym, w, w, f)
+        stft(f, w, tf_small)
+        assert len(passes) == 2  # the stft and the adjoint, not a 2nd stft
+
+    @pytest.mark.parametrize("suite, count", [
+        ("identities", 51), ("classification", 12), ("toeplitz", 13)])
+    def test_suite_engine_passes(self, monkeypatch, suite, count):
+        # Moyal's V is the twisted check's V_phi1 f, and the Toeplitz
+        # adjoint check's V f is the operator's; the STFT verdicts stream.
+        passes = _count_passes(monkeypatch)
+        checks.run_suite(suite)
+        assert len(passes) == count
 
 
 class TestHermitianMark:
