@@ -104,17 +104,25 @@ class Hermite(FunctionSpec):
         return (hermite_poly(self.k, x) * np.exp(-0.5 * x * x)).astype(complex)
 
 
+def _gevrey_bump(x: np.ndarray, t: float = 2.0) -> np.ndarray:
+    """exp(-(1-x^2)^(-1/(t-1))) on |x| < 1, exactly 0 elsewhere: a bump
+    of Gevrey order t > 1 (Rodino, Linear Partial Differential Operators
+    in Gevrey Spaces, 1993)."""
+    out = np.zeros_like(x, dtype=complex)
+    inside = np.abs(x) < 1.0
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 near the rim
+        out[inside] = np.exp(-(1.0 - x[inside] ** 2) ** (-1.0 / (t - 1.0)))
+    return out
+
+
 class Bump(FunctionSpec):
-    """exp(-1/(1-x^2)) on |x| < 1, exactly 0 elsewhere."""
+    """exp(-1/(1-x^2)) on |x| < 1, exactly 0 elsewhere: the Gevrey bump
+    of order 2."""
 
     call = "bump"
 
     def _eval(self, x):
-        out = np.zeros_like(x, dtype=complex)
-        inside = np.abs(x) < 1.0
-        xi = x[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-        return out
+        return _gevrey_bump(x)
 
 
 class SubExp(FunctionSpec):

@@ -20,8 +20,7 @@ from .toeplitz import (apply_toeplitz, continuity_probe,
 from .transforms import adjoint_stft, stft, twisted_convolution_defect
 
 __all__ = ["TOLERANCES", "SUITES", "CATALOG_SPECS", "CATALOG_SPACES",
-           "run_suite", "phase_space_grid", "classify_tfgrid",
-           "gaussian_symbol"]
+           "run_suite"]
 
 TOLERANCES = {
     "moyal_defect": 1e-6,

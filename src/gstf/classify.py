@@ -243,17 +243,22 @@ def _aggregate(*sides) -> str:
     return INCONCLUSIVE
 
 
-def _verdict(x_fn: SampledFunction, xi_fn: SampledFunction, idx: GSIndex,
-             opts: ClassifyOptions, c_peak: float, direct: bool = False,
-             dual: bool = False) -> EnvelopeReport:
-    """One decay side against one polynomial side, from samples over x
-    and over xi: the test shared by the direct and the STFT
-    characterisation of a one-parameter class and, unfloored with the
-    scales negated, by that of its dual.  A finite s puts the decay side
+def _verdict(idx: GSIndex, opts: ClassifyOptions | None, samples,
+             direct: bool = False, dual: bool = False) -> EnvelopeReport:
+    """One decay side against one polynomial side, from the samples over x
+    and over xi that ``samples()`` makes: the test shared by the direct
+    and the STFT characterisation of a one-parameter class and, unfloored
+    with the scales negated, by that of its dual.  Any other class is
+    refused before the samples are made.  A finite s puts the decay side
     on x, a finite sigma on xi.  Roumieu needs the smallest trial rate at
     most r*, Beurling the largest.  Only ``direct`` samples over x are
     trusted all the way down, so a boundary-attained sup there is
     conclusive; transform-computed ones are floored."""
+    if not idx.one_parameter:
+        raise GstfError("classify_function handles one-parameter spaces; "
+                        "classify each side separately")
+    opts = opts or ClassifyOptions()
+    x_fn, xi_fn = samples()
     on_x = math.isinf(idx.sigma)
     decay_fn, poly_fn = (x_fn, xi_fn) if on_x else (xi_fn, x_fn)
     rs = opts.trial_rs()
@@ -262,21 +267,18 @@ def _verdict(x_fn: SampledFunction, xi_fn: SampledFunction, idx: GSIndex,
     decay, r_star = _side(decay_fn, idx.s if on_x else idx.sigma,
                           sign * rate, not (dual or (direct and on_x)))
     poly, n_star = _side(poly_fn, None, sign * opts.n_max, not dual)
-    return EnvelopeReport(c_peak, r_star, n_star, _aggregate(decay, poly))
+    return EnvelopeReport(_magnitudes(x_fn)[2], r_star, n_star,
+                          _aggregate(decay, poly))
 
 
 def classify_function(f: SampledFunction, idx: GSIndex,
                       opts: ClassifyOptions | None = None) -> EnvelopeReport:
-    """Membership verdict for f against a one-parameter class."""
-    c_peak = _magnitudes(f)[2]
-    if c_peak == 0.0:
+    """Membership verdict for f against a one-parameter class; 0 lies in
+    every class."""
+    if _magnitudes(f)[2] == 0.0:
         return EnvelopeReport(0.0, CriticalScale(INF), CriticalScale(INF),
                               MEMBER)
-    if not idx.one_parameter:
-        raise GstfError("classify_function handles one-parameter spaces; "
-                        "classify each side separately")
-    return _verdict(f, dft(f), idx, opts or ClassifyOptions(), c_peak,
-                    direct=True)
+    return _verdict(idx, opts, lambda: (f, dft(f)), direct=True)
 
 
 def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
@@ -288,7 +290,6 @@ def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     if not window.values.any():
         # V would vanish, and its zero profiles pass every side
         raise GstfError("the window is zero on the grid")
-    opts = opts or ClassifyOptions()
     if check_window:
         # a fresh carrier of the same read-only samples: its memo goes
         # before the STFT runs
@@ -298,12 +299,10 @@ def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
             raise GstfError(
                 f"window is {wr.verdict} for the requested class; "
                 "pick a window inside the class")
-    x_profile, xi_profile = (precomputed.max_profiles()
-                             if precomputed is not None
-                             else _stft_profiles(f, window, tfgrid))
-    # the max of |V|, on either profile
-    return _verdict(x_profile, xi_profile, idx, opts,
-                    _magnitudes(x_profile)[2], dual=dual)
+    # C_peak is the max of |V|, on either profile
+    return _verdict(idx, opts, lambda: (
+        precomputed.max_profiles() if precomputed is not None
+        else _stft_profiles(f, window, tfgrid)), dual=dual)
 
 
 def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,

@@ -142,15 +142,9 @@ def _make_grid(args) -> Grid1D:
 
 def _space_index(args):
     from .classify import GSIndex
-    reg = None
-    if args.space:
-        reg = {"S": "roumieu", "Sigma": "beurling"}[args.space]
-    if args.type:
-        if reg is not None and reg != args.type:
-            raise GstfError(f"--space {args.space} contradicts --type {args.type}")
-        reg = args.type
-    if reg is None:
-        raise GstfError("provide --space or --type")
+    # --space names the regularity by its class: S Roumieu, Sigma Beurling
+    reg = {"S": "roumieu", "Sigma": "beurling"}.get(args.regularity,
+                                                     args.regularity)
     s = args.s if args.s is not None else math.inf
     sigma = args.sigma if args.sigma is not None else math.inf
     return GSIndex(s, sigma, reg)
@@ -320,10 +314,12 @@ def _add_output(p: argparse.ArgumentParser):
 
 
 def _add_space(p: argparse.ArgumentParser):
-    p.add_argument("--space", choices=("S", "Sigma"))
+    reg = p.add_mutually_exclusive_group(required=True)
+    reg.add_argument("--space", choices=("S", "Sigma"), dest="regularity")
+    reg.add_argument("--type", choices=("roumieu", "beurling"),
+                     dest="regularity")
     p.add_argument("--s", type=float)
     p.add_argument("--sigma", type=float)
-    p.add_argument("--type", choices=("roumieu", "beurling"))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -162,7 +162,16 @@ class _Memo:
         return (all(d[n] == e[n] for n in self._fields if n != "values")
                 and np.array_equal(self.values, other.values))
 
-    def _seal(self, vals: np.ndarray):
+    def _seal(self, shape: tuple, what: str):
+        """Keep ``values`` as a read-only complex array of ``shape``, with
+        an empty memo; GridError for another shape, or for a value that is
+        not finite (naming the values ``what``)."""
+        vals = np.asarray(self.values, dtype=complex)
+        if vals.shape != shape:
+            raise GridError(f"values of shape {vals.shape} do not match "
+                            f"the grid's {shape}")
+        if not np.isfinite(vals).all():
+            raise GridError(f"{what} values must be finite")
         if not vals.flags.owndata:  # a view's base may be written through
             vals = vals.copy()
         vals.flags.writeable = False
@@ -182,14 +191,7 @@ class SampledFunction(_Memo, Record):
     _unshown = ("values",)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.count,):
-            raise GridError(
-                f"value count {vals.shape} does not match grid count {self.grid.count}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise GridError("sampled values must be finite")
-        self._seal(vals)
+        self._seal((self.grid.count,), "sampled")
 
     @property
     def x(self) -> np.ndarray:
@@ -216,13 +218,7 @@ class TFR(_Memo, Record):
     _unshown = ("values",)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        shape = (self.tfgrid.xgrid.count, self.tfgrid.xigrid.count)
-        if vals.shape != shape:
-            raise GridError(f"TFR shape {vals.shape} does not match grid {shape}")
-        if not np.all(np.isfinite(vals)):
-            raise GridError("TFR values must be finite")
-        self._seal(vals)
+        self._seal((self.tfgrid.xgrid.count, self.tfgrid.xigrid.count), "TFR")
 
     def max_profiles(self) -> tuple:
         """(max over xi of |V|, max over x of |V|) as functions of x and

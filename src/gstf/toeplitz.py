@@ -96,7 +96,6 @@ def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
     function, taken once from ``testset`` in turn, and classify the output
     in the same class.  The probe only measures envelope-in /
     envelope-out behavior and does not judge the symbol itself."""
-    opts = opts or ClassifyOptions()
     for name, w in (("phi1", phi1), ("phi2", phi2)):
         if not w.values.any():  # 0 lies in every class
             raise GstfError(f"{name} is zero on the grid")

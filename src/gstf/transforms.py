@@ -323,7 +323,7 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
     Computed once per f, window object and tfgrid, as dft(f) is: a repeated
     call returns the same read-only TFR, which lives as long as f.  The
     memo entry holds the window, so that its id names no other object
-    while the entry lives.
+    while the entry lives; not f itself, which would make a cycle.
     """
     def make():
         vals = np.empty((tfgrid.xgrid.count, tfgrid.xigrid.count),
@@ -334,7 +334,7 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
         v = TFR(tfgrid, vals)
         if paired:
             v._memo["hermitian"] = True  # exactly, by the unpacking
-        return window, v
+        return None if window is f else window, v
 
     return f._memoised(("stft", id(window), tfgrid), make)[1]
 
@@ -344,10 +344,11 @@ def _stft_profiles(f: SampledFunction, window: SampledFunction,
                    tfgrid: TFGrid) -> tuple:
     """stft(f, window, tfgrid).max_profiles(), bit for bit, reduced from
     the engine's row blocks as they come: neither V nor |V| is held.  Kept
-    in f's memo per window object and tfgrid; the entry holds the window,
-    so that its id names no other object while the entry lives."""
+    in f's memo per window object and tfgrid; the entry holds the window
+    as stft's does."""
     return f._memoised(("stft_profiles", id(window), tfgrid), lambda: (
-        window, _max_profiles(_stft_blocks(f, window, tfgrid)[1], tfgrid)))[1]
+        None if window is f else window,
+        _max_profiles(_stft_blocks(f, window, tfgrid)[1], tfgrid)))[1]
 
 
 def _is_hermitian(F: TFR) -> bool:
@@ -381,50 +382,49 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     w = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / _SQRT_2PI
     if window.values.imag.any() or not _is_hermitian(F):
         rows, out = _window_rows(window.values), np.zeros(n, dtype=complex)
+        chirp_rows, post = count, cb * w
+
+        def fill(sl, blk):
+            np.multiply(F.values[sl], ca, out=blk)
 
         def weigh(sl, conv):
             terms = conv[:, :n]
             for r, c in enumerate(range(sl.start, sl.stop)):
                 terms[r] *= rows[starts[c]]
             return terms
+    else:
+        # Hermitian F: each row's xi sum G_c is real, so one chirp row gives
+        # G_c + i G_c+1 from (F_c + i F_c+1) conj(a), times conj(b); even and
+        # odd rows add up each in row order.  An odd last row goes in alone.
+        rows, out = _window_rows(window.values.real), np.zeros(2 * n)
+        chirp_rows, post = (count + 1) // 2, w
 
-        for terms in _chirp_rows(
-                count, a.size, adj,
-                lambda sl, blk: np.multiply(F.values[sl], ca, out=blk), weigh):
-            # carry the running sum in the first row, so that the rows add
-            # up in one order whatever the block size or the worker count
-            terms[0] += out
-            np.sum(terms, axis=0, out=out)
-        return SampledFunction(window.grid, cb * w * out)
+        def fill(sl, blk):
+            even = F.values[2 * sl.start:2 * sl.stop:2]
+            odd = F.values[2 * sl.start + 1:2 * sl.stop:2]
+            k = len(odd)
+            np.subtract(even.real[:k], odd.imag, out=blk.real[:k])
+            np.add(even.imag[:k], odd.real, out=blk.imag[:k])
+            blk[k:] = even[k:]
+            blk *= ca
 
-    # Hermitian F: each row's xi sum G_c is real, so one chirp row carries
-    # (F_c + i F_c+1) conj(a) and, times conj(b), gives G_c + i G_c+1; even
-    # and odd rows add up each in row order.  An odd last row goes in alone.
-    rows, out = _window_rows(window.values.real), np.zeros(2 * n)
+        def weigh(sl, conv):
+            z = conv[:, :n]
+            terms = z.view(float)  # re, im, ...
+            for r, c in enumerate(range(2 * sl.start, 2 * sl.stop, 2)):
+                z[r] *= cb  # while the row is in cache
+                terms[r, ::2] *= rows[starts[c]]
+                terms[r, 1::2] *= rows[starts[c + 1]] if c + 1 < count else 0.0
+            return terms
 
-    def fill_pairs(sl, blk):
-        even = F.values[2 * sl.start:2 * sl.stop:2]
-        odd = F.values[2 * sl.start + 1:2 * sl.stop:2]
-        k = len(odd)
-        np.subtract(even.real[:k], odd.imag, out=blk.real[:k])
-        np.add(even.imag[:k], odd.real, out=blk.imag[:k])
-        blk[k:] = even[k:]
-        blk *= ca
-
-    def weigh_pairs(sl, conv):
-        z = conv[:, :n]
-        terms = z.view(float)  # re, im, ...
-        for r, c in enumerate(range(2 * sl.start, 2 * sl.stop, 2)):
-            z[r] *= cb  # while the row is in cache
-            terms[r, ::2] *= rows[starts[c]]
-            terms[r, 1::2] *= rows[starts[c + 1]] if c + 1 < count else 0.0
-        return terms
-
-    for terms in _chirp_rows((count + 1) // 2, a.size, adj, fill_pairs,
-                             weigh_pairs):
+    for terms in _chirp_rows(chirp_rows, a.size, adj, fill, weigh):
+        # carry the running sum in the first row, so that the rows add up
+        # in one order whatever the block size or the worker count
         terms[0] += out
         np.sum(terms, axis=0, out=out)
-    return SampledFunction(window.grid, w * (out[0::2] + out[1::2]))
+    if out.size > n:  # the even rows' sums interleaved with the odd rows'
+        out = out[0::2] + out[1::2]
+    return SampledFunction(window.grid, post * out)
 
 
 def edge_mass(values: np.ndarray) -> float:

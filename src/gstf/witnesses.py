@@ -8,10 +8,7 @@ trivial boundary we demonstrate failure on a candidate family.
 
 from __future__ import annotations
 
-
-import numpy as np
-
-from .catalog import Gaussian, Hermite, catalog_eval
+from .catalog import Gaussian, Hermite, catalog_eval, _gevrey_bump
 from .classify import ClassifyOptions, CriticalScale, GSIndex, _side
 from .errors import TrivialSpace, UnsupportedRegion
 from .grids import Grid1D, Record, SampledFunction, build_grid
@@ -35,18 +32,6 @@ def _gevrey_order(sigma: float, beurling: bool) -> float:
     t < sigma.  Callers pass sigma > 1: no compactly supported function
     has t = 1 (Paley-Wiener).  t stops at 2, the order of bump()."""
     return min((1.0 + sigma) / 2 if beurling else sigma, 2.0)
-
-
-def _gevrey_bump(t: float, grid: Grid1D) -> SampledFunction:
-    """exp(-(1-x^2)^(-1/(t-1))) on |x| < 1, exactly 0 elsewhere: a bump
-    of Gevrey order t > 1 (Rodino, Linear Partial Differential Operators
-    in Gevrey Spaces, 1993).  At t = 2 it is bump() sample for sample."""
-    x = grid.coords
-    inside = np.abs(x) < 1.0
-    vals = np.zeros(grid.count, dtype=complex)
-    with np.errstate(over="ignore"):  # exp(-inf) = 0 near the rim
-        vals[inside] = np.exp(-(1.0 - x[inside] ** 2) ** (-1.0 / (t - 1.0)))
-    return SampledFunction(grid, vals)
 
 
 def make_witness(idx: GSIndex, grid: Grid1D | None = None) -> SampledFunction:
@@ -76,9 +61,11 @@ def make_witness(idx: GSIndex, grid: Grid1D | None = None) -> SampledFunction:
     if clears(min(s, sigma), 0.5):
         return catalog_eval(Gaussian(1.0), grid)
     if sigma > 1.0:
-        return _gevrey_bump(_gevrey_order(sigma, beurling), grid)
+        return SampledFunction(grid, _gevrey_bump(
+            grid.coords, _gevrey_order(sigma, beurling)))
     if s > 1.0:
-        return dft(_gevrey_bump(_gevrey_order(s, beurling), grid))
+        return dft(SampledFunction(grid, _gevrey_bump(
+            grid.coords, _gevrey_order(s, beurling))))
     raise UnsupportedRegion(
         f"class s={s}, sigma={sigma} ({idx.regularity}) is nontrivial but "
         "no elementary witness formula is shipped for this region")

@@ -13,7 +13,8 @@ from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
                   build_grid, catalog_eval, classify_function, classify_stft,
                   dft, dual_growth_report, stft, transforms)
 from gstf.classify import FLOOR, GUARD, _critical, _side
-from gstf.checks import CATALOG_SPACES, CATALOG_SPECS, classify_tfgrid
+from gstf.checks import CATALOG_SPACES, CATALOG_SPECS
+from gstf.grids import classify_tfgrid
 
 from conftest import beurling, roumieu
 
@@ -644,6 +645,19 @@ class TestClassifyStft:
         # on its own grid it is read
         assert report(f, f, roumieu(s=0.5), other, check_window=False,
                       precomputed=v).verdict == MEMBER
+
+
+    @pytest.mark.parametrize("report", [classify_stft, dual_growth_report])
+    def test_rejects_two_parameter_index_unchecked_window(self, grid10,
+                                                          report):
+        # S_0.3^0.3 is {0}: a verdict read off one side would answer
+        # another question, with or without the window check
+        f = catalog_eval(Gaussian(1.0), grid10)
+        tf = classify_tfgrid(grid10)
+        for v in (None, stft(f, f, tf)):
+            with pytest.raises(GstfError, match="one-parameter spaces"):
+                report(f, f, GSIndex(0.3, 0.3, "roumieu"), tf,
+                       check_window=False, precomputed=v)
 
 
 class TestSharedWork:

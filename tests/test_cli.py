@@ -187,9 +187,15 @@ class TestClassifyCommand:
         assert json.loads(a.stdout)["verdict"] == json.loads(b.stdout)["verdict"]
 
     def test_contradictory_space_and_type_rejected(self, capsys):
-        out = run_cli(capsys, "classify", "--expr", "gaussian(1)",
-                      "--space", "S", "--type", "beurling", "--s", "1")
-        assert out.returncode == 2
+        # exactly one of --space and --type names the regularity: both,
+        # even when they agree, or neither exits 2
+        for flags in (["--space", "S", "--type", "beurling"],
+                      ["--space", "S", "--type", "roumieu"], []):
+            # each command runs (exit 0) with --space S alone
+            for command in (["classify", "--expr", "gaussian(1)", "--s", "1"],
+                            ["witness", "--s", "1", "--sigma", "1"]):
+                out = run_cli(capsys, *command, *flags)
+                assert (out.returncode, out.stdout) == (2, ""), flags
 
     def test_csv_input_round_trip(self, tmp_path, capsys):
         path = tmp_path / "f.csv"

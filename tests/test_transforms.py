@@ -731,6 +731,21 @@ class TestStftMemo:
         gc.collect()
         assert window() is None and tfr() is None
 
+    @pytest.mark.parametrize("take", [
+        stft, lambda f, w, tf: transforms._stft_profiles(f, w, tf)[0]],
+        ids=["stft", "profiles"])
+    def test_f_as_its_own_window_is_freed_without_the_collector(
+            self, grid10, tf_small, take):
+        # an entry holding f itself would keep f and its V in a cycle
+        f = catalog_eval(Hermite(2), grid10)
+        gc.disable()
+        try:
+            ref = weakref.ref(take(f, f, tf_small))
+            del f
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_a_v_that_is_not_finite_leaves_no_entry(self, monkeypatch,
                                                     grid10, tf_small):
         passes = _count_passes(monkeypatch)
