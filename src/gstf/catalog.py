@@ -5,8 +5,8 @@ A :class:`FunctionSpec` is a tree over the catalog primitives
 combined with +, - and *.  Evaluation is pointwise and deterministic:
 equal specs on equal grids give bit-identical samples.
 
-Each node class declares its own syntax, which printing, the finiteness
-check and :mod:`gstf.parse` all read: a call node its ``call`` name and,
+Each node class declares its own syntax, which printing, the argument
+checks and :mod:`gstf.parse` all read: a call node its ``call`` name and,
 by its fields' types, one kind per argument (float, int or FunctionSpec);
 an infix node its operator ``op``, its precedence ``prec`` and its ufunc.
 """
@@ -26,7 +26,8 @@ __all__ = [
 class FunctionSpec(Record):
     """Base node.  Subclasses implement ``_eval``; a call node sets
     ``call``, its name in the expression language, and types each field
-    float, int or FunctionSpec, in argument order."""
+    float, int or FunctionSpec, in argument order.  A float argument must
+    be finite and an int one a non-negative integer."""
 
     call = ""
 
@@ -41,10 +42,14 @@ class FunctionSpec(Record):
         return [(d[name], kind) for name, kind in self._fields.items()]
 
     def __post_init__(self):
-        for v, kind in self._args():
+        for name, (v, kind) in zip(self._fields, self._args()):
             if kind is float and not np.isfinite(v):
                 raise GstfError(f"{type(self).__name__.lower()}: "
                                 f"parameter {v!r} is not finite")
+            if kind is int and (isinstance(v, bool) or not (
+                    isinstance(v, (int, np.integer)) and v >= 0)):
+                raise GstfError(f"{self.call}: {name} must be a "
+                                "non-negative integer")
 
     def __str__(self):
         args = (str(v) if kind is FunctionSpec else repr(kind(v))
@@ -96,10 +101,6 @@ class Hermite(FunctionSpec):
     call = "hermite"
     k: int
 
-    def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
-            raise GstfError("hermite: order must be a non-negative integer")
-
     def _eval(self, x):
         return (hermite_poly(self.k, x) * np.exp(-0.5 * x * x)).astype(complex)
 
@@ -146,10 +147,6 @@ class Poly(FunctionSpec):
 
     call = "poly"
     k: int
-
-    def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 0):
-            raise GstfError("poly: degree must be a non-negative integer")
 
     def _eval(self, x):
         return (x ** self.k).astype(complex)

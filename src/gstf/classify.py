@@ -281,24 +281,28 @@ def classify_function(f: SampledFunction, idx: GSIndex,
     return _verdict(idx, opts, lambda: (f, dft(f)), direct=True)
 
 
+def _admit_window(w: SampledFunction, name: str, idx: GSIndex | None,
+                  opts: ClassifyOptions | None):
+    """Refuse a window ``name`` that is zero on the grid, whose zero V
+    passes every side, and, given ``idx``, one outside that class, tested
+    on a fresh carrier of w's read-only samples whose memo goes with it."""
+    if not w.values.any():
+        raise GstfError(f"{name} is zero on the grid")
+    if idx is not None:
+        verdict = classify_function(SampledFunction(w.grid, w.values), idx,
+                                    opts).verdict
+        if verdict != MEMBER:
+            raise GstfError(f"{name} is {verdict} for the requested class; "
+                            "pick a window inside the class")
+
+
 def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
                  tfgrid: TFGrid, opts: ClassifyOptions | None,
                  check_window: bool, precomputed: TFR | None,
                  dual: bool) -> EnvelopeReport:
     if precomputed is not None and precomputed.tfgrid != tfgrid:
         raise GridError("the precomputed STFT lies on another tfgrid")
-    if not window.values.any():
-        # V would vanish, and its zero profiles pass every side
-        raise GstfError("the window is zero on the grid")
-    if check_window:
-        # a fresh carrier of the same read-only samples: its memo goes
-        # before the STFT runs
-        wr = classify_function(SampledFunction(window.grid, window.values),
-                               idx, opts)
-        if wr.verdict != MEMBER:
-            raise GstfError(
-                f"window is {wr.verdict} for the requested class; "
-                "pick a window inside the class")
+    _admit_window(window, "the window", idx if check_window else None, opts)
     # C_peak is the max of |V|, on either profile
     return _verdict(idx, opts, lambda: (
         precomputed.max_profiles() if precomputed is not None

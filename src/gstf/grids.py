@@ -20,8 +20,8 @@ from .errors import GridError
 
 __all__ = ["Grid1D", "TFGrid", "SampledFunction", "TFR", "build_grid"]
 
-# Largest row chunk of |V| that TFR.max_profiles holds at a time
-_CHUNK_BYTES = 1 << 20
+# Largest row block that TFR.max_profiles and the STFT engine hold at a time
+_BLOCK_BYTES = 1 << 20
 
 
 class Record:
@@ -165,7 +165,8 @@ class _Memo:
     def _seal(self, shape: tuple, what: str):
         """Keep ``values`` as a read-only complex array of ``shape``, with
         an empty memo; GridError for another shape, or for a value that is
-        not finite (naming the values ``what``)."""
+        not finite (naming the values ``what``).  An owning complex array
+        is kept, not copied, so the caller can no longer write to it."""
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != shape:
             raise GridError(f"values of shape {vals.shape} do not match "
@@ -186,6 +187,7 @@ class _Memo:
 
 
 class SampledFunction(_Memo, Record):
+    """Values on ``grid``: an owning complex array is frozen, not copied."""
     grid: Grid1D
     values: np.ndarray
     _unshown = ("values",)
@@ -201,18 +203,12 @@ class SampledFunction(_Memo, Record):
         """Continuum L2 norm approximated by a Riemann sum."""
         return float(np.sqrt(self.grid.step * np.sum(np.abs(self.values) ** 2)))
 
-    def __add__(self, other: "SampledFunction") -> "SampledFunction":
-        if other.grid != self.grid:
-            raise GridError("cannot add functions on different grids")
-        return SampledFunction(self.grid, self.values + other.values)
-
     def __mul__(self, c) -> "SampledFunction":
         return SampledFunction(self.grid, self.values * c)
 
-    __rmul__ = __mul__
-
 
 class TFR(_Memo, Record):
+    """Values on ``tfgrid``: an owning complex array is frozen, not copied."""
     tfgrid: TFGrid
     values: np.ndarray
     _unshown = ("values",)
@@ -224,7 +220,7 @@ class TFR(_Memo, Record):
         """(max over xi of |V|, max over x of |V|) as functions of x and
         of xi, computed once per TFR from row chunks of |V|."""
         vals = self.values
-        rows = max(1, _CHUNK_BYTES // (8 * vals.shape[1]))
+        rows = max(1, _BLOCK_BYTES // (8 * vals.shape[1]))
 
         def chunks():
             for lo in range(0, len(vals), rows):

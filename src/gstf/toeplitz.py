@@ -12,8 +12,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .classify import ClassifyOptions, GSIndex, MEMBER, classify_function
-from .errors import BoundaryMassError, GridError, GstfError
+from .errors import BoundaryMassError, GridError
 from .grids import Record, SampledFunction, TFGrid, TFR
 from .transforms import BOUNDARY_FLOOR, adjoint_stft, dft2, edge_mass, stft
 
@@ -96,12 +95,9 @@ def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
     function, taken once from ``testset`` in turn, and classify the output
     in the same class.  The probe only measures envelope-in /
     envelope-out behavior and does not judge the symbol itself."""
-    for name, w in (("phi1", phi1), ("phi2", phi2)):
-        if not w.values.any():  # 0 lies in every class
-            raise GstfError(f"{name} is zero on the grid")
-        r = classify_function(w, idx, opts)
-        if r.verdict != MEMBER:
-            raise GstfError(f"{name} is {r.verdict} for the probed class")
+    from .classify import MEMBER, _admit_window, classify_function
+    _admit_window(phi1, "phi1", idx, opts)
+    _admit_window(phi2, "phi2", idx, opts)
     entries = []
     for f in testset:
         rep_in = classify_function(f, idx, opts)

@@ -19,7 +19,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import BoundaryMassError, GridError
-from .grids import Grid1D, SampledFunction, TFGrid, TFR, _max_profiles
+from .grids import (_BLOCK_BYTES, Grid1D, SampledFunction, TFGrid, TFR,
+                    _max_profiles)
 
 __all__ = [
     "dft", "idft", "dft2", "stft", "adjoint_stft",
@@ -31,12 +32,10 @@ BOUNDARY_FLOOR = 1e-10
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# Largest work buffer of one row block in stft and adjoint_stft, and the
-# largest total of the buffers of the blocks in flight at a time.  With
-# them, the engine's memory is bounded at any grid size and CPU count, and a
-# block stays in the L2 cache from its fill through both FFTs to its
-# unpacking.
-_BLOCK_BYTES = 1 << 20
+# The work buffers of the blocks in flight in stft and adjoint_stft take at
+# most _ENGINE_BYTES together, each at most _BLOCK_BYTES: the engine's memory
+# is bounded at any grid size and CPU count, and a block stays in the L2
+# cache from its fill through both FFTs to its unpacking.
 _ENGINE_BYTES = 3 << 20
 
 # 2*pi to long-double precision, for reducing the chirp phases
@@ -181,16 +180,18 @@ def _chirp_rows(count: int, width: int, spectrum: np.ndarray, fill, use):
     the chirp whose FFT is ``spectrum``, in blocks of at most _BLOCK_BYTES.
     fill(sl, blk) writes the rows sl into the (rows, width) view ``blk``;
     use(sl, conv) reads their convolutions, and its results come in block
-    order.  With workers = min(CPUs, blocks // 2) >= 2, at most workers + 1
-    blocks run on the thread pool at a time, each in its own buffer until
-    its result is taken; otherwise all run inline in one buffer.  The
-    buffers take at most _ENGINE_BYTES together: with more than two
-    workers, the blocks are smaller."""
+    order.  With workers = min(CPUs, blocks // 2, R - 1) >= 2, where R
+    rows fill _ENGINE_BYTES, at most workers + 1 blocks run on the thread
+    pool at a time, each in its own buffer until its result is taken;
+    otherwise all run inline in one buffer.  The buffers take at most
+    _ENGINE_BYTES together: with more than two workers, the blocks are
+    smaller."""
     size = spectrum.size
     rows = max(1, _BLOCK_BYTES // (16 * size))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else 1)
-    workers = min(cpus, -(-count // rows) // 2)  # blocks of _BLOCK_BYTES
+    workers = min(cpus, -(-count // rows) // 2,  # blocks of _BLOCK_BYTES
+                  _ENGINE_BYTES // (16 * size) - 1)  # a row or more each
     nbufs = workers + 1 if workers > 1 else 1
     rows = min(count, max(1, min(_BLOCK_BYTES, _ENGINE_BYTES // nbufs)
                           // (16 * size)))

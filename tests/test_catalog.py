@@ -60,6 +60,20 @@ class TestPrimitives:
         with pytest.raises(GstfError):
             Hermite(1.5)
 
+    @pytest.mark.parametrize("node, arg", [
+        (Hermite, True), (Hermite, -1), (Hermite, 1.5), (Poly, -1),
+        (Poly, False), (Poly, 2.0)])
+    def test_int_argument_is_a_non_negative_integer(self, node, arg):
+        # a bool is refused too, though Python counts it an int
+        with pytest.raises(GstfError) as err:
+            node(arg)
+        assert str(err.value) == (f"{node.call}: k must be a non-negative "
+                                  "integer")
+
+    def test_int_argument_takes_numpy_integers(self):
+        assert Poly(np.int64(2)) == Poly(2)
+        assert Hermite(np.uint8(0)) == Hermite(0)
+
     def test_bump_support(self):
         v = Bump()(X)
         inside = np.abs(X) < 1.0

@@ -5,8 +5,9 @@ import pytest
 
 from gstf import (MEMBER, BoundaryMassError, ClassifyOptions, GSIndex,
                   Gaussian, Grid1D, GridError, GstfError, Hermite, Modulate,
-                  TFGrid, apply_toeplitz, build_grid, catalog_eval,
-                  continuity_probe, stft, stft_product_transform_defect)
+                  SampledFunction, TFGrid, apply_toeplitz, build_grid,
+                  catalog_eval, continuity_probe, stft,
+                  stft_product_transform_defect)
 from gstf.grids import TFR
 
 
@@ -44,10 +45,11 @@ class TestApplyToeplitz:
         a = TFR(tf, np.exp(-(x**2 + xi**2) / 2.0))
         f = catalog_eval(Gaussian(1.0), grid)
         g = catalog_eval(Hermite(1), grid)
-        lhs = apply_toeplitz(a, unit_window, unit_window, f + 2.0 * g)
-        rhs = (apply_toeplitz(a, unit_window, unit_window, f)
-               + 2.0 * apply_toeplitz(a, unit_window, unit_window, g))
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-14
+        lhs = apply_toeplitz(a, unit_window, unit_window,
+                             SampledFunction(grid, f.values + 2.0 * g.values))
+        rhs = (apply_toeplitz(a, unit_window, unit_window, f).values
+               + 2.0 * apply_toeplitz(a, unit_window, unit_window, g).values)
+        assert np.max(np.abs(lhs.values - rhs)) < 1e-14
 
     def test_adjoint_symmetry(self, grid, tf, unit_window):
         # <Op f, g> = <a, conj(V f) V g> for any symbol a.
@@ -150,13 +152,19 @@ class TestContinuityProbe:
             assert e.verdict_in == MEMBER
             assert e.verdict_out == MEMBER
 
-    def test_rejects_window_outside_class(self, grid, tf):
+    def test_rejects_window_outside_class(self, grid, tf, unit_window):
+        # the words of the STFT verdicts' refusal, naming the window
         wide = catalog_eval(Gaussian(0.001), grid)
         f = catalog_eval(Gaussian(1.0), grid)
         idx = GSIndex(1.0, math.inf, "beurling")
-        with pytest.raises(GstfError):
-            continuity_probe(unit_symbol(tf), wide, wide, [f], idx,
-                             ClassifyOptions(n_max=4, r_scale=0.5))
+        for phis, name in (((wide, unit_window), "phi1"),
+                           ((unit_window, wide), "phi2")):
+            with pytest.raises(GstfError) as err:
+                continuity_probe(unit_symbol(tf), *phis, [f], idx,
+                                 ClassifyOptions(n_max=4, r_scale=0.5))
+            assert str(err.value) == (
+                f"{name} is NotMember for the requested class; "
+                "pick a window inside the class")
 
     def test_rejects_zero_window(self, grid, tf, unit_window):
         # 0 lies in every class, yet analyses and synthesises nothing
@@ -165,5 +173,6 @@ class TestContinuityProbe:
         idx = GSIndex(1.0, math.inf, "beurling")
         for phis, name in (((zero, unit_window), "phi1"),
                            ((unit_window, zero), "phi2")):
-            with pytest.raises(GstfError, match=f"{name} is zero"):
+            with pytest.raises(GstfError) as err:
                 continuity_probe(unit_symbol(tf), *phis, [f], idx)
+            assert str(err.value) == f"{name} is zero on the grid"

@@ -533,6 +533,31 @@ class TestWorkerCounts:
         _engine_outputs(grid, tf)
         assert calls == ([cpus] * 4 if shared else [])
 
+    @pytest.mark.parametrize("exponent", [15, 16])
+    def test_buffers_keep_the_budget_at_every_cpu_count(self, monkeypatch,
+                                                         exponent):
+        # Chirp-z rows of 0.53 and 1.07 MiB: a block never holds less than
+        # one, so the count of buffers in flight has to keep the budget.
+        grid = build_grid(12.0, exponent)
+        tf = grids.phase_space_grid(grid)
+        f = catalog_eval(Hermite(2), grid)
+        w = catalog_eval(Gaussian(1.0), grid)
+        stft(f, w, tf)  # the plan is made
+
+        def peak(cpus):
+            _set_cpus(monkeypatch, cpus)
+            fresh = SampledFunction(f.grid, f.values)  # an empty memo
+            tracemalloc.start()
+            try:
+                stft(fresh, w, tf)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        inline = peak(1)
+        for cpus in (2, 3, 8):
+            assert peak(cpus) - inline <= transforms._ENGINE_BYTES, cpus
+
     def test_import_starts_no_thread(self):
         code = ("import sys, threading, gstf.cli; "
                 "print(threading.active_count(), "
@@ -657,7 +682,7 @@ class TestStreamedProfiles:
         _, tf = _case_grids(request, "513x1001")
         shape = (tf.xgrid.count, tf.xigrid.count)
         if chunk_rows is not None:
-            monkeypatch.setattr(grids, "_CHUNK_BYTES",
+            monkeypatch.setattr(grids, "_BLOCK_BYTES",
                                 chunk_rows * 8 * shape[1])
         rng = np.random.default_rng(23)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
