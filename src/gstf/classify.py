@@ -13,14 +13,15 @@ samples, next to one below FLOOR times the peak (a masked edge).
 With w = |x|^(1/s) the passing scales k run up to a critical rate r*, a
 discrete Legendre transform of log|f| (Komatsu's associated function);
 with w = log(1+x^2) up to a critical power N*.  Each is computed once per
-function, in one pass, and kept in its memo.  Roumieu classes need the
-smallest trial rate at most r*, Beurling classes the largest, and the
-polynomial side n_max <= N*.  A side that fails at a masked edge leaves
-the verdict Inconclusive.  The dual of a class is tested on the same
-critical scales, unfloored, with the scales it needs negated."""
+function and kept in its memo.  Roumieu classes need the smallest trial
+rate at most r*, Beurling classes the largest, and the polynomial side
+n_max <= N*.  A side that fails at a masked edge leaves the verdict
+Inconclusive.  The dual of a class is tested on the same critical scales,
+unfloored, with the scales it needs negated."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -92,6 +93,9 @@ class ClassifyOptions(Record):
         return tuple(r * self.r_scale for r in (0.25, 0.5, 1.0, 2.0, 4.0))
 
 
+_DEFAULT_OPTIONS = ClassifyOptions()
+
+
 class CriticalScale(Record):
     """The critical scale of one side: the largest k whose sup of
     |f| exp(k w) is attained at a trusted interior sample.  Above it the
@@ -125,6 +129,29 @@ def _magnitudes(f: SampledFunction) -> tuple:
     return f._memoised("magnitudes", make)
 
 
+def _split(fn: SampledFunction, floor: float | None) -> tuple:
+    """fn's samples split once per floor for every weight: lg = log|fn| on
+    the good samples, -inf elsewhere; ``good`` where it is finite; ``bad``
+    the admissible bad ones, lb their log|fn|; ``edge`` the masked edges."""
+    def make():
+        a, loga, peak = _magnitudes(fn)
+        n = loga.size
+        lg, edge = loga.copy(), np.zeros(n, dtype=bool)
+        b = np.array([*range(min(GUARD, n)), *range(max(n - GUARD, GUARD), n)])
+        if floor is not None:
+            mask = a >= floor * peak
+            lg[~mask] = -INF
+            edge[1:-1] = ~mask[:-2] | ~mask[2:]  # the ends are guard band
+            edge[b] = False
+            b = np.concatenate((b, np.flatnonzero(edge)))
+        b = b[lg[b] > -INF]
+        lg[b] = -INF
+        good = lg > -INF
+        lg.flags.writeable = good.flags.writeable = False
+        return lg, good, b, loga[b].tolist(), edge
+    return fn._memoised(("split", floor), make)
+
+
 def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
               unit: float = 1.0) -> CriticalScale:
     """The critical scale of log|fn| + k w, for a finite weight w >= 0
@@ -144,54 +171,40 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
     bound.  When the unit overflows, a bad sample whose weight
     underflowed to that of good samples nearer 0 outweighs them beyond
     float range, and crosses them at -0."""
-    a, loga, peak = _magnitudes(fn)
-    n = loga.size
-    lg = loga.copy()  # log|f| on the good samples, -inf elsewhere
-    b = np.concatenate((np.arange(min(GUARD, n)),  # the guard band
-                        np.arange(max(n - GUARD, GUARD), n)))
-    edge = np.zeros(n, dtype=bool)
-    if floor is not None:
-        mask = a >= floor * peak
-        lg[~mask] = -INF
-        edge[1:] = ~mask[:-1]
-        edge[:-1] |= ~mask[1:]
-        edge[b] = False
-        b = np.concatenate((b, np.flatnonzero(edge)))
-    b = b[lg[b] > -INF]
-    lg[b] = -INF
-    b = b[np.lexsort((-loga[b], -w[b]))]  # heaviest first, then highest
-    x, w_good = fn.x, w[lg > -INF].max(initial=-INF)
-    lb, wb = loga[b], w[b]
+    lg, good, bad, lb, edge = _split(fn, floor)
+    x, wb, w_good = fn.x, w[bad].tolist(), w.max(where=good, initial=-INF)
+    order = sorted(range(len(wb)), key=lambda m: (-wb[m], -lb[m]))
     if floor is None:  # only an equal weight as high shuts b out at every k
-        b = b[wb < np.concatenate(([INF], wb[:-1]))]
-    else:
-        b = b[lb > np.maximum.accumulate(np.concatenate(([-INF], lb[:-1])))]
-    if floor is not None and (w[b] <= w_good).any():
-        lo = np.searchsorted(x, -np.abs(x[b]), "right")  # x <= -|x_b| below
-        hi = np.searchsorted(x, np.abs(x[b]))  # x >= |x_b| from here
-        left = np.maximum.accumulate(lg)[lo - 1]
-        right = np.maximum.accumulate(lg[::-1])[n - 1 - np.minimum(hi, n - 1)]
-        b = b[(np.where(lo > 0, left, -INF) < loga[b])
-              & (np.where(hi < n, right, -INF) < loga[b])]
+        b = [next(g) for _, g in itertools.groupby(order, wb.__getitem__)]
+    else:  # nor one that a heavier one is as high as
+        tops = itertools.accumulate((lb[m] for m in order), max, initial=-INF)
+        b = [m for m, top in zip(order, tops) if lb[m] > top]
+        if any(wb[m] <= w_good for m in b):  # nor a good one as far out
+            r = np.abs(x[bad[b]])  # x <= -r lies below lo, x >= r from -nhi
+            top, a, z, far = -INF, 0, x.size, {}  # outermost first
+            for lo, nhi, m in sorted(zip(x.searchsorted(-r, "right").tolist(),
+                                         (-x.searchsorted(r)).tolist(), b)):
+                top = lg[-nhi:z].max(initial=lg[a:lo].max(initial=top))
+                a, z, far[m] = lo, -nhi, top
+            b = [m for m in b if lb[m] > far[m]]
     best = INF, None, None
     # -inf off the good samples; a crossing that overflows, or falls on
     # equal weights (u = -inf, or nan for a tie), is at its limit
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in b:
-            d = w[j] - w
-            if w[j] > w_good:  # every good sample is lighter
-                c, u = (lg - loga[j]) / np.maximum(d, 0.0), INF
+        for m in b:
+            d = wb[m] - w
+            if wb[m] > w_good:  # every good sample is lighter
+                c, u = (lg - lb[m]) / np.maximum(d, 0.0), INF
             else:
-                u = np.min((lg - loga[j]) / np.copysign(d, -1.0),
+                u = np.min((lg - lb[m]) / np.copysign(d, -1.0),
                            where=d <= 0, initial=INF)
-                c = np.where(d > 0, (lg - loga[j]) / d, -INF)
+                c = np.where(d > 0, (lg - lb[m]) / d, -INF)
             i = int(c.argmax())
             if c[i] < min(u, best[0]):
-                best = c[i], i if c[i] > -INF else None, j
+                best = c[i], i if c[i] > -INF else None, bad[m]
     k, i, j = float(best[0]), best[1], best[2]
     if k == -INF and j is not None and unit == INF:
-        near = np.flatnonzero((lg > -INF) & (w == w[j])
-                              & (np.abs(x) < abs(x[j])))
+        near = np.flatnonzero(good & (w == w[j]) & (np.abs(x) < abs(x[j])))
         if near.size:
             k, i = -0.0, int(near[lg[near].argmax()])
     if k and math.isfinite(k):  # the unit may overflow or underflow
@@ -217,15 +230,17 @@ def _side(fn: SampledFunction, s: float | None, need: float,
     floor = FLOOR if floored else None
 
     def make():
-        ax = np.abs(fn.x)
+        w = np.abs(fn.x)  # the weight, made in place
         with np.errstate(over="ignore", divide="ignore"):
             if s is None:  # log(1+x^2) = 2 log|x| where x^2 overflows
-                w, unit = np.log1p(ax ** 2), 1.0
+                w, unit = np.log1p(np.square(w, out=w), out=w), 1.0
                 if np.isinf(w).any():
-                    w = np.where(np.isinf(w), 2.0 * np.log(ax), w)
+                    w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
             else:  # the maximum of |x|^(1/s) may overflow
-                top = max(ax[0], ax[-1])  # |x| falls then rises along the grid
-                w, unit = (ax / top) ** (1.0 / s), top ** (1.0 / s)
+                top = max(w[0], w[-1])  # |x| falls then rises along the grid
+                unit = top ** (1.0 / s)
+                w /= top
+                w **= 1.0 / s
         return _critical(fn, w, floor, unit)
 
     crit = fn._memoised((s, floor), make)
@@ -257,7 +272,7 @@ def _verdict(idx: GSIndex, opts: ClassifyOptions | None, samples,
     if not idx.one_parameter:
         raise GstfError("classify_function handles one-parameter spaces; "
                         "classify each side separately")
-    opts = opts or ClassifyOptions()
+    opts = opts or _DEFAULT_OPTIONS
     x_fn, xi_fn = samples()
     on_x = math.isinf(idx.sigma)
     decay_fn, poly_fn = (x_fn, xi_fn) if on_x else (xi_fn, x_fn)

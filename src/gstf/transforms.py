@@ -53,23 +53,19 @@ def _phase_fft(vals: np.ndarray, grid: Grid1D, sign: int, axis: int,
                what: str) -> np.ndarray:
     """Unitary-continuum transform along ``axis`` of ``vals`` sampled on
     the symmetric power-of-two ``grid``: sign -1 is the forward transform
-    (FFT), +1 the inverse (IFFT).  The pre/post phases move the FFT's
-    index origin to the grid centre on both sides."""
+    (FFT), +1 the inverse (IFFT), in one working buffer.  The pre/post
+    phases move the FFT's index origin to the grid centre on both sides."""
     n = grid.count
     if n & (n - 1):
         raise GridError(f"{what}: count {n} is not a power of two")
     if grid.center != 0.0:
         raise GridError(f"{what}: grid must be centered at 0")
-    pre, factor = _fft_phases(n)
-    if sign > 0:
-        pre, factor = pre.conj(), factor.conjugate()
-    shape = [1] * vals.ndim
-    shape[axis] = n
-    pre = pre.reshape(shape)
-    post = pre * factor
-    if sign < 0:
-        return grid.step / _SQRT_2PI * post * np.fft.fft(vals * pre, axis=axis)
-    return n * grid.step / _SQRT_2PI * post * np.fft.ifft(vals * pre, axis=axis)
+    shape = (n,) + (1,) * (vals.ndim - 1 - axis)  # along axis
+    pre, post = (p.reshape(shape) for p in _fft_phases(n, sign))
+    fft, scale = (np.fft.fft, 1) if sign < 0 else (np.fft.ifft, n)
+    buf = vals * pre
+    fft(buf, axis=axis, out=buf)
+    return np.multiply(scale * grid.step / _SQRT_2PI * post, buf, out=buf)
 
 
 def dft(f: SampledFunction) -> SampledFunction:
@@ -108,17 +104,21 @@ def _unit(phase: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.mod(phase, _TWO_PI).astype(float))
 
 
-@lru_cache(maxsize=8)
-def _fft_phases(n: int) -> tuple:
-    """The forward transform's pre-phases exp(i*pi*(n-1)*j/n), j < n, and
-    its post-phase factor exp(-i*pi*(n-1)^2/(2n)); the post-phases are
-    the pre-phases times that factor, and the inverse uses conjugates.
-    The multiples of pi are reduced exactly in integers, so the phases
-    keep full precision at every n."""
+@lru_cache(maxsize=16)
+def _fft_phases(n: int, sign: int) -> tuple:
+    """The pre- and post-phases of the transform of ``sign`` at n points.
+    The forward transform's pre-phases are exp(i*pi*(n-1)*j/n), j < n,
+    and its post-phases the pre-phases times exp(-i*pi*(n-1)^2/(2n)); the
+    inverse uses conjugates.  The multiples of pi are reduced exactly in
+    integers, so the phases keep full precision at every n."""
     j = np.arange(n, dtype=np.int64)
     pre = _unit(_TWO_PI * ((n - 1) * j % (2 * n)) / (2 * n))
-    pre.flags.writeable = False
-    return pre, complex(_unit(-_TWO_PI * ((n - 1) ** 2 % (4 * n)) / (4 * n)))
+    factor = complex(_unit(-_TWO_PI * ((n - 1) ** 2 % (4 * n)) / (4 * n)))
+    if sign > 0:
+        pre, factor = pre.conj(), factor.conjugate()
+    post = pre * factor
+    pre.flags.writeable = post.flags.writeable = False
+    return pre, post
 
 
 @lru_cache(maxsize=8)
