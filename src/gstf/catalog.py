@@ -23,19 +23,24 @@ __all__ = [
 ]
 
 
+class _Positive(float):
+    """A field kind: a float that must be positive, kept as a plain float."""
+
+    def __new__(cls, v):
+        return float(v)
+
+
 class FunctionSpec(Record):
     """Base node.  Subclasses implement ``_eval``; a call node sets
     ``call``, its name in the expression language, and types each field
-    float, int or FunctionSpec, in argument order.  A float argument must
-    be finite and an int one a non-negative integer."""
+    float, _Positive, int or FunctionSpec, in argument order.  A float
+    argument must be finite, a _Positive one finite and positive, and an
+    int one a non-negative integer."""
 
     call = ""
 
     def _eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, x):
-        return self._eval(np.asarray(x, dtype=float))
 
     def _args(self):
         d = self.__dict__
@@ -43,9 +48,11 @@ class FunctionSpec(Record):
 
     def __post_init__(self):
         for name, (v, kind) in zip(self._fields, self._args()):
-            if kind is float and not np.isfinite(v):
+            if kind in (float, _Positive) and not np.isfinite(v):
                 raise GstfError(f"{type(self).__name__.lower()}: "
                                 f"parameter {v!r} is not finite")
+            if kind is _Positive and not v > 0:
+                raise GstfError(f"{self.call}: {name} must be positive")
             if kind is int and (isinstance(v, bool) or not (
                     isinstance(v, (int, np.integer)) and v >= 0)):
                 raise GstfError(f"{self.call}: {name} must be a "
@@ -71,12 +78,7 @@ class Gaussian(FunctionSpec):
     """exp(-a x^2 / 2); a = 1 is the fixed point of the unitary Fourier transform."""
 
     call = "gaussian"
-    a: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.a <= 0:
-            raise GstfError("gaussian: width parameter must be positive")
+    a: _Positive
 
     def _eval(self, x):
         return np.exp(-0.5 * self.a * x * x).astype(complex)
@@ -130,13 +132,8 @@ class SubExp(FunctionSpec):
     """exp(-r |x|^(1/s))."""
 
     call = "subexp"
-    s: float
+    s: _Positive
     r: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.s <= 0:
-            raise GstfError("subexp: decay index s must be positive")
 
     def _eval(self, x):
         return np.exp(-self.r * np.abs(x) ** (1.0 / self.s)).astype(complex)

@@ -48,12 +48,17 @@ CATALOG_SPACES = (
     GSIndex(0.5, math.inf, "roumieu"), GSIndex(1.0, math.inf, "roumieu"),
     GSIndex(1.0, math.inf, "beurling"), GSIndex(math.inf, 0.5, "roumieu"))
 
+_OPTS = ClassifyOptions(n_max=4, r_scale=0.5)  # the suites' verdict options
+
+
+def _phase_space():
+    """The 1024-point suites' grid, its phase_space_grid and gaussian(1)."""
+    g = build_grid(12.0, 10)
+    return g, phase_space_grid(g), catalog_eval(Gaussian(1.0), g)
+
 
 def _identities():
-    g = build_grid(12.0, 10)
-    h = g.step
-    tf = phase_space_grid(g)
-    gauss = catalog_eval(Gaussian(1.0), g)
+    g, tf, gauss = _phase_space()
     herm = catalog_eval(Hermite(2), g)
 
     v = stft(herm, gauss, tf)
@@ -70,8 +75,8 @@ def _identities():
         herm, gauss, catalog_eval(Gaussian(2.0), g),
         catalog_eval(Gaussian(0.5), g), tf)
 
-    xg = Grid1D(0.0, 8 * h, 128)
-    xig = Grid1D(0.0, 2 * np.pi / (1024 * h), 128)
+    xg = Grid1D(0.0, 8 * g.step, 128)
+    xig = Grid1D(0.0, 2 * np.pi / (1024 * g.step), 128)
     tfp = TFGrid(xg, xig)
     pool = [Gaussian(1.0), Gaussian(2.0), Gaussian(0.5), Hermite(1),
             Hermite(2), Hermite(3), Translate(Gaussian(1.0), 1.0),
@@ -99,13 +104,12 @@ def _classification():
 
     g = build_grid(12.0, 11)
     tf = classify_tfgrid(g)
-    opts = ClassifyOptions(n_max=4, r_scale=0.5)
     win = catalog_eval(Gaussian(1.0), g)
 
     def mismatches(spec):  # the classes share f's streamed STFT profiles
         f = catalog_eval(spec, g)
-        return sum(classify_function(f, idx, opts).verdict
-                   != classify_stft(f, win, idx, tf, opts,
+        return sum(classify_function(f, idx, _OPTS).verdict
+                   != classify_stft(f, win, idx, tf, _OPTS,
                                     check_window=False).verdict
                    for idx in CATALOG_SPACES)
     yield "catalog_agreement_mismatches", float(sum(map(mismatches,
@@ -113,9 +117,7 @@ def _classification():
 
 
 def _toeplitz():
-    g = build_grid(12.0, 10)
-    tf = phase_space_grid(g)
-    gauss = catalog_eval(Gaussian(1.0), g)
+    g, tf, gauss = _phase_space()
     w = gauss * (1.0 / gauss.norm2())
     one = TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count)))
     worst = 0.0
@@ -150,13 +152,12 @@ def _toeplitz():
     yield "positivity_defect", max(0.0, -qmin)  # never -0
 
     idx = GSIndex(1.0, math.inf, "beurling")
-    opts = ClassifyOptions(n_max=4, r_scale=0.5)
     # sampled as the probe takes them, so that each function and the STFT
     # it keeps go before the next is made
     testset = (catalog_eval(s, g) for s in
                (Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2),
                 Hermite(3)))
-    rep = continuity_probe(pos_sym, w, w, testset, idx, opts)
+    rep = continuity_probe(pos_sym, w, w, testset, idx, _OPTS)
     yield "continuity_probe_nonmember_outputs", 0.0 if rep.all_member else 1.0
 
 

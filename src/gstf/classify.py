@@ -225,8 +225,6 @@ def _side(fn: SampledFunction, s: float | None, need: float,
     transform-computed samples are noise there, and polynomial weights
     amplify round-off garbage at the rim.  crit is computed once per
     function, s and floor."""
-    if s is not None and s <= 0:
-        raise GstfError("s must be positive")
     floor = FLOOR if floored else None
 
     def make():

@@ -185,12 +185,17 @@ class _Memo:
             self._memo[key] = make()
         return self._memo[key]
 
+    def norm2(self) -> float:
+        """Continuum L2 norm, a Riemann sum over cells of measure _cell."""
+        return float(np.sqrt(self._cell * np.sum(np.abs(self.values) ** 2)))
+
 
 class SampledFunction(_Memo, Record):
     """Values on ``grid``: an owning complex array is frozen, not copied."""
     grid: Grid1D
     values: np.ndarray
     _unshown = ("values",)
+    _cell = property(lambda f: f.grid.step)
 
     def __post_init__(self):
         self._seal((self.grid.count,), "sampled")
@@ -198,10 +203,6 @@ class SampledFunction(_Memo, Record):
     @property
     def x(self) -> np.ndarray:
         return self.grid.coords
-
-    def norm2(self) -> float:
-        """Continuum L2 norm approximated by a Riemann sum."""
-        return float(np.sqrt(self.grid.step * np.sum(np.abs(self.values) ** 2)))
 
     def __mul__(self, c) -> "SampledFunction":
         return SampledFunction(self.grid, self.values * c)
@@ -212,6 +213,7 @@ class TFR(_Memo, Record):
     tfgrid: TFGrid
     values: np.ndarray
     _unshown = ("values",)
+    _cell = property(lambda a: a.tfgrid.xgrid.step * a.tfgrid.xigrid.step)
 
     def __post_init__(self):
         self._seal((self.tfgrid.xgrid.count, self.tfgrid.xigrid.count), "TFR")
@@ -229,11 +231,6 @@ class TFR(_Memo, Record):
 
         return self._memoised("max_profiles",
                               lambda: _max_profiles(chunks(), self.tfgrid))
-
-    def norm2(self) -> float:
-        """2-D continuum L2 norm by a Riemann sum."""
-        w = self.tfgrid.xgrid.step * self.tfgrid.xigrid.step
-        return float(np.sqrt(w * np.sum(np.abs(self.values) ** 2)))
 
 
 def _max_profiles(blocks, tfgrid: TFGrid) -> tuple:

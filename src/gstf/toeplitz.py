@@ -12,9 +12,9 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import BoundaryMassError, GridError
+from .errors import GridError
 from .grids import Record, SampledFunction, TFGrid, TFR
-from .transforms import BOUNDARY_FLOOR, adjoint_stft, dft2, edge_mass, stft
+from .transforms import _require_decayed, adjoint_stft, dft2, stft
 
 __all__ = [
     "apply_toeplitz", "stft_product_transform_defect",
@@ -48,10 +48,7 @@ def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
     v1 = stft(f, phi1, tfgrid)
     v2 = stft(g, phi2, tfgrid)
     product = np.conj(v1.values) * v2.values
-    if edge_mass(product) > BOUNDARY_FLOOR:
-        raise BoundaryMassError(
-            "STFT product has not decayed at the grid boundary; "
-            "enlarge the time-frequency grid")
+    _require_decayed(product, "STFT product")
     lhs = dft2(TFR(tfgrid, product))
 
     eta_grid = tfgrid.xgrid.dual()

@@ -439,6 +439,12 @@ def edge_mass(values: np.ndarray) -> float:
     return float(edge / peak)
 
 
+def _require_decayed(values: np.ndarray, name: str):
+    if (mass := edge_mass(values)) > BOUNDARY_FLOOR:
+        raise BoundaryMassError(f"{name} has relative boundary mass "
+                                f"{mass:.2e}; enlarge the time-frequency grid")
+
+
 def _require_odd_centered(grid: Grid1D, what: str):
     if grid.center != 0.0 or grid.count % 2 == 0:
         raise GridError(f"{what}: needs an odd-count grid centered at 0 "
@@ -496,8 +502,8 @@ def twisted_convolution_defect(
                              exp(-i (x-y) eta) dy deta,
 
     with the right side evaluated by a Riemann-sum double convolution on
-    tfgrid.  The grid must be large enough that all three STFTs have
-    decayed below the boundary floor.
+    tfgrid.  BoundaryMassError unless V_phi1 f and V_phi2 phi3, which the
+    double convolution sums over, have decayed below the boundary floor.
     """
     _require_odd_centered(tfgrid.xgrid, "twisted_convolution_defect (x axis)")
     _require_odd_centered(tfgrid.xigrid, "twisted_convolution_defect (xi axis)")
@@ -505,11 +511,8 @@ def twisted_convolution_defect(
     v2f = stft(f, phi2, tfgrid)
     v1f = stft(f, phi1, tfgrid)
     v23 = stft(phi3, phi2, tfgrid)
-    for tfr, name in ((v1f, "V_phi1 f"), (v23, "V_phi2 phi3")):
-        mass = edge_mass(tfr.values)
-        if mass > BOUNDARY_FLOOR:
-            raise BoundaryMassError(
-                f"{name} has relative boundary mass {mass:.2e}")
+    _require_decayed(v1f.values, "V_phi1 f")
+    _require_decayed(v23.values, "V_phi2 phi3")
 
     inner = phi1.grid.step * np.sum(phi3.values * np.conj(phi1.values))
     lhs = inner * v2f.values

@@ -49,15 +49,14 @@ def make_witness(idx: GSIndex, grid: Grid1D | None = None) -> SampledFunction:
     grid = grid or default_witness_grid()
     s, sigma = idx.s, idx.sigma
     beurling = idx.regularity == "beurling"
-    trivial = (s + sigma <= 1.0) if beurling else (s + sigma < 1.0)
-    if trivial:
-        raise TrivialSpace(
-            f"class with s={s}, sigma={sigma} ({idx.regularity}) "
-            "contains only the zero function")
 
     def clears(v, bound):
         return v > bound if beurling else v >= bound
 
+    if not clears(s + sigma, 1.0):
+        raise TrivialSpace(
+            f"class with s={s}, sigma={sigma} ({idx.regularity}) "
+            "contains only the zero function")
     if clears(min(s, sigma), 0.5):
         return catalog_eval(Gaussian(1.0), grid)
     if sigma > 1.0:

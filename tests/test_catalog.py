@@ -13,7 +13,8 @@ X = np.linspace(-6.0, 6.0, 241)
 
 class TestPrimitives:
     def test_gaussian_oracle(self):
-        np.testing.assert_allclose(Gaussian(2.0)(X), np.exp(-(X**2)), rtol=1e-15)
+        np.testing.assert_allclose(Gaussian(2.0)._eval(X), np.exp(-(X**2)),
+                                   rtol=1e-15)
 
     def test_gaussian_rejects_nonpositive_width(self):
         with pytest.raises(GstfError):
@@ -50,7 +51,7 @@ class TestPrimitives:
             assert not np.isfinite(hermite_poly(10**308, X)).any()
 
     def test_hermite_function(self):
-        f = Hermite(2)(X)
+        f = Hermite(2)._eval(X)
         np.testing.assert_allclose(
             f, (4 * X**2 - 2) * np.exp(-0.5 * X**2), rtol=1e-13, atol=1e-15)
 
@@ -70,44 +71,67 @@ class TestPrimitives:
         assert str(err.value) == (f"{node.call}: k must be a non-negative "
                                   "integer")
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Gaussian(0), "gaussian: a must be positive"),
+        (lambda: Gaussian(-1.0), "gaussian: a must be positive"),
+        (lambda: SubExp(0.0, 1.0), "subexp: s must be positive"),
+        (lambda: parse_function_expr("gaussian(0)"),
+         "gaussian: a must be positive")])
+    def test_positive_argument_is_checked_by_its_kind(self, make, message):
+        with pytest.raises(GstfError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_positive_argument_parses_to_the_constructed_spec(self):
+        parsed, built = parse_function_expr("gaussian(2)"), Gaussian(2.0)
+        assert parsed == built and hash(parsed) == hash(built)
+        for spec in (parsed, built):
+            assert repr(spec) == "Gaussian(a=2.0)"
+            assert str(spec) == "gaussian(2.0)"
+            assert type(spec.a) is float
+
     def test_int_argument_takes_numpy_integers(self):
         assert Poly(np.int64(2)) == Poly(2)
         assert Hermite(np.uint8(0)) == Hermite(0)
 
     def test_bump_support(self):
-        v = Bump()(X)
+        v = Bump()._eval(X)
         inside = np.abs(X) < 1.0
         assert np.all(v[~inside] == 0.0)
         assert np.all(v[inside].real > 0.0)
-        assert Bump()((0.0,))[0] == pytest.approx(np.exp(-1.0))
+        assert Bump()._eval(np.array([0.0]))[0] == pytest.approx(np.exp(-1.0))
 
     def test_subexp_oracle(self):
         np.testing.assert_allclose(
-            SubExp(0.5, 3.0)(X), np.exp(-3.0 * np.abs(X) ** 2), rtol=1e-14)
+            SubExp(0.5, 3.0)._eval(X), np.exp(-3.0 * np.abs(X) ** 2),
+            rtol=1e-14)
         with pytest.raises(GstfError):
             SubExp(0.0, 1.0)
 
     def test_poly_oracle(self):
-        np.testing.assert_allclose(Poly(3)(X), X**3)
-        assert np.all(Poly(0)(X) == 1.0)
+        np.testing.assert_allclose(Poly(3)._eval(X), X**3)
+        assert np.all(Poly(0)._eval(X) == 1.0)
 
 
 class TestCombinators:
     def test_translate(self):
         f = Translate(Gaussian(1.0), 2.0)
-        np.testing.assert_allclose(f(X), np.exp(-0.5 * (X - 2.0) ** 2))
+        np.testing.assert_allclose(f._eval(X), np.exp(-0.5 * (X - 2.0) ** 2))
 
     def test_modulate(self):
         f = Modulate(Gaussian(1.0), 3.0)
         np.testing.assert_allclose(
-            f(X), np.exp(3j * X) * np.exp(-0.5 * X**2), rtol=1e-14)
+            f._eval(X), np.exp(3j * X) * np.exp(-0.5 * X**2), rtol=1e-14)
 
     def test_scale_sum_diff_product(self):
         g, h = Gaussian(1.0), Hermite(1)
-        np.testing.assert_allclose(Scale(g, -2.0)(X), -2.0 * g(X))
-        np.testing.assert_allclose(Sum(g, h)(X), g(X) + h(X))
-        np.testing.assert_allclose(Diff(g, h)(X), g(X) - h(X))
-        np.testing.assert_allclose(Product(g, h)(X), g(X) * h(X))
+        np.testing.assert_allclose(Scale(g, -2.0)._eval(X), -2.0 * g._eval(X))
+        np.testing.assert_allclose(Sum(g, h)._eval(X),
+                                   g._eval(X) + h._eval(X))
+        np.testing.assert_allclose(Diff(g, h)._eval(X),
+                                   g._eval(X) - h._eval(X))
+        np.testing.assert_allclose(Product(g, h)._eval(X),
+                                   g._eval(X) * h._eval(X))
 
     def test_nonfinite_parameters_rejected(self):
         with pytest.raises(GstfError):

@@ -185,11 +185,6 @@ class TestSupEnvelopeConstant:
         assert masked.masked_edge  # still rising when the data runs out
         assert abs(masked.bound_at) < abs(ODD_GRID.coords[GUARD])
 
-    def test_rejects_bad_s(self):
-        f = catalog_eval(Gaussian(1.0), ODD_GRID)
-        with pytest.raises(GstfError):
-            _r_star(f, 0.0)
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_sample_under_infinite_weight_is_not_the_sup(self):
         # x^2 overflows at the rim, where 0 * exp(inf) is 0, not nan: the

@@ -419,6 +419,11 @@ class TestInProcessContract:
         assert capsys.readouterr().err == (
             f"error: ParseError: number 1e999 overflows (offset {offset})\n")
 
+    def test_nonpositive_gaussian_width_exits_2(self, capsys):
+        assert run_command(["transform", "--expr", "gaussian(0)"]) == 2
+        assert capsys.readouterr().err == (
+            "error: GstfError: gaussian: a must be positive\n")
+
     def test_overflowing_samples_exit_2_without_warnings(self, capsys):
         self.assert_error_exit(["classify", "--expr", "poly(3) * gaussian(2)",
                                 "--space", "S", "--s", "0.5",

@@ -131,8 +131,10 @@ class TestProductTransform:
         g = build_grid(12.0, 10)
         wide = catalog_eval(Gaussian(0.001), g)
         sharp = catalog_eval(Gaussian(1.0), g)
-        with pytest.raises(BoundaryMassError):
+        with pytest.raises(BoundaryMassError) as err:
             stft_product_transform_defect(wide, wide, sharp, sharp, tf_pow2)
+        assert str(err.value) == ("STFT product has relative boundary mass "
+                                  "2.58e-01; enlarge the time-frequency grid")
 
 
 class TestContinuityProbe:

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from gstf import checks, grids, transforms
-from gstf import (Gaussian, Grid1D, GridError, Hermite, Modulate,
-                  SampledFunction, TFGrid, Translate, adjoint_stft,
+from gstf import (BoundaryMassError, Gaussian, Grid1D, GridError, Hermite,
+                  Modulate, SampledFunction, TFGrid, Translate, adjoint_stft,
                   apply_toeplitz, build_grid, catalog_eval, dft, dft2, idft,
                   stft, twisted_convolution_defect)
-from gstf.grids import TFR
+from gstf.grids import TFR, phase_space_grid
 
 from conftest import rel_max_err
 
@@ -1010,3 +1010,17 @@ class TestTwistedConvolution:
         f = catalog_eval(Gaussian(1.0), grid10)
         with pytest.raises(GridError):
             twisted_convolution_defect(f, f, f, f, tf)
+
+    def test_rejects_undecayed_operand(self, grid10):
+        # gaussian(0.001) is still about 0.93 at the grid's rim
+        tf = phase_space_grid(grid10)
+        wide = catalog_eval(Gaussian(0.001), grid10)
+        sharp = catalog_eval(Gaussian(1.0), grid10)
+        with pytest.raises(BoundaryMassError) as err:
+            twisted_convolution_defect(wide, sharp, sharp, sharp, tf)
+        assert str(err.value) == ("V_phi1 f has relative boundary mass "
+                                  "4.70e-01; enlarge the time-frequency grid")
+        with pytest.raises(BoundaryMassError) as err:
+            twisted_convolution_defect(sharp, sharp, sharp, wide, tf)
+        assert str(err.value) == ("V_phi2 phi3 has relative boundary mass "
+                                  "4.70e-01; enlarge the time-frequency grid")
