@@ -147,8 +147,9 @@ def _split(fn: SampledFunction, floor: float | None) -> tuple:
         b = b[lg[b] > -INF]
         lg[b] = -INF
         good = lg > -INF
-        lg.flags.writeable = good.flags.writeable = False
-        return lg, good, b, loga[b].tolist(), edge
+        for v in (lg, good, b, edge):
+            v.flags.writeable = False
+        return lg, good, b, tuple(loga[b].tolist()), edge
     return fn._memoised(("split", floor), make)
 
 
@@ -215,33 +216,33 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
                          j is not None and bool(edge[j]))
 
 
+def _crit(fn: SampledFunction, s: float | None,
+          floor: float | None) -> CriticalScale:
+    """fn's critical scale, kept nowhere: N* under log(1+x^2) for s = None,
+    else r* under |x|^(1/s) in units of its maximum."""
+    w = np.abs(fn.x)  # the weight, made in place
+    with np.errstate(over="ignore", divide="ignore"):
+        if s is None:  # log(1+x^2) = 2 log|x| where x^2 overflows
+            w, unit = np.log1p(np.square(w, out=w), out=w), 1.0
+            if np.isinf(w).any():
+                w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
+        else:  # the maximum of |x|^(1/s) may overflow
+            top = max(w[0], w[-1])  # |x| falls then rises along the grid
+            unit = top ** (1.0 / s)
+            w /= top
+            w **= 1.0 / s
+    return _critical(fn, w, floor, unit)
+
+
 def _side(fn: SampledFunction, s: float | None, need: float,
           floored: bool) -> tuple:
-    """((ok, inconclusive), crit) for one side of fn: it passes when the
-    scale it needs is at most its critical scale, and fails open at a
-    masked edge.  s = None weighs by log(1+x^2), for the critical power
-    N*; any other s by |x|^(1/s) in units of its maximum, for the critical
-    rate r*.  ``floored`` masks samples below FLOOR times the peak:
-    transform-computed samples are noise there, and polynomial weights
-    amplify round-off garbage at the rim.  crit is computed once per
-    function, s and floor."""
+    """((ok, inconclusive), crit) for one side of fn, crit = _crit(fn, s,
+    floor) kept in fn's memo: it passes when the scale it needs is at most
+    crit, and fails open at a masked edge.  ``floored`` masks samples below
+    FLOOR times the peak, where transform-computed samples are noise and
+    polynomial weights amplify the rim's round-off."""
     floor = FLOOR if floored else None
-
-    def make():
-        w = np.abs(fn.x)  # the weight, made in place
-        with np.errstate(over="ignore", divide="ignore"):
-            if s is None:  # log(1+x^2) = 2 log|x| where x^2 overflows
-                w, unit = np.log1p(np.square(w, out=w), out=w), 1.0
-                if np.isinf(w).any():
-                    w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
-            else:  # the maximum of |x|^(1/s) may overflow
-                top = max(w[0], w[-1])  # |x| falls then rises along the grid
-                unit = top ** (1.0 / s)
-                w /= top
-                w **= 1.0 / s
-        return _critical(fn, w, floor, unit)
-
-    crit = fn._memoised((s, floor), make)
+    crit = fn._memoised((s, floor), lambda: _crit(fn, s, floor))
     ok = need <= crit.value
     return (ok, not ok and crit.masked_edge), crit
 

@@ -343,10 +343,12 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
 @_QUIET
 def _stft_profiles(f: SampledFunction, window: SampledFunction,
                    tfgrid: TFGrid) -> tuple:
-    """stft(f, window, tfgrid).max_profiles(), bit for bit, reduced from
-    the engine's row blocks as they come: neither V nor |V| is held.  Kept
-    in f's memo per window object and tfgrid; the entry holds the window
-    as stft's does."""
+    """stft(f, window, tfgrid).max_profiles(), bit for bit: those of the V
+    that f's memo keeps, or else reduced from the engine's row blocks as
+    they come, so that neither V nor |V| is held.  Kept in f's memo per
+    window object and tfgrid; the entry holds the window as stft's does."""
+    if (kept := f._memo.get(("stft", id(window), tfgrid))) is not None:
+        return kept[1].max_profiles()
     return f._memoised(("stft_profiles", id(window), tfgrid), lambda: (
         None if window is f else window,
         _max_profiles(_stft_blocks(f, window, tfgrid)[1], tfgrid)))[1]

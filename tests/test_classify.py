@@ -751,6 +751,26 @@ class TestStreamedVerdicts:
             classify_stft(f, twin, idx, tf_classify)
         assert len(windows) == 2 and windows[1] is twin
 
+    def test_kept_stft_makes_no_second_pass(self, grid11, tf_classify,
+                                            gauss_window, monkeypatch):
+        # the verdicts read the max-profiles of the V that stft kept in f's
+        # memo, the same bits as a fresh carrier's streamed profiles
+        passes, real = [], transforms._stft_blocks
+        monkeypatch.setattr(transforms, "_stft_blocks",
+                            lambda *a: passes.append(a) or real(*a))
+        f = catalog_eval(Hermite(2), grid11)
+        stft(f, gauss_window, tf_classify)
+        reports = [report(f, gauss_window, idx, tf_classify)
+                   for report in (classify_stft, dual_growth_report)
+                   for idx in CATALOG_SPACES]
+        assert len(passes) == 1
+        fresh = catalog_eval(Hermite(2), grid11)
+        assert repr(reports) == repr([
+            report(fresh, gauss_window, idx, tf_classify)
+            for report in (classify_stft, dual_growth_report)
+            for idx in CATALOG_SPACES])
+        assert len(passes) == 2
+
     @staticmethod
     def traced_peak(run) -> int:
         tracemalloc.start()

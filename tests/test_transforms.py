@@ -669,8 +669,9 @@ class TestStreamedProfiles:
             _set_cpus(monkeypatch, 8)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
+            fresh = SampledFunction(f.grid, f.values)  # an empty memo
             try:
-                x, xi = transforms._stft_profiles(f, w, tf)
+                x, xi = transforms._stft_profiles(fresh, w, tf)
             finally:
                 sys.setswitchinterval(interval)
             assert np.array_equal(x.values, mag.max(axis=1))

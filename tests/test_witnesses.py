@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gstf import (MEMBER, Bump, Gaussian, GSIndex, TrivialSpace,
-                  UnsupportedRegion, boundary_triviality_demo, catalog_eval,
-                  classify_function, default_witness_grid, dft, make_witness,
-                  parse_function_expr)
-from gstf.classify import ClassifyOptions
-from gstf.witnesses import _gevrey_order
+from gstf import (MEMBER, Bump, Gaussian, GSIndex, Hermite, SampledFunction,
+                  TrivialSpace, UnsupportedRegion, boundary_triviality_demo,
+                  catalog_eval, classify_function, default_witness_grid, dft,
+                  make_witness, parse_function_expr)
+from gstf.classify import ClassifyOptions, _side
+from gstf.witnesses import (BoundaryCandidate, BoundaryReport, _candidates,
+                            _gevrey_order)
 
 
 def two_param(s, sigma, regularity):
@@ -179,3 +181,85 @@ class TestBoundaryDemo:
             boundary_triviality_demo(0.0)
         with pytest.raises(TrivialSpace):
             boundary_triviality_demo(1.0)
+
+
+def _demo_reference(s):
+    """boundary_triviality_demo as it was before its candidates were
+    kept: fresh carriers on each call, each side read through _side."""
+    sigma = 1.0 - s
+    grid = default_witness_grid()
+    candidates = [Gaussian(a) for a in (0.5, 1.0, 2.0)]
+    candidates += [Hermite(k) for k in range(4)]
+    rate = max(ClassifyOptions().trial_rs())
+    rows = []
+    for spec in candidates:
+        f = catalog_eval(spec, grid)
+        (ok, _), r_x = _side(f, s, rate, False)
+        r_xi, side = None, "function"
+        if ok:
+            (ok, _), r_xi = _side(dft(f), sigma, rate, False)
+            side = "" if ok else "fourier"
+        rows.append(BoundaryCandidate(str(spec), not ok, side, r_x, r_xi))
+    rows = tuple(rows)
+    return BoundaryReport(s=s, sigma=sigma, candidates=rows,
+                          all_failed=all(c.failed for c in rows))
+
+
+def _memo_keys():
+    """The memo keys of each kept candidate and of its transform."""
+    return [(set(f._memo), set(dft(f)._memo)) for _, f in _candidates()]
+
+
+def _frozen(value) -> bool:
+    """Whether a memo value is read-only all the way down."""
+    if isinstance(value, np.ndarray):
+        return not value.flags.writeable
+    if isinstance(value, SampledFunction):
+        return _frozen(value.values) and _frozen(tuple(value._memo.values()))
+    if isinstance(value, tuple):
+        return all(_frozen(v) for v in value)
+    return isinstance(value, (bool, int, float, str))
+
+
+class TestKeptCandidates:
+    """The demo's candidates, their transforms and their tables are built
+    once per process; its rates are computed on every call and kept
+    nowhere, so the kept carriers do not grow with s."""
+
+    @pytest.mark.parametrize("reference_first", [False, True])
+    @pytest.mark.parametrize("s", [0.1, 0.24, 0.25, 0.456, 0.5, 0.741, 0.99])
+    def test_reports_keep_their_bits(self, s, reference_first):
+        _candidates.cache_clear()
+        if reference_first:
+            want = repr(_demo_reference(s))
+        cold = repr(boundary_triviality_demo(s))
+        warm = repr(boundary_triviality_demo(s))
+        if not reference_first:
+            want = repr(_demo_reference(s))
+        assert cold == want and warm == want
+
+    def test_no_entry_per_s(self):
+        _candidates.cache_clear()
+        boundary_triviality_demo(0.5)
+        keys = _memo_keys()
+        assert all(len(k) == 3 and len(kt) == 2 for k, kt in keys)
+        for s in np.linspace(0.005, 0.995, 100):
+            boundary_triviality_demo(float(s))
+        assert _memo_keys() == keys
+        assert _candidates.cache_info().currsize == 1
+
+    def test_kept_values_are_read_only(self):
+        for _, f in _candidates():
+            for fn in (f, dft(f)):
+                assert _frozen(fn), str(fn._memo.keys())
+
+    def test_cache_stays_small(self):
+        _candidates()  # imports and the transform's phases
+        _candidates.cache_clear()
+        tracemalloc.start()
+        try:
+            _candidates()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
