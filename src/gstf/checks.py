@@ -17,7 +17,8 @@ from .grids import (Grid1D, TFGrid, TFR, build_grid, classify_tfgrid,
                     gaussian_symbol, phase_space_grid)
 from .toeplitz import (apply_toeplitz, continuity_probe,
                        stft_product_transform_defect)
-from .transforms import adjoint_stft, stft, twisted_convolution_defect
+from .transforms import (_rel_defect, adjoint_stft, stft,
+                         twisted_convolution_defect)
 
 __all__ = ["TOLERANCES", "SUITES", "CATALOG_SPECS", "CATALOG_SPACES",
            "run_suite"]
@@ -62,14 +63,12 @@ def _identities():
     herm = catalog_eval(Hermite(2), g)
 
     v = stft(herm, gauss, tf)
-    moyal = abs(v.norm2() ** 2 - (herm.norm2() * gauss.norm2()) ** 2)
-    moyal /= (herm.norm2() * gauss.norm2()) ** 2
-    yield "moyal_defect", moyal
+    yield "moyal_defect", _rel_defect(v.norm2() ** 2,
+                                      (herm.norm2() * gauss.norm2()) ** 2)
 
     rec = adjoint_stft(v, gauss)
-    inv = np.max(np.abs(rec.values / gauss.norm2() ** 2 - herm.values))
-    inv /= np.max(np.abs(herm.values))
-    yield "stft_inversion_defect", inv
+    yield "stft_inversion_defect", _rel_defect(
+        rec.values / gauss.norm2() ** 2, herm.values)
 
     yield "twisted_convolution_defect", twisted_convolution_defect(
         herm, gauss, catalog_eval(Gaussian(2.0), g),
@@ -123,9 +122,8 @@ def _toeplitz():
     worst = 0.0
     for spec in (Gaussian(1.0), Hermite(2)):
         f = catalog_eval(spec, g)
-        out = apply_toeplitz(one, w, w, f)
-        worst = max(worst, float(np.max(np.abs(out.values - f.values))
-                                 / np.max(np.abs(f.values))))
+        worst = max(worst, _rel_defect(apply_toeplitz(one, w, w, f).values,
+                                       f.values))
     yield "unit_symbol_reproduction", worst
 
     f = catalog_eval(Hermite(1), g)
@@ -139,7 +137,7 @@ def _toeplitz():
     v2 = stft(g2, w, tf)
     rhs = tf.xgrid.step * tf.xigrid.step * np.sum(
         sym.values * np.conj(np.conj(v1.values) * v2.values))
-    yield "adjoint_symmetry", abs(lhs - rhs) / abs(lhs)
+    yield "adjoint_symmetry", _rel_defect(rhs, lhs)
 
     pos_sym = gaussian_symbol(tf)
     qmin = 0.0

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import GridError, GstfError
+from .errors import GstfError
 from .grids import Record, SampledFunction, TFGrid, TFR
 from .transforms import _stft_profiles, dft
 
@@ -312,15 +312,11 @@ def _admit_window(w: SampledFunction, name: str, idx: GSIndex | None,
 
 def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
                  tfgrid: TFGrid, opts: ClassifyOptions | None,
-                 check_window: bool, precomputed: TFR | None,
-                 dual: bool) -> EnvelopeReport:
-    if precomputed is not None and precomputed.tfgrid != tfgrid:
-        raise GridError("the precomputed STFT lies on another tfgrid")
+                 check_window: bool, dual: bool) -> EnvelopeReport:
     _admit_window(window, "the window", idx if check_window else None, opts)
     # C_peak is the max of |V|, on either profile
-    return _verdict(idx, opts, lambda: (
-        precomputed.max_profiles() if precomputed is not None
-        else _stft_profiles(f, window, tfgrid)), dual=dual)
+    return _verdict(idx, opts, lambda: _stft_profiles(f, window, tfgrid),
+                    dual=dual)
 
 
 def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
@@ -332,13 +328,14 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     The two-variable envelope C_N (1+|freq var|^2)^(-N) exp(-r |decay
     var|^(1/s)) is checked through its marginals: the max-profile along
     each axis is fed to the same fitters as classify_function.  The
-    profiles are reduced from V's row blocks as the engine makes them, so
-    that neither V nor |V| is held, and kept in f's memo per window object
-    and tfgrid with their critical scales: the classes asked of one f and
-    window share one pass.  ``precomputed = stft(f, window, tfgrid)`` reads
-    the profiles of a transform already made instead."""
+    profiles are those of the V that ``stft(f, window, tfgrid)`` kept in
+    f's memo, or else reduced from V's row blocks as the engine makes
+    them, so that neither V nor |V| is held; they are kept in f's memo per
+    window object and tfgrid with their critical scales, and the classes
+    asked of one f and window share one pass.  ``precomputed`` is
+    accepted and not read: call stft first to reuse its V."""
     return _stft_report(f, window, idx, tfgrid, opts, check_window,
-                        precomputed, dual=False)
+                        dual=False)
 
 
 def dual_growth_report(f: SampledFunction, window: SampledFunction,
@@ -351,6 +348,7 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
 
     The test of classify_stft on the same profiles, unfloored, with the
     scales negated: Roumieu duals need every trial r, -min(rates) <= r*;
-    Beurling duals one, -max(rates) <= r*; and -n_max <= N*."""
+    Beurling duals one, -max(rates) <= r*; and -n_max <= N*.
+    ``precomputed`` is accepted and not read, as in classify_stft."""
     return _stft_report(f, window, idx, tfgrid, opts, check_window,
-                        precomputed, dual=True)
+                        dual=True)

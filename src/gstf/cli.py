@@ -24,7 +24,7 @@ from .errors import GridError, GstfError
 from .grids import (Grid1D, SampledFunction, TFR, build_grid, classify_tfgrid,
                     gaussian_symbol, phase_space_grid)
 from .parse import parse_function_expr
-from .transforms import dft, stft
+from .transforms import _rel_defect, dft, stft
 
 __all__ = ["main", "run_command"]
 
@@ -135,8 +135,8 @@ def _input_function(args) -> tuple:
 
 def _make_grid(args) -> Grid1D:
     n = args.points
-    if n & (n - 1) or n < 2:
-        raise GridError("--points must be a power of two")
+    if not 2 <= n <= 2**24 or n & (n - 1):
+        raise GridError("--points must be a power of two from 2 to 16777216")
     return build_grid(args.half_width, n.bit_length() - 1)
 
 
@@ -268,13 +268,12 @@ def _cmd_toeplitz(args) -> tuple:
     sym = (TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count))) if unit
            else gaussian_symbol(tf))
     out = apply_toeplitz(sym, window, window, f)
-    scale = float(np.max(np.abs(f.values))) or 1.0
     params = {"input": desc, "window": wdesc, "symbol": args.symbol,
               "half_width": args.half_width, "points": args.points}
     return _samples(params, {
         "verdict": None,
-        "reproduction_defect": float(
-            np.max(np.abs(out.values - f.values)) / scale) if unit else None,
+        "reproduction_defect": (_rel_defect(out.values, f.values) if unit
+                                else None),
     }, out)
 
 

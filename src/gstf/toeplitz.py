@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import GridError
 from .grids import Record, SampledFunction, TFGrid, TFR
-from .transforms import _require_decayed, adjoint_stft, dft2, stft
+from .transforms import (_rel_defect, _require_decayed, adjoint_stft, dft2,
+                         stft)
 
 __all__ = [
     "apply_toeplitz", "stft_product_transform_defect",
@@ -40,10 +41,10 @@ def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
         =? exp(+-i y eta) * V_phi2 phi1(y, -eta) * V_f g(-y, eta),
 
     returned as {"defect_plus", "defect_minus"} max-norm relative
-    defects.  The grids must be arranged so the dual coordinates land on
-    window-shift multiples (e.g. xi-step an integer divisor of the time
-    Nyquist band); the transform side needs both counts to be powers of
-    two.
+    defects (_rel_defect).  The grids must be arranged so the dual
+    coordinates land on window-shift multiples (e.g. xi-step an integer
+    divisor of the time Nyquist band); the transform side needs both
+    counts to be powers of two.
     """
     v1 = stft(f, phi1, tfgrid)
     v2 = stft(g, phi2, tfgrid)
@@ -63,14 +64,9 @@ def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
     a_part = np.flip(A, axis=1).T        # (eta, y): A(y, -eta)
     b_part = np.flip(B, axis=0).T        # (eta, y): B(-y, eta)
     phase = np.exp(1j * np.outer(eta_grid.coords, y_grid.coords))
-    scale = np.max(np.abs(lhs.values))
-    if scale == 0.0:
-        return {"defect_plus": 0.0, "defect_minus": 0.0}
-    out = {}
-    for name, ph in (("defect_plus", phase), ("defect_minus", np.conj(phase))):
-        rhs = ph * a_part * b_part
-        out[name] = float(np.max(np.abs(lhs.values - rhs)) / scale)
-    return out
+    return {name: _rel_defect(ph * a_part * b_part, lhs.values)
+            for name, ph in (("defect_plus", phase),
+                             ("defect_minus", np.conj(phase)))}
 
 
 class ContinuityEntry(Record):

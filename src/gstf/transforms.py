@@ -447,6 +447,12 @@ def _require_decayed(values: np.ndarray, name: str):
                                 f"{mass:.2e}; enlarge the time-frequency grid")
 
 
+def _rel_defect(got, ref) -> float:
+    """The identity meters' relative defect max|got - ref| / max|ref|,
+    over 1 where ref is zero."""
+    return float(np.max(np.abs(got - ref)) / (np.max(np.abs(ref)) or 1.0))
+
+
 def _require_odd_centered(grid: Grid1D, what: str):
     if grid.center != 0.0 or grid.count % 2 == 0:
         raise GridError(f"{what}: needs an odd-count grid centered at 0 "
@@ -519,8 +525,4 @@ def twisted_convolution_defect(
     inner = phi1.grid.step * np.sum(phi3.values * np.conj(phi1.values))
     lhs = inner * v2f.values
 
-    rhs = _twisted_sum(v1f, v23)
-    scale = np.max(np.abs(lhs))
-    if scale == 0.0:
-        return float(np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    return _rel_defect(_twisted_sum(v1f, v23), lhs)

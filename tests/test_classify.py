@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
-                  CriticalScale, GSIndex, Gaussian, Grid1D, GridError,
+                  CriticalScale, GSIndex, Gaussian, Grid1D,
                   GstfError, Hermite, Modulate, Poly, Product,
                   SampledFunction, SubExp, Sum, TFGrid, TFR, Translate,
                   build_grid, catalog_eval, classify_function, classify_stft,
                   dft, dual_growth_report, stft, transforms)
 from gstf.classify import FLOOR, GUARD, _critical, _side
 from gstf.checks import CATALOG_SPACES, CATALOG_SPECS
-from gstf.grids import classify_tfgrid
+from gstf.grids import classify_tfgrid, phase_space_grid
 
 from conftest import beurling, roumieu
 
@@ -633,18 +633,22 @@ class TestClassifyStft:
             assert (rep.verdict, rep.C_peak) == (MEMBER, 0.0)
             assert rep.r_star.value == rep.N_star.value == math.inf
 
-    @pytest.mark.parametrize("report", [classify_stft, dual_growth_report])
-    def test_rejects_precomputed_stft_on_another_grid(self, grid10, tf_small,
-                                                      report):
-        f = catalog_eval(Gaussian(1.0), grid10)
-        other = TFGrid(tf_small.xgrid, Grid1D(0.0, 0.5, 129))
-        v = stft(f, f, other)
-        with pytest.raises(GridError):
-            report(f, f, roumieu(s=0.5), tf_small, check_window=False,
-                   precomputed=v)
-        # on its own grid it is read
-        assert report(f, f, roumieu(s=0.5), other, check_window=False,
-                      precomputed=v).verdict == MEMBER
+    @pytest.mark.parametrize("report, verdict", [
+        (classify_stft, NOT_MEMBER), (dual_growth_report, MEMBER)],
+        ids=["classify_stft", "dual_growth_report"])
+    def test_precomputed_is_not_read(self, grid11, gauss_window, report,
+                                     verdict):
+        # The verdict reads f's own V only: x^2 is not in S_1, whatever
+        # transform comes with it, another function's or one on another
+        # tfgrid
+        tf = classify_tfgrid(grid11)
+        args = (gauss_window, roumieu(s=1.0), tf)
+        want = report(catalog_eval(Poly(2), grid11), *args)
+        assert want.verdict == verdict
+        f = catalog_eval(Poly(2), grid11)
+        for v in (stft(catalog_eval(Gaussian(1.0), grid11), gauss_window, tf),
+                  stft(f, gauss_window, phase_space_grid(grid11))):
+            assert repr(report(f, *args, precomputed=v)) == repr(want)
 
 
     @pytest.mark.parametrize("report", [classify_stft, dual_growth_report])
@@ -770,6 +774,14 @@ class TestStreamedVerdicts:
             for report in (classify_stft, dual_growth_report)
             for idx in CATALOG_SPACES])
         assert len(passes) == 2
+        # the benchmark's call shape: stft, then each verdict passed its V
+        f = catalog_eval(Hermite(2), grid11)
+        v = stft(f, gauss_window, tf_classify)
+        assert repr([report(f, gauss_window, idx, tf_classify,
+                            check_window=False, precomputed=v)
+                     for report in (classify_stft, dual_growth_report)
+                     for idx in CATALOG_SPACES]) == repr(reports)
+        assert len(passes) == 3
 
     @staticmethod
     def traced_peak(run) -> int:

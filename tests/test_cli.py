@@ -233,6 +233,15 @@ class TestErrorPaths:
                       "--points", "1000")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("points", ["3", "33554432"])
+    def test_points_out_of_range_names_the_flag(self, capsys, points):
+        # checked before the grid is built, whose message names its exponent
+        out = run_cli(capsys, "transform", "--expr", "gaussian(1)",
+                      "--points", points)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == ("error: GridError: --points must be a power of "
+                              "two from 2 to 16777216\n")
+
     @pytest.mark.parametrize("argv", [
         ["stft"], ["toeplitz"], ["classify", "--space", "S", "--s", "0.5"]])
     def test_empty_window_exits_2(self, capsys, argv):
@@ -271,6 +280,13 @@ class TestOtherCommands:
                       "--points", "1024")
         rep = json.loads(out.stdout)
         assert rep["reproduction_defect"] < 1e-5
+
+    def test_toeplitz_zero_input_reproduces_exactly(self, capsys):
+        # the output of a zero f is zero: the defect over 1, not 0/0
+        out = run_cli(capsys, "toeplitz", "--expr", "0*gaussian(1)",
+                      "--symbol", "unit", "--points", "1024")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["reproduction_defect"] == 0
 
     def test_verify_reports_no_negative_zero(self, capsys):
         out = run_cli(capsys, "verify", "--suite", "all")

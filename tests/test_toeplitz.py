@@ -127,6 +127,16 @@ class TestProductTransform:
             assert d["defect_minus"] < 1e-10
             assert d["defect_minus"] < d["defect_plus"]
 
+    @pytest.mark.parametrize("zero_at", [0, 1], ids=["zero_f", "zero_g"])
+    def test_zero_function_has_zero_defects(self, grid, tf_pow2, zero_at):
+        # both sides vanish: each sign's defect is max|rhs - lhs| over 1
+        fg = [catalog_eval(Hermite(1), grid), catalog_eval(Gaussian(1.0), grid)]
+        fg[zero_at] = SampledFunction(grid, np.zeros(grid.count))
+        p1 = catalog_eval(Gaussian(2.0), grid)
+        p2 = catalog_eval(Gaussian(0.5), grid)
+        d = stft_product_transform_defect(*fg, p1, p2, tf_pow2)
+        assert d == {"defect_plus": 0.0, "defect_minus": 0.0}
+
     def test_rejects_undecayed_product(self, tf_pow2):
         g = build_grid(12.0, 10)
         wide = catalog_eval(Gaussian(0.001), g)

@@ -1005,6 +1005,12 @@ class TestTwistedConvolution:
         assert np.array_equal(got[:, m:], want[:, m:])
         assert np.array_equal(got[:, :m], np.conj(got[:, :m:-1]))
 
+    def test_zero_function_has_zero_defect(self, grid10, tf_small):
+        # both sides vanish: the defect is max|rhs - lhs| over 1, not 0/0
+        zero = SampledFunction(grid10, np.zeros(grid10.count))
+        phis = [catalog_eval(Gaussian(a), grid10) for a in (1.0, 2.0, 0.5)]
+        assert twisted_convolution_defect(zero, *phis, tf_small) == 0.0
+
     def test_requires_odd_centered_tfgrid(self, grid10):
         h = grid10.step
         tf = TFGrid(Grid1D(0.0, 8 * h, 128), Grid1D(0.0, 0.25, 129))
