@@ -44,9 +44,11 @@ INCONCLUSIVE = "Inconclusive"
 
 # A sup attained within GUARD samples of the grid edge counts as
 # boundary-attained; a transform-computed sample below FLOOR times the
-# peak is noise.
+# peak is noise.  Each kernel call runs in _QUIET: log 0, 0/0 and an
+# overflow take their IEEE limits.
 GUARD = 2
 FLOOR = 1e-13
+_QUIET = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 class GSIndex(Record):
@@ -139,9 +141,9 @@ def _split(fn: SampledFunction, floor: float | None) -> tuple:
         lg, edge = loga.copy(), np.zeros(n, dtype=bool)
         b = np.array([*range(min(GUARD, n)), *range(max(n - GUARD, GUARD), n)])
         if floor is not None:
-            mask = a >= floor * peak
-            lg[~mask] = -INF
-            edge[1:-1] = ~mask[:-2] | ~mask[2:]  # the ends are guard band
+            low = a < floor * peak
+            lg[low] = -INF
+            np.logical_or(low[:-2], low[2:], out=edge[1:-1])  # not the ends
             edge[b] = False
             b = np.concatenate((b, np.flatnonzero(edge)))
         b = b[lg[b] > -INF]
@@ -153,6 +155,7 @@ def _split(fn: SampledFunction, floor: float | None) -> tuple:
     return fn._memoised(("split", floor), make)
 
 
+@_QUIET
 def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
               unit: float = 1.0) -> CriticalScale:
     """The critical scale of log|fn| + k w, for a finite weight w >= 0
@@ -189,48 +192,50 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
                 a, z, far[m] = lo, -nhi, top
             b = [m for m in b if lb[m] > far[m]]
     best = INF, None, None
+    # one scratch each for d = wb - w, the crossings c and d <= 0.  c is
     # -inf off the good samples; a crossing that overflows, or falls on
     # equal weights (u = -inf, or nan for a tie), is at its limit
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for m in b:
-            d = wb[m] - w
-            if wb[m] > w_good:  # every good sample is lighter
-                c, u = (lg - lb[m]) / np.maximum(d, 0.0), INF
-            else:
-                u = np.min((lg - lb[m]) / np.copysign(d, -1.0),
-                           where=d <= 0, initial=INF)
-                c = np.where(d > 0, (lg - lb[m]) / d, -INF)
-            i = int(c.argmax())
-            if c[i] < min(u, best[0]):
-                best = c[i], i if c[i] > -INF else None, bad[m]
+    d, c, le = np.empty_like(w), np.empty_like(w), np.empty(w.shape, bool)
+    for m in b:
+        np.subtract(wb[m], w, out=d)
+        np.subtract(lg, lb[m], out=c)
+        if wb[m] > w_good:  # every good sample is lighter
+            c, u = np.divide(c, np.maximum(d, 0.0, out=d), out=c), INF
+        else:  # divide by d where d > 0, by -|d| where d <= 0
+            np.copysign(d, -1.0, out=d, where=np.less_equal(d, 0.0, out=le))
+            c /= d
+            u = c.min(where=le, initial=INF)
+            c[le] = -INF
+        i = int(c.argmax())
+        if c[i] < min(u, best[0]):
+            best = c[i], i if c[i] > -INF else None, bad[m]
     k, i, j = float(best[0]), best[1], best[2]
     if k == -INF and j is not None and unit == INF:
         near = np.flatnonzero(good & (w == w[j]) & (np.abs(x) < abs(x[j])))
         if near.size:
             k, i = -0.0, int(near[lg[near].argmax()])
     if k and math.isfinite(k):  # the unit may overflow or underflow
-        with np.errstate(over="ignore", divide="ignore"):
-            k = float(np.float64(k) / unit)
+        k = float(np.float64(k) / unit)
     return CriticalScale(k, None if i is None else float(x[i]),
                          None if j is None else float(x[j]),
                          j is not None and bool(edge[j]))
 
 
+@_QUIET
 def _crit(fn: SampledFunction, s: float | None,
           floor: float | None) -> CriticalScale:
     """fn's critical scale, kept nowhere: N* under log(1+x^2) for s = None,
     else r* under |x|^(1/s) in units of its maximum."""
     w = np.abs(fn.x)  # the weight, made in place
-    with np.errstate(over="ignore", divide="ignore"):
-        if s is None:  # log(1+x^2) = 2 log|x| where x^2 overflows
-            w, unit = np.log1p(np.square(w, out=w), out=w), 1.0
-            if np.isinf(w).any():
-                w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
-        else:  # the maximum of |x|^(1/s) may overflow
-            top = max(w[0], w[-1])  # |x| falls then rises along the grid
-            unit = top ** (1.0 / s)
-            w /= top
-            w **= 1.0 / s
+    if s is None:  # log(1+x^2) = 2 log|x| where x^2 overflows
+        w, unit = np.log1p(np.square(w, out=w), out=w), 1.0
+        if np.isinf(w).any():
+            w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
+    else:  # the maximum of |x|^(1/s) may overflow
+        top = max(w[0], w[-1])  # |x| falls then rises along the grid
+        unit = top ** (1.0 / s)
+        w /= top
+        w **= 1.0 / s
     return _critical(fn, w, floor, unit)
 
 

@@ -126,10 +126,14 @@ class Grid1D(Record):
         x.flags.writeable = False
         return x
 
+    @cached_property
+    def _dual(self) -> "Grid1D":
+        return Grid1D(0.0, 2.0 * np.pi / (self.count * self.step), self.count)
+
     def dual(self) -> "Grid1D":
         """Frequency grid matching an FFT of this grid: same count,
-        step 2*pi/(count*step), centered at 0."""
-        return Grid1D(0.0, 2.0 * np.pi / (self.count * self.step), self.count)
+        step 2*pi/(count*step), centered at 0; one object per grid."""
+        return self._dual
 
     def shift_index(self, x):
         """Integer k with x = k*step, an intp array for an array x;

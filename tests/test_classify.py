@@ -10,8 +10,9 @@ from gstf import (INCONCLUSIVE, MEMBER, NOT_MEMBER, Bump, ClassifyOptions,
                   CriticalScale, GSIndex, Gaussian, Grid1D,
                   GstfError, Hermite, Modulate, Poly, Product,
                   SampledFunction, SubExp, Sum, TFGrid, TFR, Translate,
-                  build_grid, catalog_eval, classify_function, classify_stft,
-                  dft, dual_growth_report, stft, transforms)
+                  boundary_triviality_demo, build_grid, catalog_eval,
+                  classify_function, classify_stft, dft, dual_growth_report,
+                  stft, transforms)
 from gstf.classify import FLOOR, GUARD, _critical, _side
 from gstf.checks import CATALOG_SPACES, CATALOG_SPECS
 from gstf.grids import classify_tfgrid, phase_space_grid
@@ -720,6 +721,51 @@ class TestSharedWork:
             first.verdict = NOT_MEMBER
         assert [type(getattr(first, name)) for name in first._fields] == [
             float, CriticalScale, CriticalScale, str]
+
+
+class TestErrorStateScope:
+    """The verdict kernel silences numpy's floating-point errors in a scope
+    of its own, entered and left on every call: a verdict leaves the
+    caller's error state as it found it, also when it raises."""
+
+    @staticmethod
+    def _calls(grid):
+        win = catalog_eval(Gaussian(1.0), grid)
+
+        def fresh():  # a new carrier, so no memo skips the kernel
+            return catalog_eval(Sum(Hermite(2), Bump()), grid)
+
+        def two_parameter():
+            with pytest.raises(GstfError):
+                classify_function(fresh(), GSIndex(0.5, 0.5, "roumieu"))
+
+        def inside_the_kernel():
+            with pytest.raises(AttributeError):
+                _critical(None, np.abs(grid.coords), FLOOR)
+
+        return {
+            "classify_function": lambda: classify_function(
+                fresh(), roumieu(s=0.5)),
+            "classify_stft": lambda: classify_stft(
+                fresh(), win, roumieu(s=0.5), classify_tfgrid(grid)),
+            "boundary_triviality_demo": lambda: boundary_triviality_demo(0.4),
+            "two_parameter": two_parameter,
+            "inside_the_kernel": inside_the_kernel,
+        }
+
+    @pytest.mark.parametrize("call", ["classify_function", "classify_stft",
+                                      "boundary_triviality_demo",
+                                      "two_parameter", "inside_the_kernel"])
+    @pytest.mark.parametrize("state", [None, "raise"])
+    def test_a_verdict_leaves_the_error_state_unchanged(self, grid, call,
+                                                        state):
+        # the default state, and one that raises on every error but the
+        # underflows the transforms make
+        with np.errstate(**({} if state is None else
+                            dict(divide=state, over=state, invalid=state))):
+            before = np.geterr()
+            self._calls(grid)[call]()
+            assert np.geterr() == before
 
 
 class TestStreamedVerdicts:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstf import (TFR, Grid1D, GridError, SampledFunction, TFGrid,
-                  build_grid)
+                  build_grid, dft, idft)
 
 
 class TestGrid1D:
@@ -35,6 +35,18 @@ class TestGrid1D:
         dd = g.dual().dual()
         assert dd.step == pytest.approx(g.step)
         assert dd.count == g.count
+
+    def test_dual_is_kept_on_the_grid(self):
+        g = Grid1D(0.0, 0.37, 128)
+        seen = (g, hash(g), repr(g), g._asdict())
+        d = g.dual()
+        assert g.dual() is d
+        assert d == Grid1D(0.0, 2.0 * np.pi / (128 * 0.37), 128)
+        # the kept dual is no field: ==, hash, repr and _asdict ignore it
+        assert (Grid1D(0.0, 0.37, 128), hash(g), repr(g), g._asdict()) == seen
+        f = SampledFunction(build_grid(12.0, 7), np.ones(128))
+        assert dft(f).grid is f.grid.dual()
+        assert idft(dft(f)).grid is f.grid.dual().dual()
 
     def test_coords_are_computed_once_and_read_only(self):
         g = Grid1D(0.0, 0.25, 16)
