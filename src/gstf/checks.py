@@ -118,15 +118,22 @@ def _classification():
 def _toeplitz():
     g, tf, gauss = _phase_space()
     w = gauss * (1.0 / gauss.norm2())
+    # The functions that several checks apply an operator to, each sampled
+    # once, so that the checks share the STFTs and operator outputs kept
+    # in its memo; the probe takes each out at its last check.
+    shared = {s: catalog_eval(s, g) for s in (Hermite(1), Hermite(2),
+                                                Hermite(3))}
+    shared[Gaussian(1.0)] = gauss
+    del gauss
     one = TFR(tf, np.ones((tf.xgrid.count, tf.xigrid.count)))
     worst = 0.0
     for spec in (Gaussian(1.0), Hermite(2)):
-        f = catalog_eval(spec, g)
+        f = shared[spec]
         worst = max(worst, _rel_defect(apply_toeplitz(one, w, w, f).values,
                                        f.values))
     yield "unit_symbol_reproduction", worst
 
-    f = catalog_eval(Hermite(1), g)
+    f = shared[Hermite(1)]
     g2 = catalog_eval(Gaussian(2.0), g)
     rng = np.random.default_rng(7)
     sym = TFR(tf, rng.standard_normal((129, 129))
@@ -138,21 +145,23 @@ def _toeplitz():
     rhs = tf.xgrid.step * tf.xigrid.step * np.sum(
         sym.values * np.conj(np.conj(v1.values) * v2.values))
     yield "adjoint_symmetry", _rel_defect(rhs, lhs)
+    del g2, v1, v2
 
     pos_sym = gaussian_symbol(tf)
     qmin = 0.0
     for spec in (Gaussian(1.0), Hermite(1), Hermite(3),
                  Modulate(Gaussian(0.5), 2.0)):
-        ff = catalog_eval(spec, g)
-        q = g.step * np.sum(apply_toeplitz(pos_sym, w, w, ff).values
-                            * np.conj(ff.values))
+        f = shared.get(spec) or catalog_eval(spec, g)
+        q = g.step * np.sum(apply_toeplitz(pos_sym, w, w, f).values
+                            * np.conj(f.values))
         qmin = min(qmin, float(q.real))
     yield "positivity_defect", max(0.0, -qmin)  # never -0
+    del f
 
     idx = GSIndex(1.0, math.inf, "beurling")
-    # sampled as the probe takes them, so that each function and the STFT
-    # it keeps go before the next is made
-    testset = (catalog_eval(s, g) for s in
+    # taken as the probe reaches them, so that each function and the
+    # memo it keeps go before the next is reached
+    testset = (shared.pop(s, None) or catalog_eval(s, g) for s in
                (Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2),
                 Hermite(3)))
     rep = continuity_probe(pos_sym, w, w, testset, idx, _OPTS)

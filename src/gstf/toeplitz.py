@@ -25,11 +25,20 @@ __all__ = [
 
 def apply_toeplitz(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
                    f: SampledFunction) -> SampledFunction:
-    """adjoint_stft(a * stft(f, phi1), phi2) on the symbol's TFGrid."""
+    """adjoint_stft(a * stft(f, phi1), phi2) on the symbol's TFGrid.
+
+    Kept in f's memo per symbol and window objects, as stft keeps V; the
+    entry holds a, phi1 and phi2, so that no id names another object,
+    except a window that is f itself, which would make a cycle."""
     if phi1.grid != f.grid or phi2.grid != f.grid:
         raise GridError("apply_toeplitz: windows and f must share a grid")
-    v = stft(f, phi1, a.tfgrid)
-    return adjoint_stft(TFR(a.tfgrid, a.values * v.values), phi2)
+
+    def make():
+        v = stft(f, phi1, a.tfgrid)
+        return (a, *(None if p is f else p for p in (phi1, phi2)),
+                adjoint_stft(TFR(a.tfgrid, a.values * v.values), phi2))
+
+    return f._memoised(("toeplitz", id(a), id(phi1), id(phi2)), make)[-1]
 
 
 def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
@@ -90,7 +99,8 @@ def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
     envelope-out behavior and does not judge the symbol itself."""
     from .classify import MEMBER, _admit_window, classify_function
     _admit_window(phi1, "phi1", idx, opts)
-    _admit_window(phi2, "phi2", idx, opts)
+    if phi2 is not phi1:
+        _admit_window(phi2, "phi2", idx, opts)
     entries = []
     for f in testset:
         rep_in = classify_function(f, idx, opts)

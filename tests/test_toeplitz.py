@@ -164,6 +164,21 @@ class TestContinuityProbe:
             assert e.verdict_in == MEMBER
             assert e.verdict_out == MEMBER
 
+    def test_a_window_passed_twice_is_admitted_once(self, monkeypatch, grid,
+                                                     tf, unit_window):
+        from gstf import classify
+        admitted, real = [], classify._admit_window
+        monkeypatch.setattr(classify, "_admit_window",
+                            lambda w, *a: admitted.append(w) or real(w, *a))
+        twin = SampledFunction(grid, unit_window.values)  # equal, another
+        f = catalog_eval(Gaussian(1.0), grid)
+        idx = GSIndex(1.0, math.inf, "beurling")
+        for phi2, count in ((unit_window, 1), (twin, 2)):
+            admitted.clear()
+            continuity_probe(unit_symbol(tf), unit_window, phi2, [f], idx)
+            assert len(admitted) == count
+            assert admitted[0] is unit_window and admitted[-1] is phi2
+
     def test_rejects_window_outside_class(self, grid, tf, unit_window):
         # the words of the STFT verdicts' refusal, naming the window
         wide = catalog_eval(Gaussian(0.001), grid)

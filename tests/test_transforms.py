@@ -795,14 +795,91 @@ class TestStftMemo:
         stft(f, w, tf_small)
         assert len(passes) == 2  # the stft and the adjoint, not a 2nd stft
 
-    @pytest.mark.parametrize("suite, count", [
-        ("identities", 51), ("classification", 12), ("toeplitz", 13)])
-    def test_suite_engine_passes(self, monkeypatch, suite, count):
-        # Moyal's V is the twisted check's V_phi1 f, and the Toeplitz
-        # adjoint check's V f is the operator's; the STFT verdicts stream.
-        passes = _count_passes(monkeypatch)
+    @pytest.mark.parametrize("suite, stfts, passes", [
+        ("identities", 51, 52), ("classification", 12, 12),
+        ("toeplitz", 7, 16)],
+        ids=["identities-51", "classification-12", "toeplitz-7"])
+    def test_suite_engine_passes(self, monkeypatch, suite, stfts, passes):
+        # Moyal's V is the twisted check's V_phi1 f; the STFT verdicts
+        # stream.  The Toeplitz suite samples each function once, so its
+        # adjoint, positivity and probe checks share V f and T f: 7 stft
+        # and 9 adjoint passes, where fresh functions took 13 and 12.
+        blocks = _count_passes(monkeypatch)
+        rows = _count_passes(monkeypatch, "_chirp_rows")
         checks.run_suite(suite)
-        assert len(passes) == count
+        assert (len(blocks), len(rows)) == (stfts, passes)
+
+
+class TestToeplitzMemo:
+    """apply_toeplitz keeps T f in f's memo per symbol and window objects,
+    as stft keeps V: the checks that apply one operator to one function
+    twice run the stft and the adjoint once."""
+
+    @staticmethod
+    def operands(grid, tf):
+        f = catalog_eval(Hermite(2), grid)
+        w = catalog_eval(Gaussian(1.0), grid)
+        rng = np.random.default_rng(7)
+        shape = (tf.xgrid.count, tf.xigrid.count)
+        return f, w, TFR(tf, rng.standard_normal(shape)
+                         + 1j * rng.standard_normal(shape))
+
+    def test_same_objects_give_the_same_output(self, monkeypatch, grid10,
+                                               tf_small):
+        passes = _count_passes(monkeypatch, "_chirp_rows")
+        f, w, a = self.operands(grid10, tf_small)
+        out = apply_toeplitz(a, w, w, f)
+        assert len(passes) == 2  # the stft and the adjoint
+        assert apply_toeplitz(a, w, w, f) is out and len(passes) == 2
+
+    def test_each_other_object_runs_a_new_pass(self, monkeypatch, grid10,
+                                               tf_small):
+        passes = _count_passes(monkeypatch, "_chirp_rows")
+        f, w, a = self.operands(grid10, tf_small)
+        out = apply_toeplitz(a, w, w, f)
+        twin_a = TFR(tf_small, a.values)  # equal, other objects
+        twin_w = SampledFunction(grid10, w.values)
+        # V f is kept per window object: a new phi1 runs a new stft too
+        for args, more in (((twin_a, w, w, f), 1), ((a, twin_w, w, f), 2),
+                           ((a, w, twin_w, f), 1)):
+            before = len(passes)
+            other = apply_toeplitz(*args)
+            assert other is not out and other == out
+            assert len(passes) == before + more
+            assert apply_toeplitz(*args) is other  # kept for these objects
+            assert len(passes) == before + more
+
+    def test_entry_holds_its_operands_and_goes_with_f(self, grid10,
+                                                      tf_small):
+        f, w, a = self.operands(grid10, tf_small)
+        phi2 = SampledFunction(grid10, w.values)
+        out = apply_toeplitz(a, w, phi2, f)
+        key = ("toeplitz", id(a), id(w), id(phi2))
+        assert all(x is y for x, y in zip(f._memo[key], (a, w, phi2, out)))
+        refs = [weakref.ref(x) for x in (a, w, phi2, out)]
+        del a, w, phi2, out
+        gc.collect()
+        assert all(r() is not None for r in refs)  # no id names another
+        del f
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    def test_f_as_both_windows_is_freed_without_the_collector(self, grid10,
+                                                              tf_small):
+        # an entry holding f itself would keep f and T f in a cycle
+        f = catalog_eval(Gaussian(1.0), grid10)
+        a = TFR(tf_small, np.ones((tf_small.xgrid.count,
+                                   tf_small.xigrid.count)))
+        gc.disable()
+        try:
+            out = apply_toeplitz(a, f, f, f)
+            assert f._memo[("toeplitz", id(a), id(f), id(f))] == (
+                a, None, None, out)
+            ref = weakref.ref(f)
+            del f, out
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestHermitianMark:
