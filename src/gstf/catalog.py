@@ -11,6 +11,8 @@ by its fields' types, one kind per argument (float, int or FunctionSpec);
 an infix node its operator ``op``, its precedence ``prec`` and its ufunc.
 """
 
+import math
+
 import numpy as np
 
 from .errors import GstfError
@@ -48,7 +50,7 @@ class FunctionSpec(Record):
 
     def __post_init__(self):
         for name, (v, kind) in zip(self._fields, self._args()):
-            if kind in (float, _Positive) and not np.isfinite(v):
+            if kind in (float, _Positive) and not math.isfinite(v):
                 raise GstfError(f"{type(self).__name__.lower()}: "
                                 f"parameter {v!r} is not finite")
             if kind is _Positive and not v > 0:

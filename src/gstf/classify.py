@@ -21,7 +21,6 @@ unfloored, with the scales it needs negated."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -133,25 +132,27 @@ def _magnitudes(f: SampledFunction) -> tuple:
 
 def _split(fn: SampledFunction, floor: float | None) -> tuple:
     """fn's samples split once per floor for every weight: lg = log|fn| on
-    the good samples, -inf elsewhere; ``good`` where it is finite; ``bad``
-    the admissible bad ones, lb their log|fn|; ``edge`` the masked edges."""
+    the good samples (all in lg[g0:g1]), -inf elsewhere; ``good`` where it
+    is finite; ``bad`` the admissible bad ones, guard band first, lb theirs."""
     def make():
         a, loga, peak = _magnitudes(fn)
         n = loga.size
-        lg, edge = loga.copy(), np.zeros(n, dtype=bool)
+        lg = loga.copy()
         b = np.array([*range(min(GUARD, n)), *range(max(n - GUARD, GUARD), n)])
-        if floor is not None:
+        if floor is not None:  # past the guard band, not low but next to one
             low = a < floor * peak
             lg[low] = -INF
-            np.logical_or(low[:-2], low[2:], out=edge[1:-1])  # not the ends
-            edge[b] = False
-            b = np.concatenate((b, np.flatnonzero(edge)))
+            edge = low[GUARD - 1:n - GUARD - 1] | low[GUARD + 1:n - GUARD + 1]
+            edge = (edge > low[GUARD:n - GUARD]).nonzero()[0] + GUARD
+            b = np.concatenate((b, edge))
         b = b[lg[b] > -INF]
         lg[b] = -INF
         good = lg > -INF
-        for v in (lg, good, b, edge):
-            v.flags.writeable = False
-        return lg, good, b, tuple(loga[b].tolist()), edge
+        for v in (lg, good, b):
+            v.setflags(write=False)
+        bits = good.tobytes()  # one byte per sample: the first and last good
+        g0, g1 = max(bits.find(1), 0), bits.rfind(1) + 1 or n
+        return lg, good, b, tuple(loga[b].tolist()), g0, g1
     return fn._memoised(("split", floor), make)
 
 
@@ -175,40 +176,45 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
     bound.  When the unit overflows, a bad sample whose weight
     underflowed to that of good samples nearer 0 outweighs them beyond
     float range, and crosses them at -0."""
-    lg, good, bad, lb, edge = _split(fn, floor)
-    x, wb, w_good = fn.x, w[bad].tolist(), w.max(where=good, initial=-INF)
-    order = sorted(range(len(wb)), key=lambda m: (-wb[m], -lb[m]))
-    if floor is None:  # only an equal weight as high shuts b out at every k
-        b = [next(g) for _, g in itertools.groupby(order, wb.__getitem__)]
-    else:  # nor one that a heavier one is as high as
-        tops = itertools.accumulate((lb[m] for m in order), max, initial=-INF)
-        b = [m for m, top in zip(order, tops) if lb[m] > top]
-        if any(wb[m] <= w_good for m in b):  # nor a good one as far out
-            r = np.abs(x[bad[b]])  # x <= -r lies below lo, x >= r from -nhi
-            top, a, z, far = -INF, 0, x.size, {}  # outermost first
-            for lo, nhi, m in sorted(zip(x.searchsorted(-r, "right").tolist(),
-                                         (-x.searchsorted(r)).tolist(), b)):
-                top = lg[-nhi:z].max(initial=lg[a:lo].max(initial=top))
-                a, z, far[m] = lo, -nhi, top
-            b = [m for m in b if lb[m] > far[m]]
+    lg, good, bad, lb, g0, g1 = _split(fn, floor)
+    x, wb = fn.x, w[bad].tolist()
+    order = sorted(range(len(wb)),  # heaviest, then highest, ties in order
+                   key=list(zip(wb, lb)).__getitem__, reverse=True)
+    b = order[:1]  # only an equal weight as high shuts b out at every k;
+    for m in order[1:]:  # under a floor, nor one a heavier one is as high as
+        if (wb[m] != wb[b[-1]]) if floor is None else (lb[m] > lb[b[-1]]):
+            b.append(m)
+    # the passes read only the span of the good samples: off it c is -inf
+    ws, ls = w[g0:g1], lg[g0:g1]
+    w_good = ws.max(where=good[g0:g1], initial=-INF) if b else -INF
+    if floor is not None and any(wb[m] <= w_good for m in b):
+        def outer():  # per bad sample, the max of lg as far out (|x| at
+            # least its |x|): one prefix and one suffix maximum, exact
+            h = np.concatenate(([-INF], ls, [-INF]))
+            pre, suf = np.maximum.accumulate(h), np.maximum.accumulate(h[::-1])
+            r, xs = np.abs(x[bad]), x[g0:g1]  # xs[:a] <= -r, xs[z:] >= r
+            a, z = xs.searchsorted(-r, "right"), xs.searchsorted(r)
+            return tuple(np.maximum(pre[a], suf[xs.size - z]).tolist())
+        far = fn._memoised(("far", floor), outer)
+        b = [m for m in b if lb[m] > far[m]]  # nor a good one as far out
     best = INF, None, None
-    # one scratch each for d = wb - w, the crossings c and d <= 0.  c is
-    # -inf off the good samples; a crossing that overflows, or falls on
-    # equal weights (u = -inf, or nan for a tie), is at its limit
-    d, c, le = np.empty_like(w), np.empty_like(w), np.empty(w.shape, bool)
+    # d = wb - w and the crossings c, -inf off the good samples; a crossing
+    # that overflows, or falls on equal weights (u = -inf, or nan for a
+    # tie), is at its limit
+    d, c = (np.empty_like(ws), np.empty_like(ws)) if b else (None, None)
     for m in b:
-        np.subtract(wb[m], w, out=d)
-        np.subtract(lg, lb[m], out=c)
+        np.subtract(wb[m], ws, out=d)
+        np.subtract(ls, lb[m], out=c)
         if wb[m] > w_good:  # every good sample is lighter
             c, u = np.divide(c, np.maximum(d, 0.0, out=d), out=c), INF
         else:  # divide by d where d > 0, by -|d| where d <= 0
-            np.copysign(d, -1.0, out=d, where=np.less_equal(d, 0.0, out=le))
+            np.copysign(d, -1.0, out=d, where=(le := d <= 0.0))
             c /= d
             u = c.min(where=le, initial=INF)
             c[le] = -INF
         i = int(c.argmax())
         if c[i] < min(u, best[0]):
-            best = c[i], i if c[i] > -INF else None, bad[m]
+            best = c[i], g0 + i if c[i] > -INF else None, bad[m]
     k, i, j = float(best[0]), best[1], best[2]
     if k == -INF and j is not None and unit == INF:
         near = np.flatnonzero(good & (w == w[j]) & (np.abs(x) < abs(x[j])))
@@ -218,36 +224,35 @@ def _critical(fn: SampledFunction, w: np.ndarray, floor: float | None,
         k = float(np.float64(k) / unit)
     return CriticalScale(k, None if i is None else float(x[i]),
                          None if j is None else float(x[j]),
-                         j is not None and bool(edge[j]))
+                         j is not None and bool(GUARD <= j < x.size - GUARD))
 
 
 @_QUIET
-def _crit(fn: SampledFunction, s: float | None,
-          floor: float | None) -> CriticalScale:
-    """fn's critical scale, kept nowhere: N* under log(1+x^2) for s = None,
-    else r* under |x|^(1/s) in units of its maximum."""
-    w = np.abs(fn.x)  # the weight, made in place
+def _weight(grid: Grid1D, s: float | None) -> tuple:
+    """(w, unit): log(1+x^2) and 1 for s = None, else |x|^(1/s) in units
+    of its maximum, from the grid's kept base; w may be that base."""
     if s is None:  # log(1+x^2) = 2 log|x| where x^2 overflows
-        w, unit = np.log1p(np.square(w, out=w), out=w), 1.0
-        if np.isinf(w).any():
-            w = np.where(np.isinf(w), 2.0 * np.log(np.abs(fn.x)), w)
-    else:  # the maximum of |x|^(1/s) may overflow
-        top = max(w[0], w[-1])  # |x| falls then rises along the grid
-        unit = top ** (1.0 / s)
-        w /= top
-        w **= 1.0 / s
-    return _critical(fn, w, floor, unit)
+        w = np.log1p(np.square(grid.coords))
+        if max(w[0], w[-1]) == INF:  # |x| falls then rises along the grid
+            w = np.where(np.isinf(w), 2.0 * np.log(np.abs(grid.coords)), w)
+        return w, 1.0
+    base, top = grid._reach  # the maximum of |x|^(1/s) may overflow
+    p = 1.0 / s
+    return base if p == 1.0 else base ** p, top ** p
 
 
 def _side(fn: SampledFunction, s: float | None, need: float,
           floored: bool) -> tuple:
-    """((ok, inconclusive), crit) for one side of fn, crit = _crit(fn, s,
-    floor) kept in fn's memo: it passes when the scale it needs is at most
-    crit, and fails open at a masked edge.  ``floored`` masks samples below
-    FLOOR times the peak, where transform-computed samples are noise and
-    polynomial weights amplify the rim's round-off."""
+    """((ok, inconclusive), crit) for one side of fn, crit its critical
+    scale under _weight(s), kept in fn's memo: it passes when the scale it
+    needs is at most crit, and fails open at a masked edge.  ``floored``
+    masks samples below FLOOR times the peak, where transform-computed
+    samples are noise and polynomial weights amplify the rim's round-off."""
     floor = FLOOR if floored else None
-    crit = fn._memoised((s, floor), lambda: _crit(fn, s, floor))
+    def make():
+        w, unit = _weight(fn.grid, s)
+        return _critical(fn, w, floor, unit)
+    crit = fn._memoised((s, floor), make)
     ok = need <= crit.value
     return (ok, not ok and crit.masked_edge), crit
 
@@ -280,8 +285,7 @@ def _verdict(idx: GSIndex, opts: ClassifyOptions | None, samples,
     x_fn, xi_fn = samples()
     on_x = math.isinf(idx.sigma)
     decay_fn, poly_fn = (x_fn, xi_fn) if on_x else (xi_fn, x_fn)
-    rs = opts.trial_rs()
-    rate = max(rs) if idx.regularity == "beurling" else min(rs)
+    rate = (max if idx.regularity == "beurling" else min)(opts.trial_rs())
     sign = -1 if dual else 1
     decay, r_star = _side(decay_fn, idx.s if on_x else idx.sigma,
                           sign * rate, not (dual or (direct and on_x)))

@@ -11,6 +11,7 @@ is computed once per object and kept on it.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from operator import itemgetter
 
@@ -111,9 +112,9 @@ class Grid1D(Record):
     count: int
 
     def __post_init__(self):
-        if not np.isfinite(self.center):
+        if not math.isfinite(self.center):
             raise GridError("grid center must be finite")
-        if not (self.step > 0 and np.isfinite(self.step)):
+        if not (self.step > 0 and math.isfinite(self.step)):
             raise GridError("grid step must be positive and finite")
         n = self.count
         if not (isinstance(n, (int, np.integer)) and n >= 2):
@@ -125,6 +126,13 @@ class Grid1D(Record):
         x = self.center + (j - (self.count - 1) / 2) * self.step
         x.flags.writeable = False
         return x
+
+    @cached_property
+    def _reach(self) -> tuple:  # (|x| / max |x|, max |x|): the weight base
+        top = max(abs(self.coords[0]), abs(self.coords[-1]))  # V-shaped |x|
+        w = np.abs(self.coords) / top
+        w.flags.writeable = False
+        return w, top
 
     @cached_property
     def _dual(self) -> "Grid1D":
@@ -179,7 +187,7 @@ class _Memo:
             raise GridError(f"{what} values must be finite")
         if not vals.flags.owndata:  # a view's base may be written through
             vals = vals.copy()
-        vals.flags.writeable = False
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_memo", {})
 
@@ -256,7 +264,7 @@ def _max_profiles(blocks, tfgrid: TFGrid) -> tuple:
 
 def build_grid(half_width: float, exponent: int) -> Grid1D:
     """Symmetric grid about 0 with 2**exponent samples on [-half_width, half_width]."""
-    if not (half_width > 0 and np.isfinite(half_width)):
+    if not (half_width > 0 and math.isfinite(half_width)):
         raise GridError("half_width must be positive and finite")
     if not (1 <= exponent <= 24):
         raise GridError("exponent must be between 1 and 24")

@@ -47,18 +47,22 @@ class Token(Record):
     offset: int
 
 
-def tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
+def _lex(text: str) -> list:
+    """The tokens of ``text`` as (kind, text, offset) tuples."""
+    tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise LexicalError(f"unexpected character {text[pos]!r}", offset=pos)
         if m.lastgroup != "ws":
             kind = m.group() if m.lastgroup == "sym" else m.lastgroup
-            tokens.append(Token(kind, m.group(), pos))
+            tokens.append((kind, m.group(), pos))
         pos = m.end()
     return tokens
+
+
+def tokenize(text: str) -> list:
+    return [Token(*tok) for tok in _lex(text)]
 
 
 def _convert(kind, node, name: str, offset: int):
@@ -94,40 +98,38 @@ def _build_call(name: str, args: list, offset: int) -> FunctionSpec:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
+        # (kind, text, offset) of each token, then ("", "", len(text))
+        self.tokens = [*_lex(text), ("", "", len(text))]
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> tuple:
+        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.peek()
+    def advance(self) -> tuple:
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.peek()
-        if tok is None or tok.kind != kind:
-            offset = tok.offset if tok else len(self.text)
+        if tok[0] != kind:
             if kind in ("(", ")"):
-                raise UnbalancedParen(f"expected {kind!r}", offset=offset)
-            raise ParseError(f"expected {kind!r}", offset=offset)
+                raise UnbalancedParen(f"expected {kind!r}", offset=tok[2])
+            raise ParseError(f"expected {kind!r}", offset=tok[2])
         return self.advance()
 
-    def limit(self, level: int, tok: Token) -> int:
+    def limit(self, level: int, tok: tuple) -> int:
         if level > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH} "
-                             "levels", offset=tok.offset)
+                             "levels", offset=tok[2])
         return level
 
     def parse(self) -> FunctionSpec:
         node, _ = self.expr(0)
         tok = self.peek()
-        if tok is not None:
-            if tok.kind == ")":
-                raise UnbalancedParen("unmatched ')'", offset=tok.offset)
-            raise ParseError(f"unexpected {tok.text!r}", offset=tok.offset)
+        if tok[0]:
+            if tok[0] == ")":
+                raise UnbalancedParen("unmatched ')'", offset=tok[2])
+            raise ParseError(f"unexpected {tok[1]!r}", offset=tok[2])
         return node
 
     # expr, factor and call parse at nesting ``depth`` and return the node
@@ -135,56 +137,51 @@ class _Parser:
 
     def expr(self, depth: int, prec: int = 0) -> tuple:
         node, level = self.factor(depth)
-        while ((tok := self.peek()) is not None and tok.kind in _INFIX
-               and _INFIX[tok.kind].prec > prec):
-            op = _INFIX[self.advance().kind]
+        while (tok := self.peek())[0] in _INFIX and _INFIX[tok[0]].prec > prec:
+            op = _INFIX[self.advance()[0]]
             right, right_level = self.expr(depth, op.prec)
             level = self.limit(max(level, right_level) + 1, tok)
             node = op(node, right)
         return node, level
 
     def factor(self, depth: int) -> tuple:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression",
-                             offset=len(self.text))
+        kind, text, offset = tok = self.peek()
+        if not kind:
+            raise ParseError("unexpected end of expression", offset=offset)
         self.limit(depth, tok)
-        if tok.kind == "-":
+        if kind == "-":
             self.advance()
-            sign = (nxt := self.peek()) is not None and nxt.kind == "number"
+            sign = self.peek()[0] == "number"
             inner, level = self.factor(depth if sign else depth + 1)
             if isinstance(inner, Const):
                 return Const(-inner.value), level
             return Scale(inner, -1.0), level
-        if tok.kind == "number":
+        if kind == "number":
             self.advance()
-            value = float(tok.text)
+            value = float(text)
             if math.isinf(value):
-                raise ParseError(f"number {tok.text} overflows",
-                                 offset=tok.offset)
+                raise ParseError(f"number {text} overflows", offset=offset)
             return Const(value), depth
-        if tok.kind == "ident":
+        if kind == "ident":
             return self.call(depth)
-        if tok.kind == "(":
+        if kind == "(":
             self.advance()
             node = self.expr(depth + 1)
             self.expect(")")
             return node
-        raise ParseError(f"unexpected {tok.text!r}", offset=tok.offset)
+        raise ParseError(f"unexpected {text!r}", offset=offset)
 
     def call(self, depth: int) -> tuple:
-        name_tok = self.advance()
+        _, name, offset = self.advance()
         self.expect("(")
         args = []
-        tok = self.peek()
-        if tok is not None and tok.kind != ")":
+        if self.peek()[0] not in ("", ")"):
             args.append(self.expr(depth + 1))
-            while (tok := self.peek()) is not None and tok.kind == ",":
+            while self.peek()[0] == ",":
                 self.advance()
                 args.append(self.expr(depth + 1))
         self.expect(")")
-        node = _build_call(name_tok.text, [arg for arg, _ in args],
-                           name_tok.offset)
+        node = _build_call(name, [arg for arg, _ in args], offset)
         return node, max((level for _, level in args), default=depth)
 
 

@@ -12,6 +12,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
+import gstf  # the hints' verdict records load through it on first use
 from .errors import GridError
 from .grids import Record, SampledFunction, TFGrid, TFR
 from .transforms import (_rel_defect, _require_decayed, adjoint_stft, dft2,
@@ -91,8 +92,9 @@ class ContinuityReport(Record):
 
 
 def continuity_probe(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
-                     testset: Iterable, idx: GSIndex,
-                     opts: ClassifyOptions | None = None) -> ContinuityReport:
+                     testset: Iterable, idx: gstf.GSIndex,
+                     opts: gstf.ClassifyOptions | None = None
+                     ) -> ContinuityReport:
     """Desk-scale continuity evidence: apply the operator to each test
     function, taken once from ``testset`` in turn, and classify the output
     in the same class.  The probe only measures envelope-in /

@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 
 from .catalog import Gaussian, Hermite, catalog_eval, _gevrey_bump
-from .classify import ClassifyOptions, CriticalScale, GSIndex, _crit, _split
+from .classify import (ClassifyOptions, CriticalScale, GSIndex, _critical,
+                       _split, _weight)
 from .errors import TrivialSpace, UnsupportedRegion
 from .grids import Grid1D, Record, SampledFunction, build_grid
 from .transforms import dft
@@ -115,12 +116,13 @@ def boundary_triviality_demo(s: float) -> BoundaryReport:
     sigma = 1.0 - s
     rate = max(ClassifyOptions().trial_rs())
 
-    rows = []
+    rows, grid = [], _candidates()[0][1].grid  # all seven share one grid
+    (w_x, u_x), (w_xi, u_xi) = _weight(grid, s), _weight(grid.dual(), sigma)
     for name, f in _candidates():  # _side's test, with no r* in a memo
-        r_x, r_xi, side = _crit(f, s, None), None, "function"
+        r_x, r_xi, side = _critical(f, w_x, None, u_x), None, "function"
         ok = rate <= r_x.value
         if ok:  # the transform is needed only when f passes
-            r_xi = _crit(dft(f), sigma, None)
+            r_xi = _critical(dft(f), w_xi, None, u_xi)
             ok = rate <= r_xi.value
             side = "" if ok else "fourier"
         rows.append(BoundaryCandidate(name, not ok, side, r_x, r_xi))

@@ -4,6 +4,7 @@ and loaded on first use."""
 import importlib
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -78,6 +79,20 @@ PUBLIC = [attr for name in MODULES
 def test_first_lookup_gives_every_public_name(code):
     names = _fresh(code).split()
     assert set(PUBLIC + ["__version__"]) <= set(names)
+
+
+def test_every_public_callable_has_resolvable_hints():
+    # gstf.toeplitz names the verdicts' records through the package, which
+    # loads them on first use, so that gstf toeplitz need not import them
+    failed = []
+    for name in gstf.__all__:
+        obj = getattr(gstf, name)
+        if callable(obj):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as e:
+                failed.append((name, str(e)))
+    assert not failed
 
 
 def test_unknown_name_raises_attribute_error():

@@ -995,3 +995,38 @@ class TestDualGrowth:
                                  classify_opts)
         assert rep.verdict == MEMBER
 
+
+class TestWeightBase:
+    """Every verdict on a grid reads the one weight base the grid keeps, so
+    that none may write to it."""
+
+    SPECS = (Gaussian(1.0), Hermite(2), Translate(Bump(), 1.3),
+             SubExp(1.0, 1.0))
+    CLASSES = (roumieu(s=0.5), roumieu(s=1.0), beurling(s=1.0),
+               roumieu(sigma=0.5), roumieu(s=0.7))
+
+    def _reports(self, specs, shared):
+        grid = build_grid(12.0, 9)
+        out = {}
+        for spec in specs:
+            f = catalog_eval(spec, grid if shared else build_grid(12.0, 9))
+            for idx in self.CLASSES:
+                out[str(spec), idx] = repr(classify_function(f, idx))
+        return out
+
+    def test_verdicts_on_one_grid_agree_in_either_order(self):
+        want = self._reports(self.SPECS, shared=False)
+        assert self._reports(self.SPECS, shared=True) == want
+        assert self._reports(self.SPECS[::-1], shared=True) == want
+
+    def test_base_is_unchanged_by_the_verdicts(self):
+        grid = build_grid(12.0, 9)
+        base = grid._reach[0].copy()
+        for spec in self.SPECS:
+            f = catalog_eval(spec, grid)
+            for idx in self.CLASSES:
+                classify_function(f, idx)
+        assert np.array_equal(grid._reach[0], base)
+        assert np.array_equal(grid.dual()._reach[0],
+                              np.abs(grid.dual().coords)
+                              / np.abs(grid.dual().coords).max())

@@ -74,6 +74,19 @@ class TestGrid1D:
             g.shift_index(np.array([0.5, 0.3, 0.7]))
         assert str(got.value) == str(want.value)
 
+    def test_weight_base_is_kept_and_read_only(self):
+        g = build_grid(12.0, 6)
+        base, top = g._reach
+        assert g._reach[0] is base and top == np.abs(g.coords).max()
+        assert np.array_equal(base, np.abs(g.coords) / top)
+        assert not base.flags.writeable
+        with pytest.raises(ValueError):
+            base[0] = 0.0
+        # kept outside the record fields, like coords and the dual
+        same = build_grid(12.0, 6)
+        assert g == same and hash(g) == hash(same) and repr(g) == repr(same)
+        assert g._asdict() == {"center": 0.0, "step": g.step, "count": 64}
+
     def test_validation(self):
         with pytest.raises(GridError):
             Grid1D(0.0, 0.0, 8)

@@ -11,11 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gstf import (Gaussian, Grid1D, Hermite, SampledFunction, SubExp, TFGrid,
-                  build_grid, catalog_eval, dft, dft2, idft, transforms)
+from gstf import (Bump, Gaussian, Grid1D, Hermite, SampledFunction, SubExp,
+                  TFGrid, Translate, build_grid, catalog_eval, dft, dft2, idft,
+                  transforms)
 from gstf.checks import CATALOG_SPECS
 from gstf.classify import FLOOR, GUARD, CriticalScale, _critical, _side
 from gstf.grids import TFR
+from gstf.witnesses import (_candidates, boundary_triviality_demo,
+                            default_witness_grid)
 
 INF = math.inf
 
@@ -102,8 +105,10 @@ SCALES = (1e-300, 0.3, 0.5, 1.0, 2.0, None)  # None: the critical power N*
 def _carriers():
     """(name, samples): catalog specs and exp(x^2) on grids of 4 to 2^13
     points and an odd count, with their transforms; Gaussians whose tails
-    underflow to 0 at half-width 40; the few-point overflow, underflow and
-    zero cases of the classifier's tests."""
+    underflow to 0 at half-width 40; a translated bump on 2^13 points,
+    whose transform's noisy rim leaves 178 bad samples above the floor;
+    the few-point overflow, underflow and zero cases of the classifier's
+    tests."""
     specs = CATALOG_SPECS + (SubExp(0.5, -1.0),)
     grids = [build_grid(12.0, e) for e in (2, 3, 5, 9, 13)]
     grids.append(Grid1D(0.0, 24.0 / 1024, 1025))
@@ -117,6 +122,9 @@ def _carriers():
         f = catalog_eval(Gaussian(a), build_grid(40.0, 11))
         yield f"gaussian({a}) at half-width 40", f
         yield f"dft gaussian({a}) at half-width 40", dft(f)
+    f = catalog_eval(Translate(Bump(), 1.3), build_grid(12.0, 13))
+    yield "translate(bump(), 1.3) on 8192", f
+    yield "dft translate(bump(), 1.3) on 8192", dft(f)
     compact = np.zeros(9)
     compact[3:6] = [0.5, 1.0, 0.5]
     for g, vals in (
@@ -139,6 +147,36 @@ def test_side_keeps_its_bits():
                 got = _side(fn, s, 0.0, floored)[1]
                 want = _side_reference(fn, s, floored)
                 assert repr(got) == repr(want), (name, s, floored)
+
+
+def test_demo_candidates_keep_their_bits():
+    # the demo shares one weight per side among its candidates: each
+    # critical rate is still that of _side, read on fresh carriers
+    grid = default_witness_grid()
+    specs = [*map(Gaussian, (0.5, 1.0, 2.0)), *map(Hermite, range(4))]
+    fourier = 0
+    for s in (0.2, 0.35, 0.5, 0.65, 0.8):
+        report = boundary_triviality_demo(s)
+        assert [c.name for c in report.candidates] == [str(f) for f in specs]
+        for spec, cand in zip(specs, report.candidates):
+            f = catalog_eval(spec, grid)
+            assert repr(cand.r_star_x) == repr(_side_reference(f, s, False))
+            if cand.r_star_xi is not None:
+                fourier += 1
+                assert repr(cand.r_star_xi) == repr(
+                    _side_reference(dft(f), 1 - s, False)), (s, str(spec))
+    assert fourier >= 5
+
+
+def test_demo_keeps_no_weight_on_its_grid():
+    # one weight per side and s is made on each call and kept nowhere
+    boundary_triviality_demo(0.5)
+    grid = _candidates()[0][1].grid
+    keys = sorted(vars(grid)), sorted(vars(grid.dual()))
+    assert "_reach" in keys[0] and "_reach" in keys[1]
+    for s in np.linspace(0.01, 0.99, 50):
+        boundary_triviality_demo(float(s))
+    assert (sorted(vars(grid)), sorted(vars(grid.dual()))) == keys
 
 
 def test_critical_keeps_its_bits_on_random_samples():
