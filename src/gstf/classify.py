@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import GstfError
-from .grids import Record, SampledFunction, TFGrid, TFR
+from .grids import Grid1D, Record, SampledFunction, TFGrid, TFR
 from .transforms import _stft_profiles, dft
 
 __all__ = [
@@ -337,12 +337,11 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     The two-variable envelope C_N (1+|freq var|^2)^(-N) exp(-r |decay
     var|^(1/s)) is checked through its marginals: the max-profile along
     each axis is fed to the same fitters as classify_function.  The
-    profiles are those of the V that ``stft(f, window, tfgrid)`` kept in
-    f's memo, or else reduced from V's row blocks as the engine makes
-    them, so that neither V nor |V| is held; they are kept in f's memo per
-    window object and tfgrid with their critical scales, and the classes
-    asked of one f and window share one pass.  ``precomputed`` is
-    accepted and not read: call stft first to reuse its V."""
+    profiles are those of a V that f keeps, or else streamed from the
+    engine; f keeps them and their critical scales for its last window
+    object and tfgrid, so the classes asked of one f and window share one
+    pass.  ``precomputed`` is accepted and not read: call stft first to
+    reuse its V."""
     return _stft_report(f, window, idx, tfgrid, opts, check_window,
                         dual=False)
 

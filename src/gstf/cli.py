@@ -123,14 +123,18 @@ def _load_csv_samples(path: str) -> SampledFunction:
 
 
 def _input_function(args) -> tuple:
-    """(SampledFunction, description) from --expr or --in."""
+    """(SampledFunction, description, the report's half_width and points)
+    from --expr and the flags, or from --in with null and its count."""
     if getattr(args, "infile", None):
-        return _load_csv_samples(args.infile), f"csv:{args.infile}"
+        f = _load_csv_samples(args.infile)
+        return (f, f"csv:{args.infile}",
+                {"half_width": None, "points": f.grid.count})
     if not args.expr:
         raise GstfError("provide --expr or --in")
     spec = parse_function_expr(args.expr)
     grid = _make_grid(args)
-    return catalog_eval(spec, grid), str(spec)
+    return (catalog_eval(spec, grid), str(spec),
+            {"half_width": args.half_width, "points": args.points})
 
 
 def _make_grid(args) -> Grid1D:
@@ -171,15 +175,14 @@ def _samples(params: dict, body: dict, f: SampledFunction) -> tuple:
 
 
 def _cmd_transform(args) -> tuple:
-    f, desc = _input_function(args)
+    f, desc, extent = _input_function(args)
     out = dft(f)
-    params = {"input": desc, "half_width": args.half_width,
-              "points": args.points}
+    params = {"input": desc, **extent}
     return _samples(params, {"verdict": None, "grid": out.grid._asdict()}, out)
 
 
 def _cmd_stft(args) -> tuple:
-    f, desc = _input_function(args)
+    f, desc, extent = _input_function(args)
     wdesc, window = _window(args, f.grid)
     tf = phase_space_grid(f.grid)
     v = stft(f, window, tf)
@@ -188,8 +191,7 @@ def _cmd_stft(args) -> tuple:
     rows = ((float(x), float(xi), float(val.real), float(val.imag))
             for x, vrow in zip(xs, v.values) for xi, val in zip(xis, vrow))
     px, pxi = (p.values.real for p in v.max_profiles())
-    params = {"input": desc, "window": wdesc,
-              "half_width": args.half_width, "points": args.points}
+    params = {"input": desc, "window": wdesc, **extent}
     return params, {
         "verdict": None,
         "max_abs": float(px.max()),
@@ -203,7 +205,7 @@ def _cmd_stft(args) -> tuple:
 def _cmd_classify(args) -> tuple:
     from .classify import (FLOOR, GUARD, ClassifyOptions, MEMBER,
                            classify_function, classify_stft)
-    f, desc = _input_function(args)
+    f, desc, extent = _input_function(args)
     idx = _space_index(args)
     opts = (ClassifyOptions() if args.n_max is None
             else ClassifyOptions(n_max=args.n_max))
@@ -217,8 +219,7 @@ def _cmd_classify(args) -> tuple:
     params = {"input": desc, "window": wdesc,
               "s": None if math.isinf(idx.s) else idx.s,
               "sigma": None if math.isinf(idx.sigma) else idx.sigma,
-              "regularity": idx.regularity,
-              "half_width": args.half_width, "points": args.points,
+              "regularity": idx.regularity, **extent,
               "n_max": opts.n_max, "r_list": list(opts.trial_rs()),
               "floor": FLOOR}
     body = {
@@ -255,7 +256,7 @@ def _cmd_witness(args) -> tuple:
 
 def _cmd_toeplitz(args) -> tuple:
     from .toeplitz import apply_toeplitz
-    f, desc = _input_function(args)
+    f, desc, extent = _input_function(args)
     wdesc, window = _window(args, f.grid)
     with np.errstate(over="ignore"):  # an overflow is the norm inf
         norm = window.norm2()
@@ -269,7 +270,7 @@ def _cmd_toeplitz(args) -> tuple:
            else gaussian_symbol(tf))
     out = apply_toeplitz(sym, window, window, f)
     params = {"input": desc, "window": wdesc, "symbol": args.symbol,
-              "half_width": args.half_width, "points": args.points}
+              **extent}
     return _samples(params, {
         "verdict": None,
         "reproduction_defect": (_rel_defect(out.values, f.values) if unit

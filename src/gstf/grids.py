@@ -197,6 +197,22 @@ class _Memo:
             self._memo[key] = make()
         return self._memo[key]
 
+    def _kept(self, name: str, operands: tuple, make=None):
+        """The one value kept under ``name`` if made from ``operands`` (the
+        same objects, or an equal TFGrid); else None without ``make``, or
+        make()'s in place of the old value, which goes first.  The entry
+        holds its operands but not self, which would make a cycle."""
+        ops = tuple(None if o is self else o for o in operands)
+        entry = self._memo.get(name)
+        if entry and all(a is b or (type(a) is TFGrid and a == b)
+                         for a, b in zip(entry[0], ops)):
+            return entry[1]
+        if make is not None:
+            self._memo.pop(name, None)
+            del entry  # the old value goes before make() runs
+            self._memo[name] = ops, make()
+            return self._memo[name][1]
+
     def norm2(self) -> float:
         """Continuum L2 norm, a Riemann sum over cells of measure _cell."""
         return float(np.sqrt(self._cell * np.sum(np.abs(self.values) ** 2)))

@@ -26,20 +26,16 @@ __all__ = [
 
 def apply_toeplitz(a: TFR, phi1: SampledFunction, phi2: SampledFunction,
                    f: SampledFunction) -> SampledFunction:
-    """adjoint_stft(a * stft(f, phi1), phi2) on the symbol's TFGrid.
-
-    Kept in f's memo per symbol and window objects, as stft keeps V; the
-    entry holds a, phi1 and phi2, so that no id names another object,
-    except a window that is f itself, which would make a cycle."""
+    """adjoint_stft(a * stft(f, phi1), phi2) on the symbol's TFGrid, which
+    f keeps for its last symbol and window objects, as it keeps V."""
     if phi1.grid != f.grid or phi2.grid != f.grid:
         raise GridError("apply_toeplitz: windows and f must share a grid")
 
     def make():
         v = stft(f, phi1, a.tfgrid)
-        return (a, *(None if p is f else p for p in (phi1, phi2)),
-                adjoint_stft(TFR(a.tfgrid, a.values * v.values), phi2))
+        return adjoint_stft(TFR(a.tfgrid, a.values * v.values), phi2)
 
-    return f._memoised(("toeplitz", id(a), id(phi1), id(phi2)), make)[-1]
+    return f._kept("toeplitz", (a, phi1, phi2), make)
 
 
 def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,

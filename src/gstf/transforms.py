@@ -321,10 +321,8 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
     For real f and window on a xi grid centred at 0 the output is exactly
     Hermitian in xi, V(x, -xi) = conj V(x, xi).
 
-    Computed once per f, window object and tfgrid, as dft(f) is: a repeated
-    call returns the same read-only TFR, which lives as long as f.  The
-    memo entry holds the window, so that its id names no other object
-    while the entry lives; not f itself, which would make a cycle.
+    f keeps the read-only TFR of its last window object and tfgrid
+    (_Memo._kept), as it keeps dft(f).
     """
     def make():
         vals = np.empty((tfgrid.xgrid.count, tfgrid.xigrid.count),
@@ -335,23 +333,21 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
         v = TFR(tfgrid, vals)
         if paired:
             v._memo["hermitian"] = True  # exactly, by the unpacking
-        return None if window is f else window, v
+        return v
 
-    return f._memoised(("stft", id(window), tfgrid), make)[1]
+    return f._kept("stft", (window, tfgrid), make)
 
 
 @_QUIET
 def _stft_profiles(f: SampledFunction, window: SampledFunction,
                    tfgrid: TFGrid) -> tuple:
-    """stft(f, window, tfgrid).max_profiles(), bit for bit: those of the V
-    that f's memo keeps, or else reduced from the engine's row blocks as
-    they come, so that neither V nor |V| is held.  Kept in f's memo per
-    window object and tfgrid; the entry holds the window as stft's does."""
-    if (kept := f._memo.get(("stft", id(window), tfgrid))) is not None:
-        return kept[1].max_profiles()
-    return f._memoised(("stft_profiles", id(window), tfgrid), lambda: (
-        None if window is f else window,
-        _max_profiles(_stft_blocks(f, window, tfgrid)[1], tfgrid)))[1]
+    """stft(f, window, tfgrid).max_profiles(), bit for bit: those of a V
+    that f keeps, or else reduced from the engine's row blocks as they
+    come, so that neither V nor |V| is held, and kept as stft keeps V."""
+    if (v := f._kept("stft", (window, tfgrid))) is not None:
+        return v.max_profiles()
+    return f._kept("stft_profiles", (window, tfgrid), lambda: _max_profiles(
+        _stft_blocks(f, window, tfgrid)[1], tfgrid))
 
 
 def _is_hermitian(F: TFR) -> bool:
@@ -516,8 +512,8 @@ def twisted_convolution_defect(
     _require_odd_centered(tfgrid.xgrid, "twisted_convolution_defect (x axis)")
     _require_odd_centered(tfgrid.xigrid, "twisted_convolution_defect (xi axis)")
 
+    v1f = stft(f, phi1, tfgrid)  # first: f may already keep it (Moyal's V)
     v2f = stft(f, phi2, tfgrid)
-    v1f = stft(f, phi1, tfgrid)
     v23 = stft(phi3, phi2, tfgrid)
     _require_decayed(v1f.values, "V_phi1 f")
     _require_decayed(v23.values, "V_phi2 phi3")

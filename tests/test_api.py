@@ -2,6 +2,8 @@
 and loaded on first use."""
 
 import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 import typing
@@ -81,17 +83,34 @@ def test_first_lookup_gives_every_public_name(code):
     assert set(PUBLIC + ["__version__"]) <= set(names)
 
 
+def _defined_in(module) -> list:
+    """The classes and functions defined in ``module``, and the functions
+    of its classes: methods, properties' getters and cached properties."""
+    found = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        found.append(obj)
+        if isinstance(obj, type):
+            found += [getattr(v, "__func__", getattr(v, "fget",
+                                                     getattr(v, "func", v)))
+                      for v in vars(obj).values()]
+    return [obj for obj in found if isinstance(obj, type)
+            or inspect.isfunction(inspect.unwrap(obj))]
+
+
 def test_every_public_callable_has_resolvable_hints():
-    # gstf.toeplitz names the verdicts' records through the package, which
-    # loads them on first use, so that gstf toeplitz need not import them
+    # every function, method and class defined in a gstf module, private
+    # ones too; gstf.toeplitz names the verdicts' records through the
+    # package, which loads them on first use, so that gstf toeplitz need
+    # not import them
     failed = []
-    for name in gstf.__all__:
-        obj = getattr(gstf, name)
-        if callable(obj):
+    for info in pkgutil.iter_modules(gstf.__path__):
+        for obj in _defined_in(importlib.import_module(f"gstf.{info.name}")):
             try:
                 typing.get_type_hints(obj)
             except NameError as e:
-                failed.append((name, str(e)))
+                failed.append((obj.__qualname__, str(e)))
     assert not failed
 
 

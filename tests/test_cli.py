@@ -206,6 +206,26 @@ class TestClassifyCommand:
         assert out.returncode == 0
         assert json.loads(out.stdout)["verdict"] == "Member"
 
+    def test_csv_input_reports_its_sample_count(self, tmp_path, capsys):
+        # 512 samples over +-160, where the flags' defaults are 2048 over
+        # +-12: the report names no half-width and the sample count
+        path = tmp_path / "f.csv"
+        x = np.linspace(-160.0, 160.0, 512)
+        np.savetxt(path, np.c_[x, np.exp(-x**2 / 2)], delimiter=",")
+        inp = ["--in", str(path)]
+        space = ["--space", "S", "--s", "0.5"]
+        for command in (["transform", *inp], ["stft", *inp],
+                        ["toeplitz", *inp], ["classify", *inp, *space],
+                        ["classify", *inp, *space, "--window", "gaussian(1)"]):
+            out = run_cli(capsys, *command)
+            assert out.returncode == 0, command
+            params = json.loads(out.stdout)["params"]
+            assert (params["half_width"], params["points"]) == (None, 512)
+        out = run_cli(capsys, "transform", "--expr", "gaussian(1)",
+                      "--points", "512", "--half-width", "160")
+        params = json.loads(out.stdout)["params"]
+        assert (params["half_width"], params["points"]) == (160.0, 512)
+
     def test_nonuniform_csv_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("x,value-real\n0.0,1.0\n1.0,0.5\n2.5,0.2\n")

@@ -199,6 +199,32 @@ class TestSampledFunction:
             fn._memoised("k", lambda: calls.append(1) or len(calls))
         assert calls == [1, 1] and f._memoised("k", None) == 1
 
+    def test_kept_holds_one_entry_per_name(self):
+        g = Grid1D(0.0, 1.0, 4)
+        f = SampledFunction(g, np.ones(4))
+        a, b = SampledFunction(g, np.ones(4)), SampledFunction(g, np.ones(4))
+        seen = []
+
+        def make():  # the old entry is gone before make runs
+            seen.append("k" in f._memo)
+            return object()
+
+        first = f._kept("k", (a, TFGrid(g, g)), make)
+        # the same objects, and a TFGrid equal to the kept one, match
+        assert f._kept("k", (a, TFGrid(g, g)), make) is first
+        assert f._kept("k", (a, TFGrid(g, g))) is first
+        other = f._kept("k", (b, TFGrid(g, g)), make)  # equal, not the same
+        assert other is not first and f._kept("k", (a, TFGrid(g, g))) is None
+        assert f._kept("k", (a, TFGrid(g, g)), make) is not first
+        assert seen == [False, False, False] and list(f._memo) == ["k"]
+
+    def test_kept_leaves_no_entry_when_make_raises(self):
+        f = SampledFunction(Grid1D(0.0, 1.0, 4), np.ones(4))
+        f._kept("k", (1,), lambda: 1)
+        with pytest.raises(ZeroDivisionError):
+            f._kept("k", (2,), lambda: 1 / 0)
+        assert "k" not in f._memo
+
 
 class TestTFR:
     def test_values_are_read_only(self):

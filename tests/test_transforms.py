@@ -14,7 +14,7 @@ from gstf import (BoundaryMassError, Gaussian, Grid1D, GridError, Hermite,
                   Modulate, SampledFunction, TFGrid, Translate, adjoint_stft,
                   apply_toeplitz, build_grid, catalog_eval, dft, dft2, idft,
                   stft, twisted_convolution_defect)
-from gstf.grids import TFR, phase_space_grid
+from gstf.grids import TFR, gaussian_symbol, phase_space_grid
 
 from conftest import rel_max_err
 
@@ -713,9 +713,9 @@ class TestStreamedProfiles:
 
 
 class TestStftMemo:
-    """stft keeps its TFR in f's memo per window object and TFGrid, as dft
-    keeps its transform: the checks that transform one function twice run
-    the engine once."""
+    """f keeps the TFR of its last window object and TFGrid, as dft keeps
+    its transform: the checks that transform one function twice in a row
+    run the engine once, and f holds one V whatever the windows."""
 
     @staticmethod
     def pair(grid):
@@ -747,15 +747,47 @@ class TestStftMemo:
     def test_entry_holds_the_window_and_goes_with_f(self, grid10, tf_small):
         f, w = self.pair(grid10)
         v = stft(f, w, tf_small)
-        key = ("stft", id(w), tf_small)
-        assert f._memo[key][0] is w and f._memo[key][1] is v
+        (window_kept, tf_kept), v_kept = f._memo["stft"]
+        assert window_kept is w and tf_kept is tf_small and v_kept is v
         window, tfr = weakref.ref(w), weakref.ref(v)
-        del w, v
+        del w, v, window_kept, v_kept
         gc.collect()
-        assert window() is f._memo[key][0]  # the id names no other object
+        # no other object can take the window's place while V is kept
+        assert window() is f._memo["stft"][0][0]
         del f
         gc.collect()
         assert window() is None and tfr() is None
+
+    def test_ten_windows_hold_one_v(self):
+        # 2048 points onto 513x1001: each V is 8.2 MB, and f keeps one
+        g = build_grid(12.0, 11)
+        tf = grids.classify_tfgrid(g)
+        f = catalog_eval(Hermite(2), g)
+        stft(f, catalog_eval(Gaussian(1.0), g), tf)  # the plan, cached
+        one = 16 * tf.xgrid.count * tf.xigrid.count
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                stft(f, catalog_eval(Gaussian(1.0), g), tf)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one V held, and never two at once (the peak is about 12.2 MB)
+        assert held < 1.1 * one and peak < 2 * one
+
+    @pytest.mark.parametrize("take", [
+        lambda f, w, tf: stft(f, w, tf).values,
+        lambda f, w, tf: np.stack([p.values for p in
+                                   transforms._stft_profiles(f, w, tf)])],
+        ids=["stft", "profiles"])
+    def test_window_a_b_a_gives_a_fresh_carriers_bits(self, grid10,
+                                                      tf_small, take):
+        f, a = self.pair(grid10)
+        b = catalog_eval(Gaussian(2.0), grid10)
+        got = [take(f, w, tf_small) for w in (a, b, a)]
+        for w, v in zip((a, b, a), got):
+            assert np.array_equal(
+                v, take(SampledFunction(grid10, f.values), w, tf_small))
 
     @pytest.mark.parametrize("take", [
         stft, lambda f, w, tf: transforms._stft_profiles(f, w, tf)[0]],
@@ -811,9 +843,9 @@ class TestStftMemo:
 
 
 class TestToeplitzMemo:
-    """apply_toeplitz keeps T f in f's memo per symbol and window objects,
-    as stft keeps V: the checks that apply one operator to one function
-    twice run the stft and the adjoint once."""
+    """f keeps T f of its last symbol and window objects, as it keeps V:
+    the checks that apply one operator to one function twice in a row run
+    the stft and the adjoint once."""
 
     @staticmethod
     def operands(grid, tf):
@@ -839,9 +871,10 @@ class TestToeplitzMemo:
         out = apply_toeplitz(a, w, w, f)
         twin_a = TFR(tf_small, a.values)  # equal, other objects
         twin_w = SampledFunction(grid10, w.values)
-        # V f is kept per window object: a new phi1 runs a new stft too
+        # f keeps one V: a new phi1 runs a new stft, and phi1 = w after
+        # it runs the stft of w again; back to (a, w, w), T f runs again
         for args, more in (((twin_a, w, w, f), 1), ((a, twin_w, w, f), 2),
-                           ((a, w, twin_w, f), 1)):
+                           ((a, w, twin_w, f), 2), ((a, w, w, f), 1)):
             before = len(passes)
             other = apply_toeplitz(*args)
             assert other is not out and other == out
@@ -849,17 +882,28 @@ class TestToeplitzMemo:
             assert apply_toeplitz(*args) is other  # kept for these objects
             assert len(passes) == before + more
 
+    def test_symbol_a_b_a_gives_a_fresh_carriers_bits(self, grid10,
+                                                      tf_small):
+        f, w, a = self.operands(grid10, tf_small)
+        b = gaussian_symbol(tf_small)
+        got = [apply_toeplitz(s, w, w, f) for s in (a, b, a)]
+        for s, out in zip((a, b, a), got):
+            fresh = SampledFunction(grid10, f.values)
+            assert np.array_equal(out.values,
+                                  apply_toeplitz(s, w, w, fresh).values)
+
     def test_entry_holds_its_operands_and_goes_with_f(self, grid10,
                                                       tf_small):
         f, w, a = self.operands(grid10, tf_small)
         phi2 = SampledFunction(grid10, w.values)
         out = apply_toeplitz(a, w, phi2, f)
-        key = ("toeplitz", id(a), id(w), id(phi2))
-        assert all(x is y for x, y in zip(f._memo[key], (a, w, phi2, out)))
+        ops, kept = f._memo["toeplitz"]
+        assert all(x is y for x, y in zip((*ops, kept), (a, w, phi2, out)))
         refs = [weakref.ref(x) for x in (a, w, phi2, out)]
-        del a, w, phi2, out
+        del a, w, phi2, out, ops, kept
         gc.collect()
-        assert all(r() is not None for r in refs)  # no id names another
+        # no other object can take an operand's place while T f is kept
+        assert all(r() is not None for r in refs)
         del f
         gc.collect()
         assert all(r() is None for r in refs)
@@ -873,8 +917,7 @@ class TestToeplitzMemo:
         gc.disable()
         try:
             out = apply_toeplitz(a, f, f, f)
-            assert f._memo[("toeplitz", id(a), id(f), id(f))] == (
-                a, None, None, out)
+            assert f._memo["toeplitz"] == ((a, None, None), out)
             ref = weakref.ref(f)
             del f, out
             assert ref() is None
