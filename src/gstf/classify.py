@@ -279,7 +279,7 @@ def _verdict(idx: GSIndex, opts: ClassifyOptions | None, samples,
     trusted all the way down, so a boundary-attained sup there is
     conclusive; transform-computed ones are floored."""
     if not idx.one_parameter:
-        raise GstfError("classify_function handles one-parameter spaces; "
+        raise GstfError("membership verdicts handle one-parameter spaces; "
                         "classify each side separately")
     opts = opts or _DEFAULT_OPTIONS
     x_fn, xi_fn = samples()
@@ -319,15 +319,6 @@ def _admit_window(w: SampledFunction, name: str, idx: GSIndex | None,
                             "pick a window inside the class")
 
 
-def _stft_report(f: SampledFunction, window: SampledFunction, idx: GSIndex,
-                 tfgrid: TFGrid, opts: ClassifyOptions | None,
-                 check_window: bool, dual: bool) -> EnvelopeReport:
-    _admit_window(window, "the window", idx if check_window else None, opts)
-    # C_peak is the max of |V|, on either profile
-    return _verdict(idx, opts, lambda: _stft_profiles(f, window, tfgrid),
-                    dual=dual)
-
-
 def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
                   tfgrid: TFGrid, opts: ClassifyOptions | None = None,
                   check_window: bool = True,
@@ -342,8 +333,9 @@ def classify_stft(f: SampledFunction, window: SampledFunction, idx: GSIndex,
     object and tfgrid, so the classes asked of one f and window share one
     pass.  ``precomputed`` is accepted and not read: call stft first to
     reuse its V."""
-    return _stft_report(f, window, idx, tfgrid, opts, check_window,
-                        dual=False)
+    _admit_window(window, "the window", idx if check_window else None, opts)
+    # C_peak is the max of |V|, on either profile
+    return _verdict(idx, opts, lambda: _stft_profiles(f, window, tfgrid))
 
 
 def dual_growth_report(f: SampledFunction, window: SampledFunction,
@@ -358,5 +350,6 @@ def dual_growth_report(f: SampledFunction, window: SampledFunction,
     scales negated: Roumieu duals need every trial r, -min(rates) <= r*;
     Beurling duals one, -max(rates) <= r*; and -n_max <= N*.
     ``precomputed`` is accepted and not read, as in classify_stft."""
-    return _stft_report(f, window, idx, tfgrid, opts, check_window,
-                        dual=True)
+    _admit_window(window, "the window", idx if check_window else None, opts)
+    return _verdict(idx, opts, lambda: _stft_profiles(f, window, tfgrid),
+                    dual=True)

@@ -29,13 +29,13 @@ class Record:
     """Base of the package's immutable records.
 
     A subclass's annotated class attributes are its fields, after those of
-    the record it extends; a value assigned to one is its default.  The
-    fields are the constructor's parameters, positional or by keyword, and
-    after they are set ``__post_init__`` runs.  No attribute can be
-    assigned or deleted; == holds between records of one class with
-    equal fields, and hash agrees with it.  The repr lists the fields
-    except those a class names in ``_unshown``.  ``_fields`` maps each
-    field's name to its annotation, in order.
+    the record it extends; a value assigned to one is its default.  Each
+    class's constructor is made from its fields: they are its parameters,
+    positional or by keyword, and after they are set ``__post_init__``
+    runs.  No attribute can be assigned or deleted; == holds between
+    records of one class with equal fields, and hash agrees with it.  The
+    repr lists the fields except those a class names in ``_unshown``.
+    ``_fields`` maps each field's name to its annotation, in order.
     """
 
     _fields = _defaults = {}
@@ -51,31 +51,19 @@ class Record:
         # the key of == and hash: the value of a single field, else a tuple
         cls._key = (itemgetter(*cls._fields) if cls._fields
                     else staticmethod(lambda d: ()))
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._fields):
-            self.__dict__.update(self._bind(args, kwargs))
-        else:
-            self.__dict__.update(zip(self._fields, args))
-        self.__post_init__()
-
-    def _bind(self, args, kwargs) -> dict:
-        """The fields' values from arguments other than one positional
-        value per field, checked as a function's parameters are."""
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but "
-                            f"{len(args)} were given")
-        given = dict(zip(fields, args))
-        for key in kwargs:
-            if key not in fields or key in given:
-                raise TypeError(f"{name}() got an unexpected or repeated "
-                                f"argument {key!r}")
-        bound = {**self._defaults, **given, **kwargs}
-        if len(bound) < len(fields):
-            missing = [n for n in fields if n not in bound]
-            raise TypeError(f"{name}() missing {', '.join(missing)}")
-        return bound
+        # the constructor, one assignment per field into the record's
+        # __dict__: Python binds the arguments, fills in the defaults from
+        # _defaults and raises every TypeError.  Its file name, which
+        # profiles and tracebacks show, names the class
+        params = "".join(f", {n}=_d[{n!r}]" if n in cls._defaults
+                         else f", {n}" for n in cls._fields)
+        sets = "".join(f"    d[{n!r}] = {n}\n" for n in cls._fields)
+        src = (f"def __init__(self{params}):\n    d = self.__dict__\n{sets}"
+               "    self.__post_init__()\n")
+        ns = {"__name__": cls.__module__, "_d": cls._defaults}
+        exec(compile(src, f"<{cls.__qualname__}.__init__>", "exec"), ns)
+        ns["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = ns["__init__"]
 
     def __post_init__(self):
         pass

@@ -26,9 +26,8 @@ import re
 from .catalog import Const, FunctionSpec, Infix, Scale
 from .errors import (ArityMismatch, LexicalError, ParseError, UnbalancedParen,
                      UnknownIdentifier)
-from .grids import Record
 
-__all__ = ["Token", "tokenize", "parse_function_expr"]
+__all__ = ["parse_function_expr"]
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -41,14 +40,9 @@ MAX_EXPR_LEN = 4096
 MAX_DEPTH = 100
 
 
-class Token(Record):
-    kind: str  # "number", "ident", or the symbol itself
-    text: str
-    offset: int
-
-
 def _lex(text: str) -> list:
-    """The tokens of ``text`` as (kind, text, offset) tuples."""
+    """The tokens of ``text`` as (kind, text, offset) tuples, kind being
+    "number", "ident" or the symbol itself."""
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -59,10 +53,6 @@ def _lex(text: str) -> list:
             tokens.append((kind, m.group(), pos))
         pos = m.end()
     return tokens
-
-
-def tokenize(text: str) -> list:
-    return [Token(*tok) for tok in _lex(text)]
 
 
 def _convert(kind, node, name: str, offset: int):

@@ -341,9 +341,12 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
 @_QUIET
 def _stft_profiles(f: SampledFunction, window: SampledFunction,
                    tfgrid: TFGrid) -> tuple:
-    """stft(f, window, tfgrid).max_profiles(), bit for bit: those of a V
-    that f keeps, or else reduced from the engine's row blocks as they
-    come, so that neither V nor |V| is held, and kept as stft keeps V."""
+    """stft(f, window, tfgrid).max_profiles(), bit for bit: those f keeps,
+    or those of a V that f keeps, or else reduced from the engine's row
+    blocks as they come, so that neither V nor |V| is held, and kept as
+    stft keeps V."""
+    if (p := f._kept("stft_profiles", (window, tfgrid))) is not None:
+        return p
     if (v := f._kept("stft", (window, tfgrid))) is not None:
         return v.max_profiles()
     return f._kept("stft_profiles", (window, tfgrid), lambda: _max_profiles(

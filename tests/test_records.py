@@ -4,6 +4,7 @@ and construction pinned."""
 
 import ast
 import importlib
+import inspect
 import math
 import pathlib
 import pkgutil
@@ -19,7 +20,6 @@ from gstf.catalog import (Bump, Const, Diff, FunctionSpec, Gaussian, Hermite,
 from gstf.classify import (ClassifyOptions, CriticalScale, EnvelopeReport,
                            GSIndex)
 from gstf.grids import TFR, Grid1D, Record, SampledFunction, TFGrid
-from gstf.parse import Token
 from gstf.toeplitz import ContinuityEntry, ContinuityReport
 from gstf.witnesses import BoundaryCandidate, BoundaryReport
 
@@ -82,8 +82,6 @@ SAMPLES = {
     "SampledFunction": ((_G, _VALUES), f"SampledFunction(grid={_G_REPR})"),
     "TFR": ((TFGrid(_G, _G), _TF_VALUES),
             f"TFR(tfgrid=TFGrid(xgrid={_G_REPR}, xigrid={_G_REPR}))"),
-    "Token": (("number", "1.5", 3),
-              "Token(kind='number', text='1.5', offset=3)"),
     "ContinuityEntry": ((1.0, 2.0, "Member", "NotMember"),
                         "ContinuityEntry(r_star_in=1.0, r_star_out=2.0, "
                         "verdict_in='Member', verdict_out='NotMember')"),
@@ -196,6 +194,22 @@ def test_bad_arguments_raise_type_error(name):
     if len(names) > len(DEFAULTS.get(name, ())):
         with pytest.raises(TypeError):
             cls()  # missing
+
+
+@params
+def test_signature_lists_the_fields_and_defaults(name):
+    cls = RECORDS[name]
+    sig = inspect.signature(cls).parameters.values()
+    assert [p.name for p in sig] == list(cls._fields)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in sig)
+    defaults = tuple(p.default for p in sig if p.default is not p.empty)
+    assert defaults == DEFAULTS.get(name, ())
+
+
+def test_missing_argument_names_the_class():
+    with pytest.raises(TypeError, match=r"^Grid1D\.__init__\(\) missing 1 "
+                       r"required positional argument: 'count'$"):
+        Grid1D(0.0, 0.5)
 
 
 def test_plan_cache_hits_for_equal_grids_built_separately():

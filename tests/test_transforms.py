@@ -775,6 +775,19 @@ class TestStftMemo:
         # one V held, and never two at once (the peak is about 12.2 MB)
         assert held < 1.1 * one and peak < 2 * one
 
+    def test_streamed_profiles_stay_after_a_later_stft(self, grid10,
+                                                        tf_small):
+        # streamed profiles, then V: f keeps one set of profiles, and the
+        # critical scales kept on their carriers are not made again
+        f, w = self.pair(grid10)
+        first = transforms._stft_profiles(f, w, tf_small)
+        v = stft(f, w, tf_small)
+        again = transforms._stft_profiles(f, w, tf_small)
+        assert again[0] is first[0] and again[1] is first[1]
+        assert "max_profiles" not in v._memo
+        for kept, made in zip(first, v.max_profiles()):
+            assert np.array_equal(kept.values, made.values)
+
     @pytest.mark.parametrize("take", [
         lambda f, w, tf: stft(f, w, tf).values,
         lambda f, w, tf: np.stack([p.values for p in
