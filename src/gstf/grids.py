@@ -236,30 +236,27 @@ class TFR(_Memo, Record):
 
     def max_profiles(self) -> tuple:
         """(max over xi of |V|, max over x of |V|) as functions of x and
-        of xi, computed once per TFR from row chunks of |V|."""
+        of xi, computed once per TFR by _max_profiles from row chunks of V
+        whose |V| takes _BLOCK_BYTES."""
         vals = self.values
         rows = max(1, _BLOCK_BYTES // (8 * vals.shape[1]))
-
-        def chunks():
-            for lo in range(0, len(vals), rows):
-                a = np.abs(vals[lo:lo + rows])
-                yield slice(lo, lo + rows), a.max(axis=1), a.max(axis=0)
-
-        return self._memoised("max_profiles",
-                              lambda: _max_profiles(chunks(), self.tfgrid))
+        return self._memoised("max_profiles", lambda: _max_profiles(
+            ((slice(lo, lo + rows), vals[lo:lo + rows])
+             for lo in range(0, len(vals), rows)), self.tfgrid))
 
 
-def _max_profiles(blocks, tfgrid: TFGrid) -> tuple:
-    """TFR.max_profiles of V from (sl, row maxima, column maxima) of |V|
-    over its row blocks sl, in row order: the rows' maxima in place, and a
-    running maximum of the blocks' column maxima.  A maximum is exact, so
+def _max_profiles(rows, tfgrid: TFGrid) -> tuple:
+    """The max-profiles of V on ``tfgrid`` from V's rows, given in row
+    order as (sl, V[sl]) pairs: each pair's row maxima of |V| in place,
+    and a running maximum of its column maxima.  A maximum is exact, so
     the profiles are those of the whole |V| bit for bit.  GridError for a
     V that TFR would reject as not finite."""
     x_prof = np.empty(tfgrid.xgrid.count)
     xi_prof = np.zeros(tfgrid.xigrid.count)  # |V| >= 0
-    for sl, x_max, xi_max in blocks:
-        x_prof[sl] = x_max
-        np.maximum(xi_prof, xi_max, out=xi_prof)
+    for sl, v in rows:
+        mag = np.abs(v)
+        x_prof[sl] = mag.max(axis=1)
+        np.maximum(xi_prof, mag.max(axis=0), out=xi_prof)
     if not np.isfinite(x_prof).all():
         raise GridError("TFR values must be finite")
     return (SampledFunction(tfgrid.xgrid, x_prof),

@@ -54,9 +54,9 @@ def stft_product_transform_defect(f: SampledFunction, g: SampledFunction,
     """
     v1 = stft(f, phi1, tfgrid)
     v2 = stft(g, phi2, tfgrid)
-    product = np.conj(v1.values) * v2.values
+    product = TFR(tfgrid, np.conj(v1.values) * v2.values)
     _require_decayed(product, "STFT product")
-    lhs = dft2(TFR(tfgrid, product))
+    lhs = dft2(product)
 
     eta_grid = tfgrid.xgrid.dual()
     y_grid = tfgrid.xigrid.dual()

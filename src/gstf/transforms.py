@@ -233,10 +233,10 @@ def _stft_blocks(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid,
                  vals: np.ndarray | None = None) -> tuple:
     """(paired, blocks) for V = stft(f, window, tfgrid).  With ``vals``,
     each block taken from blocks writes its rows of V into it.  Without,
-    blocks yields (sl, row maxima, column maxima) of |V[sl]| in row order,
-    for _max_profiles: each block is unpacked and reduced as it is taken,
-    _SUB_ROWS chirp-z rows at a time, with |V| written over the rows read,
-    so that the only scratch is a few rows of V whatever the CPU count.
+    blocks yields V's rows in row order as (sl, V[sl]) pairs, for
+    _max_profiles: each block is unpacked as it is taken, _SUB_ROWS
+    chirp-z rows at a time into one scratch that each pair views, so that
+    the only scratch is a few rows of V whatever the CPU count.
     ``paired`` says real rows ran two window shifts per chirp-z row, which
     makes V exactly Hermitian in xi."""
     if f.grid != window.grid:
@@ -288,27 +288,21 @@ def _stft_blocks(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid,
     def write(sl, conv):
         unpack(conv[:, :m], vals[rows_of(sl)])
 
-    def reduce(blocks):  # each block before the engine reuses its buffer
+    def unpacked(blocks):  # each block before the engine reuses its buffer
         v = np.empty((per * _SUB_ROWS, m), dtype=complex)
         for sl, conv in blocks:
-            out = rows_of(sl)
-            size = out.stop - out.start  # V's rows in the block
-            # |V| of a chirp-z row's V rows goes over that row, once read
-            mag = conv.view(float)[:, :per * m].reshape(len(conv), per, m)
             for lo in range(0, len(conv), _SUB_ROWS):
                 z = conv[lo:lo + _SUB_ROWS, :m]
-                k = min(per * (lo + len(z)), size) - per * lo
-                unpack(z, v[:k])
-                v[k:per * len(z)] = 0.0  # an odd last row's missing pair
-                np.abs(v[:per * len(z)].reshape(len(z), per, m),
-                       out=mag[lo:lo + len(z)])
-            yield out, mag.max(axis=2).ravel()[:size], mag.max(axis=(0, 1))
+                out = rows_of(slice(sl.start + lo, sl.start + lo + len(z)))
+                part = v[:out.stop - out.start]
+                unpack(z, part)
+                yield out, part
 
     chirp_rows = (count + per - 1) // per
     if vals is not None:
         return paired, _chirp_rows(chirp_rows, n, fwd, fill, write)
-    return paired, reduce(_chirp_rows(chirp_rows, n, fwd, fill,
-                                      lambda sl, conv: (sl, conv)))
+    return paired, unpacked(_chirp_rows(chirp_rows, n, fwd, fill,
+                                        lambda sl, conv: (sl, conv)))
 
 
 @_QUIET
@@ -429,19 +423,14 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     return SampledFunction(window.grid, post * out)
 
 
-def edge_mass(values: np.ndarray) -> float:
-    """Largest magnitude on the edges of a 1-D or 2-D array relative to
-    its peak (0 for an all-zero array)."""
-    a = np.abs(values)
-    peak = a.max()
-    if peak == 0.0:
-        return 0.0
-    edge = max(np.take(a, (0, -1), axis=k).max() for k in range(a.ndim))
-    return float(edge / peak)
-
-
-def _require_decayed(values: np.ndarray, name: str):
-    if (mass := edge_mass(values)) > BOUNDARY_FLOOR:
+def _require_decayed(v: TFR, name: str):
+    """BoundaryMassError if |V|'s largest value on the edges of its grid,
+    read from V's max-profiles, exceeds BOUNDARY_FLOOR times its peak (an
+    all-zero V passes)."""
+    px, pxi = (p.values.real for p in v.max_profiles())
+    peak = px.max()
+    mass = float(max(px[0], px[-1], pxi[0], pxi[-1]) / peak) if peak else 0.0
+    if mass > BOUNDARY_FLOOR:
         raise BoundaryMassError(f"{name} has relative boundary mass "
                                 f"{mass:.2e}; enlarge the time-frequency grid")
 
@@ -518,8 +507,8 @@ def twisted_convolution_defect(
     v1f = stft(f, phi1, tfgrid)  # first: f may already keep it (Moyal's V)
     v2f = stft(f, phi2, tfgrid)
     v23 = stft(phi3, phi2, tfgrid)
-    _require_decayed(v1f.values, "V_phi1 f")
-    _require_decayed(v23.values, "V_phi2 phi3")
+    _require_decayed(v1f, "V_phi1 f")
+    _require_decayed(v23, "V_phi2 phi3")
 
     inner = phi1.grid.step * np.sum(phi3.values * np.conj(phi1.values))
     lhs = inner * v2f.values

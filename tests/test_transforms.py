@@ -9,14 +9,15 @@ import weakref
 import numpy as np
 import pytest
 
-from gstf import checks, grids, transforms
+from gstf import checks, grids, toeplitz, transforms
 from gstf import (BoundaryMassError, Gaussian, Grid1D, GridError, Hermite,
                   Modulate, SampledFunction, TFGrid, Translate, adjoint_stft,
-                  apply_toeplitz, build_grid, catalog_eval, dft, dft2, idft,
-                  stft, twisted_convolution_defect)
+                  apply_toeplitz, build_grid, catalog_eval, classify_stft,
+                  dft, dft2, idft, stft, stft_product_transform_defect,
+                  twisted_convolution_defect)
 from gstf.grids import TFR, gaussian_symbol, phase_space_grid
 
-from conftest import rel_max_err
+from conftest import rel_max_err, roumieu
 
 
 class TestDft:
@@ -1164,3 +1165,102 @@ class TestTwistedConvolution:
             twisted_convolution_defect(sharp, sharp, sharp, wide, tf)
         assert str(err.value) == ("V_phi2 phi3 has relative boundary mass "
                                   "4.70e-01; enlarge the time-frequency grid")
+
+
+def _edge_ratio(values):
+    """The largest |V| on the four edges of the grid over the peak of |V|,
+    from np.abs of the whole array."""
+    a = np.abs(values)
+    edge = max(a[0].max(), a[-1].max(), a[:, 0].max(), a[:, -1].max())
+    return float(edge / a.max())
+
+
+class TestBoundaryGate:
+    """_require_decayed reads the edge mass of |V| off V's max-profiles
+    and raises exactly when it exceeds BOUNDARY_FLOOR."""
+
+    @staticmethod
+    def bump(tf, spots=()):
+        """A Gaussian bump of peak 1 at the grid's centre, with the complex
+        values ``spots`` at their (row, column) places."""
+        vals = gaussian_symbol(tf).values.copy()
+        for (i, j), z in spots:
+            vals[i, j] = z
+        return TFR(tf, vals)
+
+    @staticmethod
+    def assert_gate(v, name="V"):
+        ratio = _edge_ratio(v.values)
+        if ratio > transforms.BOUNDARY_FLOOR:
+            with pytest.raises(BoundaryMassError) as err:
+                transforms._require_decayed(v, name)
+            assert str(err.value) == (
+                f"{name} has relative boundary mass {ratio:.2e}; "
+                "enlarge the time-frequency grid")
+        else:
+            transforms._require_decayed(v, name)
+        return ratio
+
+    @pytest.mark.parametrize("place", [(0, 40), (-1, 90), (70, 0), (20, -1)],
+                             ids=["first-row", "last-row", "first-column",
+                                  "last-column"])
+    def test_peak_on_each_edge(self, tf_small, place):
+        v = self.bump(tf_small, [(place, 3.0 - 4.0j)])
+        assert self.assert_gate(v, "V_phi1 f") == 1.0
+
+    def test_interior_peak(self, tf_small):
+        # exp(-(x^2 + xi^2)/2) on x up to 12 and xi up to 16
+        assert 0.0 < self.assert_gate(self.bump(tf_small)) < 1e-30
+
+    def test_all_zero_passes(self, tf_small):
+        zero = TFR(tf_small, np.zeros((129, 129)))
+        transforms._require_decayed(zero, "STFT product")
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("peak", [1.0, 2.5 - 1.5j], ids=["real", "complex"])
+    def test_ratios_beside_the_floor(self, tf_small, side, peak):
+        # an edge value two to five ulps from the floor times the peak, on
+        # a first-column sample, and times i on a last-row sample
+        floor = transforms.BOUNDARY_FLOOR
+        edge = np.nextafter(floor * abs(peak), side * np.inf)
+        for k in range(4):
+            edge = np.nextafter(edge, side * np.inf)
+            for place, z in (((60, 0), edge), ((-1, 30), edge * 1j)):
+                v = self.bump(tf_small, [((64, 64), peak), (place, z)])
+                ratio = self.assert_gate(v)
+                assert (ratio > floor) == (side > 0), (k, place)
+
+    def test_twisted_convolution_leaves_its_profiles_for_the_verdict(
+            self, monkeypatch, grid10, tf_small):
+        # phi1 is phi2, so f keeps V_phi1 f, whose profiles the gate made;
+        # classify_stft on f, phi1 and the grid reads those same carriers
+        f = catalog_eval(Hermite(2), grid10)
+        phi1 = catalog_eval(Gaussian(1.0), grid10)
+        v1f = stft(f, phi1, tf_small)
+        twisted_convolution_defect(f, phi1, phi1,
+                                   catalog_eval(Gaussian(0.5), grid10),
+                                   tf_small)
+        profiles = v1f._memo["max_profiles"]
+        reductions = []
+        for module in (grids, transforms):
+            real = module._max_profiles
+            monkeypatch.setattr(module, "_max_profiles",
+                                lambda *a, real=real: reductions.append(a)
+                                or real(*a))
+        passes = _count_passes(monkeypatch)
+        classify_stft(f, phi1, roumieu(s=0.5), tf_small)
+        assert transforms._stft_profiles(f, phi1, tf_small) is profiles
+        assert not reductions and not passes
+
+    def test_product_transform_gates_the_tfr_it_transforms(
+            self, request, monkeypatch):
+        # one product TFR: the gate's profiles are made on dft2's operand
+        grid, tf = _case_grids(request, "128x128")
+        seen, real = [], transforms.dft2
+        monkeypatch.setattr(toeplitz, "dft2",
+                            lambda a: seen.append(a) or real(a))
+        f = catalog_eval(Hermite(1), grid)
+        w = catalog_eval(Gaussian(1.0), grid)
+        stft_product_transform_defect(f, f, w, w, tf)
+        (product,) = seen
+        assert "max_profiles" in product._memo
