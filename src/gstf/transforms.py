@@ -326,7 +326,7 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
             pass
         v = TFR(tfgrid, vals)
         if paired:
-            v._memo["hermitian"] = True  # exactly, by the unpacking
+            v._memoised("hermitian", lambda: True)  # exactly, by the unpacking
         return v
 
     return f._kept("stft", (window, tfgrid), make)

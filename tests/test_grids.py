@@ -1,8 +1,12 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gstf
 from gstf import (TFR, Grid1D, GridError, SampledFunction, TFGrid,
                   build_grid, dft, idft)
 
@@ -272,3 +276,14 @@ class TestArrayRecordEquality:
         twin = type("Twin", (SampledFunction,), {})
         a, b = SampledFunction(g, np.ones(4)), twin(g, np.ones(4))
         assert a.__eq__(b) is NotImplemented and a != b
+
+
+def test_only_grids_touches_a_carriers_memo():
+    # the memo's layout is grids.py's: the other modules read and write it
+    # through _memoised and _kept
+    src = pathlib.Path(gstf.__file__).parent
+    touched = [f"{path.name}:{node.lineno}"
+               for path in sorted(src.glob("*.py")) if path.name != "grids.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_memo"]
+    assert touched == []
