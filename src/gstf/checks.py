@@ -51,6 +51,15 @@ CATALOG_SPACES = (
 
 _OPTS = ClassifyOptions(n_max=4, r_scale=0.5)  # the suites' verdict options
 
+# The product-transform check's twelve (f, g, phi1, phi2) picks from its
+# pool of eight functions: the draws of numpy's
+# default_rng(20240817).integers(0, 8, 4), written out so that the suite
+# neither imports numpy.random nor depends on its Generator stream.
+_PRODUCT_QUADRUPLES = (
+    (5, 4, 3, 2), (5, 2, 1, 2), (6, 6, 1, 6), (4, 7, 0, 6), (1, 0, 1, 1),
+    (1, 6, 1, 4), (6, 4, 5, 0), (5, 2, 5, 5), (2, 0, 5, 4), (4, 4, 2, 0),
+    (3, 0, 5, 3), (5, 4, 0, 6))
+
 
 def _phase_space():
     """The 1024-point suites' grid, its phase_space_grid and gaussian(1)."""
@@ -80,12 +89,10 @@ def _identities():
     pool = [Gaussian(1.0), Gaussian(2.0), Gaussian(0.5), Hermite(1),
             Hermite(2), Hermite(3), Translate(Gaussian(1.0), 1.0),
             Modulate(Gaussian(1.0), 1.0)]
-    rng = np.random.default_rng(20240817)
     signs = set()
     worst = 0.0
-    for _ in range(12):
-        f4, g4, p1, p2 = (catalog_eval(pool[i], g)
-                          for i in rng.integers(0, len(pool), 4))
+    for picks in _PRODUCT_QUADRUPLES:
+        f4, g4, p1, p2 = (catalog_eval(pool[i], g) for i in picks)
         d = stft_product_transform_defect(f4, g4, p1, p2, tfp)
         win = "minus" if d["defect_minus"] <= d["defect_plus"] else "plus"
         signs.add(win)
@@ -115,6 +122,20 @@ def _classification():
                                                         CATALOG_SPECS)))
 
 
+def _hash_symbol(tf: TFGrid) -> TFR:
+    """A full-band complex symbol on ``tf`` with no symmetry in x or xi:
+    the SplitMix64 stream seeded at 0, each output's top 53 bits mapped to
+    [-1, 1), real and imaginary parts interleaved.  Exact integer
+    arithmetic, so its bits depend on no libm and no SIMD path."""
+    n = 2 * tf.xgrid.count * tf.xigrid.count
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    u = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+    r = u * 2.0**-52 - 1.0
+    return TFR(tf, (r[0::2] + 1j * r[1::2]).reshape(tf.xgrid.count, -1))
+
+
 def _toeplitz():
     g, tf, gauss = _phase_space()
     w = gauss * (1.0 / gauss.norm2())
@@ -138,9 +159,7 @@ def _toeplitz():
 
     f = shared[Hermite(1)]
     g2 = catalog_eval(Gaussian(2.0), g)
-    rng = np.random.default_rng(7)
-    sym = TFR(tf, rng.standard_normal((129, 129))
-              + 1j * rng.standard_normal((129, 129)))
+    sym = _hash_symbol(tf)
     lhs = g.step * np.sum(apply_toeplitz(sym, w, w, f).values
                           * np.conj(g2.values))
     v1 = stft(f, w, tf)

@@ -23,7 +23,6 @@ from .catalog import catalog_eval
 from .errors import GridError, GstfError
 from .grids import (Grid1D, SampledFunction, TFR, build_grid, classify_tfgrid,
                     gaussian_symbol, phase_space_grid)
-from .parse import parse_function_expr
 from .transforms import _rel_defect, dft, stft
 
 __all__ = ["main", "run_command"]
@@ -131,6 +130,7 @@ def _input_function(args) -> tuple:
                 {"half_width": None, "points": f.grid.count})
     if not args.expr:
         raise GstfError("provide --expr or --in")
+    from .parse import parse_function_expr
     spec = parse_function_expr(args.expr)
     grid = _make_grid(args)
     return (catalog_eval(spec, grid), str(spec),
@@ -156,6 +156,7 @@ def _space_index(args):
 
 def _window(args, grid: Grid1D) -> tuple:
     """(description, samples on ``grid``) of --window."""
+    from .parse import parse_function_expr
     spec = parse_function_expr(args.window)
     return str(spec), catalog_eval(spec, grid)
 

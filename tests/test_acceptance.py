@@ -19,6 +19,7 @@ from gstf import (MEMBER, GSIndex, Gaussian, TrivialSpace,
                   classify_function, default_witness_grid, dft, make_witness,
                   parse_function_expr, stft)
 from gstf.errors import GstfError, UnsupportedRegion
+from gstf.transforms import _hermitian
 
 from test_parse import INVALID as PARSE_INVALID
 from test_parse import VALID as PARSE_VALID
@@ -194,6 +195,29 @@ def test_criterion_7_toeplitz(toeplitz_suite):
                   f"positivity_min={-v['positivity_defect']:.2e} "
                   f"probe_all_member="
                   f"{v['continuity_probe_nonmember_outputs'] == 0}")
+
+
+def test_product_quadruples_are_the_seeded_draws():
+    # the identities report's bytes were made with these draws before the
+    # suite wrote them out
+    rng = np.random.default_rng(20240817)
+    draws = tuple(tuple(int(i) for i in rng.integers(0, 8, 4))
+                  for _ in range(12))
+    assert checks._PRODUCT_QUADRUPLES == draws
+
+
+def test_adjoint_check_symbol_keeps_the_checks_reach(toeplitz_suite):
+    _, tf, _ = checks._phase_space()
+    a = checks._hash_symbol(tf).values
+    # SplitMix64 seeded at 0 starts 0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4
+    assert a[0, 0] == complex((0xe220a8397b1dcdaf >> 11) * 2.0**-52 - 1,
+                              (0x6e789e6aa1b965f4 >> 11) * 2.0**-52 - 1)
+    # not Hermitian in xi, so adjoint_stft runs its one-row path
+    assert not _hermitian(a, tf.xigrid)
+    for mirror in (a[::-1], a[:, ::-1]):  # no mirror symmetry in x or xi
+        assert not np.array_equal(a, mirror)
+        assert not np.array_equal(a, mirror.conj())
+    assert toeplitz_suite[0]["adjoint_symmetry"] <= 1e-15
 
 
 def test_criterion_8_inequality_fuzzing():

@@ -37,7 +37,8 @@ def _fresh(code: str) -> str:
 
 
 CORE = ["gstf", "gstf.catalog", "gstf.cli", "gstf.errors", "gstf.grids",
-        "gstf.parse", "gstf.transforms"]
+        "gstf.transforms"]
+CHECKS = ["gstf.checks", "gstf.classify", "gstf.toeplitz"]
 
 
 def test_cli_import_loads_only_the_core():
@@ -48,23 +49,29 @@ def test_cli_import_loads_only_the_core():
 
 
 @pytest.mark.parametrize("argv, extra", [
-    (["transform", "--expr", "gaussian(1)", "--points", "64"], []),
-    (["stft", "--expr", "gaussian(1)", "--points", "64"], []),
+    (["transform", "--expr", "gaussian(1)", "--points", "64"],
+     ["gstf.parse"]),
+    (["stft", "--expr", "gaussian(1)", "--points", "64"], ["gstf.parse"]),
     (["classify", "--expr", "gaussian(1)", "--points", "64", "--space", "S",
-      "--s", "0.5"], ["gstf.classify"]),
+      "--s", "0.5"], ["gstf.classify", "gstf.parse"]),
     (["witness", "--s", "1", "--sigma", "1", "--type", "roumieu", "--points",
       "64"], ["gstf.classify", "gstf.witnesses"]),
     (["toeplitz", "--expr", "gaussian(1)", "--points", "64"],
-     ["gstf.toeplitz"]),
+     ["gstf.parse", "gstf.toeplitz"]),
     (["verify", "--suite", "nope"], []),  # the parser names the suites
+    (["verify", "--suite", "identities"], CHECKS),
+    (["verify", "--suite", "classification"], CHECKS),
+    (["verify", "--suite", "toeplitz"], CHECKS),
 ])
 def test_each_subcommand_loads_what_it_runs(argv, extra):
+    # and none loads numpy.random: the suites' fixed inputs are written out
     loaded = _fresh("import contextlib, io, sys, gstf.cli\n"
                     "with contextlib.redirect_stdout(io.StringIO()), \\\n"
                     "        contextlib.redirect_stderr(io.StringIO()):\n"
                     f"    gstf.cli.run_command({argv!r})\n"
                     "print(*sorted(m for m in sys.modules\n"
-                    "              if m.split('.')[0] == 'gstf'))")
+                    "              if m.split('.')[0] == 'gstf'\n"
+                    "              or m == 'numpy.random'))")
     assert loaded.split() == sorted(CORE + extra)
 
 
