@@ -2,8 +2,9 @@
 # Print, as Markdown, this checkout beside the parent commit's source in
 # the worktree PARENT: each module's line count on each side, and the
 # totals; whether five reports keep the parent's bytes (the last three
-# read the V, T f and profiles their function keeps); and whether this
-# commit's verdict_hash.py prints the same hash on both. Report-only.
+# read the V, T f and profiles their function keeps); whether this
+# commit's verdict_hash.py prints the same hash on both; and the cells of
+# its verdict_ledger.py table that differ between them. Report-only.
 #
 # usage, from the repo root: git worktree add PARENT HEAD^
 #                            .github/scripts/against_parent.sh PARENT
@@ -41,4 +42,11 @@ if both hash .github/scripts/verdict_hash.py; then
 else
   p=$(< "$tmp/hash-parent") h=$(< "$tmp/hash-here")
   echo "verdict hash: differs (parent ${p:-failed}, here ${h:-failed})"
+fi
+if both ledger .github/scripts/verdict_ledger.py; then
+  echo "verdict ledger: same table as the parent"
+else
+  echo "verdict ledger: the cells that differ (< parent, > here)"
+  echo '```'; diff "$tmp/ledger-parent" "$tmp/ledger-here" | grep '^[<>]' || true
+  echo '```'
 fi

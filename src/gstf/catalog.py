@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import GstfError
-from .grids import Grid1D, Record, SampledFunction
+from .grids import _QUIET, Grid1D, Record, SampledFunction
 
 __all__ = [
     "FunctionSpec", "Const", "Gaussian", "Hermite", "Bump", "SubExp", "Poly",
@@ -109,14 +109,14 @@ class Hermite(FunctionSpec):
         return (hermite_poly(self.k, x) * np.exp(-0.5 * x * x)).astype(complex)
 
 
+@_QUIET
 def _gevrey_bump(x: np.ndarray, t: float = 2.0) -> np.ndarray:
     """exp(-(1-x^2)^(-1/(t-1))) on |x| < 1, exactly 0 elsewhere: a bump
     of Gevrey order t > 1 (Rodino, Linear Partial Differential Operators
     in Gevrey Spaces, 1993)."""
     out = np.zeros_like(x, dtype=complex)
     inside = np.abs(x) < 1.0
-    with np.errstate(over="ignore"):  # exp(-inf) = 0 near the rim
-        out[inside] = np.exp(-(1.0 - x[inside] ** 2) ** (-1.0 / (t - 1.0)))
+    out[inside] = np.exp(-(1.0 - x[inside] ** 2) ** (-1.0 / (t - 1.0)))
     return out
 
 
@@ -214,9 +214,9 @@ class Product(Infix):
     op, prec, ufunc = "*", 2, np.multiply
 
 
+@_QUIET
 def catalog_eval(spec: FunctionSpec, grid: Grid1D) -> SampledFunction:
     """Evaluate a function spec pointwise on a grid."""
     if not isinstance(spec, FunctionSpec):
         raise GstfError(f"not a FunctionSpec: {spec!r}")
-    with np.errstate(all="ignore"):  # SampledFunction rejects inf and nan
-        return SampledFunction(grid, spec._eval(grid.coords))
+    return SampledFunction(grid, spec._eval(grid.coords))

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import GstfError
-from .grids import Grid1D, Record, SampledFunction, TFGrid, TFR
+from .grids import _QUIET, Grid1D, Record, SampledFunction, TFGrid, TFR
 from .transforms import _stft_profiles, dft
 
 __all__ = [
@@ -47,7 +47,6 @@ INCONCLUSIVE = "Inconclusive"
 # overflow take their IEEE limits.
 GUARD = 2
 FLOOR = 1e-13
-_QUIET = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 class GSIndex(Record):
@@ -121,13 +120,15 @@ class EnvelopeReport(Record):
 
 def _magnitudes(f: SampledFunction) -> tuple:
     """(|f|, log|f|, max |f|), computed once per function."""
-    def make():
-        a = np.abs(f.values)
-        with np.errstate(divide="ignore"):  # log 0 = -inf
-            loga = np.log(a)
-        a.flags.writeable = loga.flags.writeable = False
-        return a, loga, float(a.max())
-    return f._memoised("magnitudes", make)
+    return f._memoised("magnitudes", lambda: _log_magnitudes(f.values))
+
+
+@_QUIET
+def _log_magnitudes(values: np.ndarray) -> tuple:
+    a = np.abs(values)
+    loga = np.log(a)  # log 0 = -inf
+    a.flags.writeable = loga.flags.writeable = False
+    return a, loga, float(a.max())
 
 
 def _split(fn: SampledFunction, floor: float | None) -> tuple:

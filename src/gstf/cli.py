@@ -21,8 +21,8 @@ import numpy as np
 # the core; each subcommand imports the other modules that it runs
 from .catalog import catalog_eval
 from .errors import GridError, GstfError
-from .grids import (Grid1D, SampledFunction, TFR, build_grid, classify_tfgrid,
-                    gaussian_symbol, phase_space_grid)
+from .grids import (_QUIET, Grid1D, SampledFunction, TFR, build_grid,
+                    classify_tfgrid, gaussian_symbol, phase_space_grid)
 from .transforms import _rel_defect, dft, stft
 
 __all__ = ["main", "run_command"]
@@ -84,6 +84,7 @@ def _emit(args, params: dict, body: dict, header, rows, elapsed: float):
 
 # ----------------------------------------------------------------- inputs
 
+@_QUIET
 def _load_csv_samples(path: str) -> SampledFunction:
     import csv
     xs, vals = [], []
@@ -111,13 +112,11 @@ def _load_csv_samples(path: str) -> SampledFunction:
         raise GridError("CSV input x must be finite")
     # an overflowing step is inf (and inf - inf nan, which passes the
     # comparison): Grid1D rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.diff(xs)
-        step = steps[0]
-        if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * abs(step)):
-            raise GridError("CSV input must have strictly increasing "
-                            "uniform x")
-        grid = Grid1D(float((xs[0] + xs[-1]) / 2), float(step), len(xs))
+    steps = np.diff(xs)
+    step = steps[0]
+    if step <= 0 or np.any(np.abs(steps - step) > 1e-9 * abs(step)):
+        raise GridError("CSV input must have strictly increasing uniform x")
+    grid = Grid1D(float((xs[0] + xs[-1]) / 2), float(step), len(xs))
     return SampledFunction(grid, np.asarray(vals))
 
 
@@ -259,8 +258,7 @@ def _cmd_toeplitz(args) -> tuple:
     from .toeplitz import apply_toeplitz
     f, desc, extent = _input_function(args)
     wdesc, window = _window(args, f.grid)
-    with np.errstate(over="ignore"):  # an overflow is the norm inf
-        norm = window.norm2()
+    norm = window.norm2()
     if not 0 < norm < math.inf:
         raise GridError(f"the window's L2 norm is {norm!r}: it must be "
                         "finite and > 0")

@@ -149,6 +149,11 @@ class TFGrid(Record):
     xigrid: Grid1D
 
 
+# The kernels' one error state, a decorator of functions defined once (no
+# with): IEEE limits stand, and _Memo._seal rejects what is not finite.
+_QUIET = np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
 class _Memo:
     """Read-only ``values`` and a memo of work derived from them; the memo
     is not a record field, so ==, repr and _asdict ignore it.  == compares
@@ -201,6 +206,7 @@ class _Memo:
             self._memo[name] = ops, make()
             return self._memo[name][1]
 
+    @_QUIET
     def norm2(self) -> float:
         """Continuum L2 norm, a Riemann sum over cells of measure _cell."""
         return float(np.sqrt(self._cell * np.sum(np.abs(self.values) ** 2)))

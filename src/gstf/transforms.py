@@ -19,8 +19,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import BoundaryMassError, GridError
-from .grids import (_BLOCK_BYTES, Grid1D, SampledFunction, TFGrid, TFR,
-                    _max_profiles)
+from .grids import (_BLOCK_BYTES, _QUIET, Grid1D, SampledFunction, TFGrid,
+                    TFR, _max_profiles)
 
 __all__ = [
     "dft", "idft", "dft2", "stft", "adjoint_stft",
@@ -43,9 +43,6 @@ _TWO_PI = 8 * np.arctan(np.longdouble(1))
 
 # Chirp-z rows that the streamed max-profiles unpack at a time
 _SUB_ROWS = 4
-
-# Overflow gives non-finite results, which SampledFunction and TFR reject.
-_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 @_QUIET
@@ -129,11 +126,12 @@ def _stft_plan(grid: Grid1D, tfgrid: TFGrid) -> tuple:
     With t_j = t0 + j*h and xi_k = xi0 + k*d,
     exp(-i t_j xi_k) = a_k * b_j * c(k - j) with c(m) = exp(i h d m^2 / 2),
     so a row sum over j is a linear convolution with the chirp c.  Returns
-    (a, b, fwd, adj, starts): fwd is the FFT of c laid out for lags k - j
-    (stft), adj that of conj(c) for lags j - k (adjoint_stft), both of the
-    length L = 2^a 3^b >= N + M - 1 that keeps the circular convolution
-    linear; starts[c] is the row of _window_rows that holds the window
-    shifted to x_c.  The arrays are O(N + M) and read-only.
+    (a, b, spectrum, starts): spectrum is the FFT of c laid out for lags
+    k - j (stft), of the length L = 2^a 3^b >= N + M - 1 that keeps the
+    circular convolution linear; conj(c) for lags j - k (adjoint_stft) is
+    that layout reversed and conjugated, so its FFT is spectrum.conj().
+    starts[c] is the row of _window_rows that holds the window shifted to
+    x_c.  The arrays are O(N + M) and read-only.
     """
     xigrid = tfgrid.xigrid
     n, m = grid.count, xigrid.count
@@ -150,16 +148,12 @@ def _stft_plan(grid: Grid1D, tfgrid: TFGrid) -> tuple:
     a = _unit(-(t0 * xi0 + t0 * d * k + hd2 * k * k))
     b = _unit(-(xi0 * h * j + hd2 * j * j))
     c = _unit(hd2 * lag * lag)
-
-    def spectrum(chirp, ahead, behind):
-        # lags 0..ahead-1 at the front, -1..-(behind-1) wrapped to the back
-        z = np.zeros(size, dtype=complex)
-        z[:ahead] = chirp[:ahead]
-        z[size - behind + 1:] = chirp[behind - 1:0:-1]
-        return np.fft.fft(z)
-
+    # lags 0..m-1 at the front, -1..-(n-1) wrapped to the back
+    z = np.zeros(size, dtype=complex)
+    z[:m] = c[:m]
+    z[size - n + 1:] = c[n - 1:0:-1]
     starts = n - np.clip(shift, -n, n)
-    plan = (a, b, spectrum(c, m, n), spectrum(np.conj(c), n, m), starts)
+    plan = (a, b, np.fft.fft(z), starts)
     for arr in plan:
         arr.flags.writeable = False
     return plan
@@ -241,7 +235,7 @@ def _stft_blocks(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid,
     makes V exactly Hermitian in xi."""
     if f.grid != window.grid:
         raise GridError("stft: f and window must share a grid")
-    a, b, fwd, _, starts = _stft_plan(f.grid, tfgrid)
+    a, b, spectrum, starts = _stft_plan(f.grid, tfgrid)
     count, n, m = starts.size, b.size, a.size
     a = a * (f.grid.step / _SQRT_2PI)
     paired = not (tfgrid.xigrid.center != 0.0 or f.values.imag.any()
@@ -300,8 +294,8 @@ def _stft_blocks(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid,
 
     chirp_rows = (count + per - 1) // per
     if vals is not None:
-        return paired, _chirp_rows(chirp_rows, n, fwd, fill, write)
-    return paired, unpacked(_chirp_rows(chirp_rows, n, fwd, fill,
+        return paired, _chirp_rows(chirp_rows, n, spectrum, fill, write)
+    return paired, unpacked(_chirp_rows(chirp_rows, n, spectrum, fill,
                                         lambda sl, conv: (sl, conv)))
 
 
@@ -373,7 +367,7 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
 
     Satisfies adjoint_stft(stft(f, w), w) ~ ||w||^2 f on well-covered grids.
     """
-    a, b, _, adj, starts = _stft_plan(window.grid, F.tfgrid)
+    a, b, spectrum, starts = _stft_plan(window.grid, F.tfgrid)
     count, n, ca, cb = starts.size, b.size, np.conj(a), np.conj(b)
     w = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / _SQRT_2PI
     if window.values.imag.any() or not _is_hermitian(F):
@@ -413,7 +407,7 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
                 terms[r, 1::2] *= rows[starts[c + 1]] if c + 1 < count else 0.0
             return terms
 
-    for terms in _chirp_rows(chirp_rows, a.size, adj, fill, weigh):
+    for terms in _chirp_rows(chirp_rows, a.size, spectrum.conj(), fill, weigh):
         # carry the running sum in the first row, so that the rows add up
         # in one order whatever the block size or the worker count
         terms[0] += out

@@ -493,6 +493,22 @@ class TestInProcessContract:
         assert out.stderr.count("\n") == 1
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("argv,message", [
+        (["classify", "--in", "{csv}", "--space", "S", "--s", "1"],
+         "GridError: grid step must be positive and finite"),
+        (["toeplitz", "--expr", "poly(3)", "--window", "1e300*gaussian(1)"],
+         "GridError: the window's L2 norm is inf: it must be finite and > 0"),
+    ], ids=["csv-step", "window-norm"])
+    def test_overflow_exits_2_under_warnings_as_errors(self, tmp_path, argv,
+                                                       message):
+        # the CSV loader's x step and the window's norm overflow to inf in
+        # the package's one error state, and the input checks reject it
+        path = tmp_path / "over.csv"
+        path.write_text("-1e308,1.0\n1e308,0.5\n")
+        out = run_cli_process(*(a.format(csv=path) for a in argv),
+                              flags=("-W", "error::RuntimeWarning"))
+        assert (out.returncode, out.stderr) == (2, f"error: {message}\n")
+
     @pytest.mark.parametrize("flags", [("--s=-inf", "--sigma", "0.5"),
                                        ("--s", "0.5", "--sigma=-inf")])
     def test_negative_infinite_index_exits_2(self, capsys, flags):

@@ -287,3 +287,17 @@ def test_only_grids_touches_a_carriers_memo():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_memo"]
     assert touched == []
+
+
+def test_one_error_state():
+    # the numeric kernels run in grids._QUIET, the one np.errstate the
+    # package builds
+    from gstf import catalog, classify, cli, grids, transforms
+    assert (transforms._QUIET is classify._QUIET is catalog._QUIET
+            is cli._QUIET is grids._QUIET)
+    src = pathlib.Path(gstf.__file__).parent
+    built = [path.name for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "errstate"]
+    assert built == ["grids.py"]

@@ -306,6 +306,26 @@ class TestStftChirpZ:
                 assert np.array_equal(adjoint_stft(v, w).values, g.values)
         assert len(passes) == len(BLOCK_SWEEP)  # each stft ran the engine
 
+    @pytest.mark.parametrize("name", ["129x129", "128x128", "513x1001",
+                                      "odd-t"])
+    def test_adjoint_spectrum_is_the_conjugate(self, request, name):
+        # adjoint_stft convolves with conj(c) laid out for lags j - k: the
+        # forward layout reversed and conjugated, so its FFT is the
+        # conjugate of the plan's one spectrum
+        grid, tf = _case_grids(request, name)
+        a, b, spectrum, _ = transforms._stft_plan(grid, tf)
+        n, m, size = b.size, a.size, spectrum.size
+        ld = np.longdouble
+        lag = np.arange(max(n, m), dtype=ld)
+        c = transforms._unit(ld(grid.step) * ld(tf.xigrid.step) / 2
+                             * lag * lag)
+        z = np.zeros(size, dtype=complex)
+        z[:n] = np.conj(c[:n])  # lags 0 .. n-1
+        z[size - m + 1:] = np.conj(c[m - 1:0:-1])  # lags -1 .. -(m-1)
+        adj = np.fft.fft(z)
+        assert (np.max(np.abs(spectrum.conj() - adj))
+                <= 1e-15 * np.max(np.abs(adj)))
+
     def test_cached_plan_is_read_only(self, case):
         f, w, tf = case
         stft(f, w, tf)
@@ -362,7 +382,8 @@ class TestStftRealPath:
 def _one_row_adjoint(F, w):
     """adjoint_stft with one x row per chirp-z row: the engine as it ran
     before Hermitian rows were paired."""
-    a, b, _, adj, starts = transforms._stft_plan(w.grid, F.tfgrid)
+    a, b, spectrum, starts = transforms._stft_plan(w.grid, F.tfgrid)
+    adj = spectrum.conj()
     n, size = b.size, adj.size
     padded = np.zeros(3 * n, dtype=complex)
     padded[n:2 * n] = w.values
