@@ -2,7 +2,8 @@
 # Print, as Markdown, this checkout beside the parent commit's source in
 # the worktree PARENT: each module's line count on each side, and the
 # totals; whether five reports keep the parent's bytes (the last three
-# read the V, T f and profiles their function keeps); whether this
+# read the V, T f and profiles their function keeps), and each verify
+# check whose value differs, as `name: parent → here`; whether this
 # commit's verdict_hash.py prints the same hash on both; and the cells of
 # its verdict_ledger.py table that differ between them. Report-only.
 #
@@ -37,6 +38,17 @@ do
   both "$k" -m gstf.cli $argv && same="same bytes as"
   echo "gstf $argv: $same the parent commit"
 done
+python - "$tmp/1-parent" "$tmp/1-here" <<'EOF' || true
+import json, sys
+try:  # a side that printed no report has no values to compare
+    parent, here = ({c["name"]: c["value"] for c in json.load(open(p))["checks"]}
+                    for p in sys.argv[1:])
+except ValueError:
+    sys.exit()
+for name, value in here.items():
+    if parent.get(name) != value:
+        print(f"- {name}: {parent.get(name)} → {value}")
+EOF
 if both hash .github/scripts/verdict_hash.py; then
   echo "verdict hash: same verdict bits as the parent ($(< "$tmp/hash-here"))"
 else

@@ -164,7 +164,7 @@ def _toeplitz():
                           * np.conj(g2.values))
     v1 = stft(f, w, tf)
     v2 = stft(g2, w, tf)
-    rhs = tf.xgrid.step * tf.xigrid.step * np.sum(
+    rhs = sym._cell * np.sum(
         sym.values * np.conj(np.conj(v1.values) * v2.values))
     yield "adjoint_symmetry", _rel_defect(rhs, lhs)
     del g2, v1, v2

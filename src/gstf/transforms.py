@@ -87,7 +87,8 @@ def dft2(a: TFR) -> TFR:
 
 
 def _fft_length(n: int) -> int:
-    """Smallest 2^a * 3^b >= n."""
+    """Smallest 2^a * 3^b >= n: gstf's one FFT length, that of the chirp-z
+    rows of _stft_plan and of the x-convolutions of _twisted_sum."""
     best, p3 = 1 << (n - 1).bit_length(), 3
     while p3 < best:
         best = min(best, p3 << ((n - 1) // p3).bit_length())
@@ -329,16 +330,15 @@ def stft(f: SampledFunction, window: SampledFunction, tfgrid: TFGrid) -> TFR:
 @_QUIET
 def _stft_profiles(f: SampledFunction, window: SampledFunction,
                    tfgrid: TFGrid) -> tuple:
-    """stft(f, window, tfgrid).max_profiles(), bit for bit: those f keeps,
-    or those of a V that f keeps, or else reduced from the engine's row
-    blocks as they come, so that neither V nor |V| is held, and kept as
-    stft keeps V."""
-    if (p := f._kept("stft_profiles", (window, tfgrid))) is not None:
-        return p
-    if (v := f._kept("stft", (window, tfgrid))) is not None:
-        return v.max_profiles()
-    return f._kept("stft_profiles", (window, tfgrid), lambda: _max_profiles(
-        _stft_blocks(f, window, tfgrid)[1], tfgrid))
+    """stft(f, window, tfgrid).max_profiles(), bit for bit, kept as stft
+    keeps V: those of a V that f keeps, or else reduced from the engine's
+    row blocks as they come, so that neither V nor |V| is held."""
+    def make():
+        if (v := f._kept("stft", (window, tfgrid))) is not None:
+            return v.max_profiles()
+        return _max_profiles(_stft_blocks(f, window, tfgrid)[1], tfgrid)
+
+    return f._kept("stft_profiles", (window, tfgrid), make)
 
 
 def _is_hermitian(F: TFR) -> bool:
@@ -369,7 +369,7 @@ def adjoint_stft(F: TFR, window: SampledFunction) -> SampledFunction:
     """
     a, b, spectrum, starts = _stft_plan(window.grid, F.tfgrid)
     count, n, ca, cb = starts.size, b.size, np.conj(a), np.conj(b)
-    w = F.tfgrid.xgrid.step * F.tfgrid.xigrid.step / _SQRT_2PI
+    w = F._cell / _SQRT_2PI
     if window.values.imag.any() or not _is_hermitian(F):
         rows, out = _window_rows(window.values), np.zeros(n, dtype=complex)
         chirp_rows, post = count, cb * w
@@ -448,12 +448,12 @@ def _twisted_sum(v1f: TFR, v23: TFR) -> np.ndarray:
     nx, nxi = tfgrid.xgrid.count, tfgrid.xigrid.count
     mx, mxi = (nx - 1) // 2, (nxi - 1) // 2
     u, eta = tfgrid.xgrid.coords, tfgrid.xigrid.coords
-    # Linear convolution over x as a circular one of length L: the kept
-    # outputs mx .. mx+nx-1 stay clear of the wrapped tail when L >= nx+mx.
+    # Linear convolution over x as a circular one of length L >= nx+mx: the
+    # kept outputs mx .. mx+nx-1 stay clear of the wrapped tail.
     # With exp(-i (x-y) eta) = exp(-i x eta) exp(i y eta), both operands
     # are transformed once and each eta takes one product and one IFFT,
     # in one work buffer, summed in (xi, x) rows.
-    L = 1 << (nx + mx - 1).bit_length()
+    L = _fft_length(nx + mx)
     turn = np.exp(1j * np.outer(eta, u))  # exp(i y eta), one row per eta
     a_hat = np.fft.fft(v1f.values.T, L, axis=-1)  # (xi, x) rows
     b_hat = np.fft.fft(v23.values.T * turn, L, axis=-1)
@@ -474,8 +474,7 @@ def _twisted_sum(v1f: TFR, v23: TFR) -> np.ndarray:
         kept *= turn[jeta]
         acc[lo:hi] += kept
     acc[:half] = np.conj(acc[::-1][:half])  # the xi < 0 mirror
-    weight = tfgrid.xgrid.step * tfgrid.xigrid.step / _SQRT_2PI
-    return weight * acc.T
+    return v1f._cell / _SQRT_2PI * acc.T
 
 
 def twisted_convolution_defect(

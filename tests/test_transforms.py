@@ -1090,7 +1090,7 @@ class TestTwistedConvolution:
         nx, nxi = tf.xgrid.count, tf.xigrid.count
         mx, mxi = (nx - 1) // 2, (nxi - 1) // 2
         u, eta = tf.xgrid.coords, tf.xigrid.coords
-        L = 1 << (nx + mx - 1).bit_length()
+        L = transforms._fft_length(nx + mx)
         v1t = v1f.values.T
         b_hat = np.fft.fft(v23.values.T, L, axis=-1)
         acc = np.zeros_like(lhs)
@@ -1125,7 +1125,7 @@ class TestTwistedConvolution:
         nx, nxi = tf.xgrid.count, tf.xigrid.count
         mx, mxi = (nx - 1) // 2, (nxi - 1) // 2
         u, eta = tf.xgrid.coords, tf.xigrid.coords
-        L = 1 << (nx + mx - 1).bit_length()
+        L = transforms._fft_length(nx + mx)
         turn = np.exp(1j * np.outer(eta, u))
         a_hat = np.fft.fft(v1f.T, L, axis=-1)
         b_hat = np.fft.fft(v23.T * turn, L, axis=-1)
